@@ -9,23 +9,20 @@ columns instead of a Python object per session — and this benchmark
 measures what that buys:
 
 * **bit-identity first** — before anything is timed, the same skewed
-  stream is decided through the batched service over columnar engines
-  and over classic object-backed engines (counters re-seeded so whole
-  ``Decision`` objects compare equal): decisions, provenance, per-shard
-  audit order and tracker timelines must match exactly, with zero
-  vector-sweep fallbacks on either side (any store-only fallback would
-  show up as an asymmetry).  The bulk loader
-  (:meth:`~repro.rbac.engine.AccessControlEngine.open_sessions`) is
-  verified against scalar ``authenticate``+``activate_role`` the same
-  way.
+  stream is decided through the batched service over sessions opened
+  one by one (``authenticate`` + ``activate_role``) and over sessions
+  bulk-opened by
+  :meth:`~repro.rbac.engine.AccessControlEngine.open_sessions`:
+  decisions, provenance, per-shard audit order and tracker timelines
+  must match exactly, with zero vector-sweep fallbacks and a real mix
+  of grants and denials.  (Whether the decisions are *right* is the
+  job of the definitions-level oracle in ``tests/test_spec_oracle.py``.)
 * **resident scale** — ``open_sessions`` bulk-loads the full
   population (1M+ sessions in the full run) under ``tracemalloc``;
   the marginal bytes/session (and the store's own column accounting)
   gate the ≤ 200 B/session budget.
 * **throughput at scale** — the diurnal Zipf stream is driven through
-  the micro-batched :class:`~repro.service.DecisionService`; the same
-  small-session workload PR-6 benchmarks (64 hot sessions) is then run
-  store-on vs store-off, and the store must stay within 0.9x.
+  the micro-batched :class:`~repro.service.DecisionService`.
 
 Run:  python benchmarks/bench_scale.py [--smoke]
 Emits benchmarks/artifacts/BENCH_scale.json.
@@ -151,18 +148,11 @@ def _drive(
 # -- bit-identity -----------------------------------------------------------
 
 
-def _build_stack(
-    spec: ScaleSpec,
-    workload: ScaleWorkload,
-    use_store: bool,
-    bulk: bool,
-):
+def _build_stack(spec: ScaleSpec, workload: ScaleWorkload, bulk: bool):
     """One full service stack over the verification workload; returns
     (engine, sessions-in-workload-order)."""
     _reset_counters()
-    engine = ShardedEngine(
-        build_policy(spec), shards=8, use_session_store=use_store
-    )
+    engine = ShardedEngine(build_policy(spec), shards=8)
     if bulk:
         shard_ids = _shard_ids(engine, workload)
         rows = engine.open_sessions(workload.user_names, 0.0, roles=("agent",))
@@ -189,14 +179,12 @@ def _build_stack(
     return engine, sessions
 
 
-def _run_verification_stack(
-    spec: ScaleSpec, workload: ScaleWorkload, use_store: bool, bulk: bool
-):
-    engine, sessions = _build_stack(spec, workload, use_store, bulk)
+def _run_verification_stack(spec: ScaleSpec, workload: ScaleWorkload, bulk: bool):
+    engine, sessions = _build_stack(spec, workload, bulk)
     with _service(engine) as service:
         decisions, _ = _drive(service, sessions, workload)
         stats = service.service_stats()
-    audit = [list(shard.engine.audit) for shard in engine._shards]
+    audit = [[_norm(d) for d in shard.engine.audit] for shard in engine._shards]
     timelines = {}
     for k in range(0, spec.sessions, 17):
         for key, tracker in sessions[k].trackers.items():
@@ -209,56 +197,49 @@ def _run_verification_stack(
 
 
 def verify_bit_identity(spec: ScaleSpec) -> dict:
-    """Columnar vs object-backed engines must be indistinguishable on
-    the skewed stream — decisions (full provenance), per-shard audit
-    order, tracker timelines — and the bulk loader must match scalar
-    session establishment.  Returns comparison counts for the report."""
+    """Bulk-opened and one-by-one-opened stacks must be
+    indistinguishable on the skewed stream — decisions (full
+    provenance), per-shard audit order, tracker timelines — with zero
+    vector fallbacks.  Returns comparison counts for the report."""
     workload = build_workload(spec)
-    store = _run_verification_stack(spec, workload, use_store=True, bulk=False)
-    plain = _run_verification_stack(spec, workload, use_store=False, bulk=False)
-    bulk = _run_verification_stack(spec, workload, use_store=True, bulk=True)
+    single = _run_verification_stack(spec, workload, bulk=False)
+    bulk = _run_verification_stack(spec, workload, bulk=True)
 
-    if store[0] != plain[0]:
-        for a, b in zip(store[0], plain[0]):
+    want = [_norm(d) for d in single[0]]
+    got = [_norm(d) for d in bulk[0]]
+    if got != want:
+        for a, b in zip(got, want):
             if a != b:
                 raise AssertionError(
-                    f"columnar decision diverges from object-backed:"
-                    f"\n{a}\nvs\n{b}"
+                    f"bulk-opened decision diverges:\n{a}\nvs\n{b}"
                 )
-        raise AssertionError("columnar decision stream diverges")
-    if store[1] != plain[1]:
-        raise AssertionError("per-shard audit order diverges under the store")
-    if store[3] != plain[3]:
-        raise AssertionError("tracker timelines diverge under the store")
-    if [_norm(d) for d in bulk[0]] != [_norm(d) for d in store[0]]:
-        raise AssertionError("bulk-opened sessions decide differently")
+        raise AssertionError("bulk-opened decision stream diverges")
+    if bulk[1] != single[1]:
+        raise AssertionError("per-shard audit order diverges after a bulk open")
+    if bulk[3] != single[3]:
+        raise AssertionError("tracker timelines diverge after a bulk open")
 
-    store_stats, plain_stats = store[2], plain[2]
-    if store_stats.vector_fallbacks != plain_stats.vector_fallbacks:
-        raise AssertionError(
-            f"store-attributable vector fallbacks: "
-            f"{store_stats.vector_fallbacks} columnar vs "
-            f"{plain_stats.vector_fallbacks} object-backed"
-        )
-    if store_stats.vector_fallbacks != 0:
-        raise AssertionError(
-            f"verification stream fell back {store_stats.vector_fallbacks}x"
-        )
-    if store_stats.vector_decisions == 0:
+    stats = single[2]
+    for side in (stats, bulk[2]):
+        if side.vector_fallbacks != 0:
+            raise AssertionError(
+                f"verification stream fell back {side.vector_fallbacks}x"
+            )
+    if stats.vector_decisions == 0:
         raise AssertionError("verification stream never hit the vector sweep")
-    granted = sum(d.granted for d in store[0])
-    if granted == 0 or granted == len(store[0]):
+    granted = sum(d.granted for d in single[0])
+    if granted == 0 or granted == len(single[0]):
         raise AssertionError(
             f"degenerate verification stream ({granted} grants "
-            f"of {len(store[0])})"
+            f"of {len(single[0])})"
         )
     return {
-        "decisions_compared": len(store[0]),
+        "decisions_compared": len(single[0]),
         "granted": granted,
-        "denied": len(store[0]) - granted,
-        "timelines_compared": len(store[3]),
-        "vector_decisions": store_stats.vector_decisions,
-        "vector_fallbacks": store_stats.vector_fallbacks,
+        "denied": len(single[0]) - granted,
+        "timelines_compared": len(single[3]),
+        "vector_decisions": stats.vector_decisions,
+        "vector_fallbacks": stats.vector_fallbacks,
     }
 
 
@@ -270,10 +251,7 @@ def build_population(spec: ScaleSpec, workload: ScaleWorkload):
     Returns (engine, shard_ids, row_of, build report)."""
     _reset_counters()
     engine = ShardedEngine(
-        build_policy(spec),
-        shards=SHARDS,
-        use_session_store=True,
-        record_timelines=False,
+        build_policy(spec), shards=SHARDS, record_timelines=False
     )
     shard_ids = _shard_ids(engine, workload)
     counts = np.bincount(shard_ids, minlength=SHARDS)
@@ -360,53 +338,10 @@ class _HandleList:
         return self._handles[index]
 
 
-# -- small-session reference ------------------------------------------------
-
-
-def small_session_rate(spec: ScaleSpec, use_store: bool, repeats: int) -> float:
-    """The PR-6 small-session batched-service shape (a few dozen hot
-    sessions, table-eligible constraints) store-on vs store-off —
-    whatever the store costs on tiny populations shows up here."""
-    workload = build_workload(spec)
-    _reset_counters()
-    engine = ShardedEngine(
-        build_policy(spec), shards=SHARDS, use_session_store=use_store
-    )
-    sessions = []
-    for name in workload.user_names:
-        session = engine.authenticate(name, 0.0)
-        engine.activate_role(session, "agent", 0.0)
-        sessions.append(session)
-    engine.prewarm(workload.alphabet)
-    best = 0.0
-    with _service(engine) as service:
-        # Warm pass (monitor init, caches) off the clock, then repeat
-        # the stream at later instants (trackers need monotone time).
-        warm = dataclasses.replace(workload)
-        _drive(service, sessions, warm)
-        service.reset_stats()
-        horizon = float(workload.times[-1]) + 1.0
-        for epoch in range(repeats):
-            shifted = dataclasses.replace(
-                workload, times=workload.times + (epoch + 1) * horizon
-            )
-            _, wall = _drive(service, sessions, shifted)
-            best = max(best, len(workload.times) / wall)
-        stats = service.service_stats()
-    if stats.errors:
-        raise AssertionError(
-            f"small-session reference reported {stats.errors} errors"
-        )
-    return best
-
-
 # -- top level --------------------------------------------------------------
 
 
-def measure(
-    spec: ScaleSpec, verify_spec: ScaleSpec, ref_spec: ScaleSpec,
-    repeats: int = 3,
-) -> dict:
+def measure(spec: ScaleSpec, verify_spec: ScaleSpec) -> dict:
     report: dict = {
         "spec": dataclasses.asdict(spec),
         "verify": verify_bit_identity(verify_spec),
@@ -421,18 +356,6 @@ def measure(
     engine, shard_ids, row_of, build = build_population(spec, workload)
     report["build"] = build
     report["drive"] = drive_population(engine, shard_ids, row_of, workload)
-    del engine, shard_ids, row_of, workload
-    gc.collect()
-
-    store_rate = small_session_rate(ref_spec, use_store=True, repeats=repeats)
-    plain_rate = small_session_rate(ref_spec, use_store=False, repeats=repeats)
-    report["small_session"] = {
-        "requests": ref_spec.requests,
-        "sessions": ref_spec.sessions,
-        "store_rate": store_rate,
-        "object_rate": plain_rate,
-        "ratio": store_rate / plain_rate,
-    }
     return report
 
 
@@ -441,7 +364,7 @@ def print_report(report: dict) -> None:
     verify = report["verify"]
     print(
         f"verification: {verify['decisions_compared']} decisions "
-        f"bit-identical (columnar vs object-backed vs bulk-opened), "
+        f"bit-identical (one-by-one vs bulk-opened sessions), "
         f"{verify['granted']} grants / {verify['denied']} denials, "
         f"{verify['timelines_compared']} tracker timelines, "
         f"{verify['vector_fallbacks']} fallbacks"
@@ -473,12 +396,6 @@ def print_report(report: dict) -> None:
         f"vector {drive['vector_decisions']} / "
         f"fallback {drive['vector_fallbacks']})"
     )
-    small = report["small_session"]
-    print(
-        f"\nsmall-session reference ({small['sessions']} sessions): "
-        f"columnar {small['store_rate']:,.0f} req/s vs object-backed "
-        f"{small['object_rate']:,.0f} req/s -> {small['ratio']:.2f}x"
-    )
 
 
 def check_acceptance(report: dict, smoke: bool = False) -> None:
@@ -502,38 +419,27 @@ def check_acceptance(report: dict, smoke: bool = False) -> None:
         f"scale throughput {drive['throughput']:.0f} req/s below the "
         f"{throughput_floor:.0f} req/s floor"
     )
-    ratio_floor = 0.75 if smoke else 0.9
-    assert report["small_session"]["ratio"] >= ratio_floor, (
-        f"columnar small-session throughput ratio "
-        f"{report['small_session']['ratio']:.2f} below {ratio_floor:g}x"
-    )
     print("acceptance checks passed.")
 
 
-def smoke_specs() -> tuple[ScaleSpec, ScaleSpec, ScaleSpec, int]:
-    """(population, verification, reference, repeats) for the CI smoke."""
+def smoke_specs() -> tuple[ScaleSpec, ScaleSpec]:
+    """(population, verification) specs for the CI smoke."""
     spec = ScaleSpec(
         sessions=100_000, users=2_000, servers=50, requests=30_000
     )
     verify_spec = ScaleSpec(
         sessions=600, users=30, servers=8, requests=3_000, count_bound=3
     )
-    ref_spec = ScaleSpec(
-        sessions=64, users=8, servers=5, requests=8_000, zipf_s=0.8
-    )
-    return spec, verify_spec, ref_spec, 2
+    return spec, verify_spec
 
 
-def full_specs() -> tuple[ScaleSpec, ScaleSpec, ScaleSpec, int]:
-    """(population, verification, reference, repeats) for the full run."""
+def full_specs() -> tuple[ScaleSpec, ScaleSpec]:
+    """(population, verification) specs for the full run."""
     spec = ScaleSpec()
     verify_spec = ScaleSpec(
         sessions=1_500, users=60, servers=12, requests=6_000, count_bound=3
     )
-    ref_spec = ScaleSpec(
-        sessions=64, users=8, servers=5, requests=40_000, zipf_s=0.8
-    )
-    return spec, verify_spec, ref_spec, 3
+    return spec, verify_spec
 
 
 def main() -> None:
@@ -546,9 +452,8 @@ def main() -> None:
         help="CI smoke: 100k sessions, conservative throughput floors",
     )
     args = parser.parse_args()
-    specs = smoke_specs() if args.smoke else full_specs()
-    spec, verify_spec, ref_spec, repeats = specs
-    report = measure(spec, verify_spec, ref_spec, repeats=repeats)
+    spec, verify_spec = smoke_specs() if args.smoke else full_specs()
+    report = measure(spec, verify_spec)
     print_report(report)
     ARTIFACT.parent.mkdir(exist_ok=True)
     ARTIFACT.write_text(json.dumps(report, indent=2, sort_keys=True))

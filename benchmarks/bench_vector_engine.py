@@ -9,9 +9,6 @@ lowers that loop onto dense transition tables and breakpoint arrays:
 
 * **naive** — the pre-batch hot path: one :meth:`decide` call per
   request (warm caches, incremental mode);
-* **scalar batch** — :meth:`decide_batch` with the vector path
-  disabled: the scalar loop with the candidate lookup hoisted per
-  distinct access (this PR's scalar regression fix);
 * **vector batch** — :meth:`decide_batch` on the compiled tables:
   one gather per (access, candidate), one ``searchsorted`` per
   (candidate, group), memoised ``Decision`` prototypes, per-request
@@ -19,11 +16,11 @@ lowers that loop onto dense transition tables and breakpoint arrays:
 * **multi-session sweep** — :meth:`decide_batch_many` over an
   interleaved stream from many sessions (the sharded drain shape).
 
-Before any number is reported, scalar and vector engines replay
-mixed grant/deny/expiry workloads — including decisions exactly at a
-validity expiry instant — and every decision *and* its provenance are
-asserted bit-identical, along with audit order and the recorded
-validity timelines.
+Before any number is reported, the vector batch and a twin engine's
+per-request :meth:`decide` loop replay mixed grant/deny/expiry
+workloads — including decisions exactly at a validity expiry instant —
+and every decision *and* its provenance are asserted bit-identical,
+along with audit order and the recorded validity timelines.
 
 Timed sections run with the cyclic GC disabled (retained Decision
 objects in the audit log otherwise make every generation collection
@@ -68,11 +65,7 @@ ARTIFACT = (
 )
 
 
-def _engine(
-    use_vector: bool,
-    duration: float = DURATION,
-    constraint_src: str = CONSTRAINT_SRC,
-):
+def _engine(duration: float = DURATION, constraint_src: str = CONSTRAINT_SRC):
     policy = Policy()
     policy.add_user("u")
     policy.add_role("r")
@@ -89,7 +82,7 @@ def _engine(
     policy.assign_user("u", "r")
     policy.assign_permission("r", "p")
     policy.assign_permission("r", "q")
-    engine = AccessControlEngine(policy, use_vector_batches=use_vector)
+    engine = AccessControlEngine(policy)
     session = engine.authenticate("u", 0.0)
     engine.activate_role(session, "r", 0.0)
     return engine, session
@@ -109,8 +102,8 @@ def _norm(decision):
 
 def verify_identical(n: int = 300) -> int:
     """Vector decisions, provenance, audit order and tracker timelines
-    must match the scalar engine's exactly.  Returns the number of
-    decisions compared."""
+    must match a twin engine's per-request ``decide`` loop exactly.
+    Returns the number of decisions compared."""
     rng = random.Random(7)
     accesses = [
         AccessKey(
@@ -128,14 +121,19 @@ def verify_identical(n: int = 300) -> int:
         # decision lands exactly ON it (t >= expiry must deny).
         (CONSTRAINT_SRC, 4.0, 0.1),
     ):
-        vec_engine, vec_session = _engine(True, duration, src)
-        sc_engine, sc_session = _engine(False, duration, src)
+        vec_engine, vec_session = _engine(duration, src)
+        sc_engine, sc_session = _engine(duration, src)
         got = vec_engine.decide_batch(vec_session, accesses, t=1.0, dt=dt)
-        want = sc_engine.decide_batch(sc_session, accesses, t=1.0, dt=dt)
+        want, clock = [], 1.0
+        for access in accesses:
+            want.append(
+                sc_engine.decide(sc_session, access, clock, history=None)
+            )
+            clock += dt
         for a, b in zip(got, want):
             if _norm(a) != _norm(b):
                 raise AssertionError(
-                    f"vector decision diverges from scalar:\n{a}\nvs\n{b}"
+                    f"vector decision diverges from decide():\n{a}\nvs\n{b}"
                 )
         if [_norm(d) for d in vec_engine.audit] != [
             _norm(d) for d in sc_engine.audit
@@ -186,7 +184,7 @@ def _best_rate(fn, n: int) -> float:
 
 
 def rate_naive(n: int) -> float:
-    engine, session = _engine(use_vector=False)
+    engine, session = _engine()
     engine.decide_batch(session, [_request(0)] * 100, t=1.0)  # warm
 
     def run(t0):
@@ -198,8 +196,8 @@ def rate_naive(n: int) -> float:
     return _best_rate(run, n)
 
 
-def rate_batch(n: int, use_vector: bool) -> float:
-    engine, session = _engine(use_vector=use_vector)
+def rate_batch(n: int) -> float:
+    engine, session = _engine()
     accesses = [_request(i) for i in range(n)]
     engine.decide_batch(session, accesses[:100], t=1.0)  # warm
     return _best_rate(
@@ -210,7 +208,7 @@ def rate_batch(n: int, use_vector: bool) -> float:
 
 def rate_many(n: int, sessions: int = 8) -> float:
     """Interleaved multi-session stream through ``decide_batch_many``."""
-    engine, _ = _engine(use_vector=True)
+    engine, _ = _engine()
     session_pool = []
     for _ in range(sessions):
         s = engine.authenticate("u", 0.0)
@@ -230,7 +228,7 @@ def cold_compile_ms() -> float:
     """First vectorized batch on cold process caches: table build +
     live-set precomputation + sweep of a tiny batch."""
     reachability.clear_caches()
-    engine, session = _engine(use_vector=True)
+    engine, session = _engine()
     start = time.perf_counter()
     engine.decide_batch(session, [_request(0)], t=1.0)
     return (time.perf_counter() - start) * 1e3
@@ -240,8 +238,7 @@ def measure(n: int = 50_000) -> dict:
     compared = verify_identical()
     cold_ms = cold_compile_ms()
     naive = rate_naive(n)
-    scalar = rate_batch(n, use_vector=False)
-    vector = rate_batch(n, use_vector=True)
+    vector = rate_batch(n)
     many = rate_many(n)
     hits, misses, fallbacks, entries = table_cache_counters()
     return {
@@ -249,12 +246,9 @@ def measure(n: int = 50_000) -> dict:
         "verified_identical": compared,
         "cold_first_batch_ms": cold_ms,
         "naive_rate": naive,
-        "scalar_batch_rate": scalar,
         "vector_batch_rate": vector,
         "many_rate": many,
         "speedup_vs_decide": vector / naive,
-        "speedup_vs_scalar_batch": vector / scalar,
-        "scalar_batch_vs_decide": scalar / naive,
         "table_cache": {
             "hits": hits,
             "misses": misses,
@@ -271,14 +265,9 @@ def print_report(report: dict) -> None:
     )
     print(f"{'config':<30}{'decisions/s':>13}")
     print(f"{'naive decide() loop':<30}{report['naive_rate']:>13.0f}")
-    print(f"{'scalar decide_batch':<30}{report['scalar_batch_rate']:>13.0f}")
     print(f"{'vector decide_batch':<30}{report['vector_batch_rate']:>13.0f}")
     print(f"{'decide_batch_many (8 sess.)':<30}{report['many_rate']:>13.0f}")
-    print(
-        f"vector speedup: {report['speedup_vs_decide']:.1f}x over decide(), "
-        f"{report['speedup_vs_scalar_batch']:.1f}x over the scalar batch "
-        f"(itself {report['scalar_batch_vs_decide']:.2f}x over decide())"
-    )
+    print(f"vector speedup: {report['speedup_vs_decide']:.1f}x over decide()")
     print(
         f"cold first batch: {report['cold_first_batch_ms']:.2f} ms "
         f"(table + live-set build)"
@@ -296,8 +285,6 @@ def check_acceptance(report: dict, smoke: bool = False) -> None:
     else:
         assert report["vector_batch_rate"] > 100_000, report
         assert report["speedup_vs_decide"] > 10.0, report
-    # The hoisted scalar loop must not have regressed below decide().
-    assert report["scalar_batch_vs_decide"] > 0.8, report
 
 
 def main() -> None:

@@ -445,8 +445,8 @@ def exp_scale() -> None:
 
     # Smoke-sized here (100k resident sessions); the full million-session
     # run is `python benchmarks/bench_scale.py` and takes minutes.
-    spec, verify_spec, ref_spec, repeats = smoke_specs()
-    report = measure(spec, verify_spec, ref_spec, repeats=repeats)
+    spec, verify_spec = smoke_specs()
+    report = measure(spec, verify_spec)
     print_report(report)
     ARTIFACT.parent.mkdir(exist_ok=True)
     ARTIFACT.write_text(json.dumps(report, indent=2, sort_keys=True))

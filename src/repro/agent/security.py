@@ -28,7 +28,8 @@ from repro.agent.naplet import Naplet
 from repro.agent.principal import Authority
 from repro.errors import AuthenticationError
 from repro.rbac.audit import Decision
-from repro.rbac.engine import AccessControlEngine, Session
+from repro.rbac.engine import AccessControlEngine
+from repro.rbac.session_store import Session
 from repro.sral.analysis import alphabet as program_alphabet
 from repro.sral.ast import Program
 from repro.srac.checker import check_program

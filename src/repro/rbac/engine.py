@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ from repro.obs.provenance import CandidateProvenance, DecisionProvenance
 from repro.rbac.audit import AuditLog, Decision
 from repro.rbac.model import Permission, Role, Subject
 from repro.rbac.policy import Policy
-from repro.rbac.session_store import SessionStore, StoredSession
+from repro.rbac.session_store import Session, SessionStore
 from repro.sral.ast import Program
 from repro.srac.ast import Constraint, constraint_alphabet
 from repro.srac.checker import check_program, satisfiable_extension_states
@@ -42,11 +41,10 @@ from repro.srac.monitors import CompiledConstraint, compile_constraint
 from repro.srac.printer import unparse_constraint
 from repro.srac.reachability import CacheStats, cache_stats, live_set
 from repro.temporal.aggregation import PermissionClassifier
-from repro.temporal.validity import PermissionState, Scheme, ValidityTracker
+from repro.temporal.validity import PermissionState, Scheme
 from repro.traces.trace import AccessKey, Trace
 
 __all__ = [
-    "Session",
     "AccessControlEngine",
     "EngineCacheStats",
     "DECIDE_SPAN_SAMPLE",
@@ -82,110 +80,6 @@ def _constraint_source(constraint: Constraint) -> str:
             text = repr(constraint)
         _constraint_text[constraint] = text
     return text
-
-
-@dataclass
-class Session:
-    """A subject's login session with its activated roles and the
-    per-permission validity trackers."""
-
-    subject: Subject
-    start_time: float
-    session_id: str = field(default="")
-    active_roles: set[Role] = field(default_factory=set)
-    trackers: dict[str, ValidityTracker] = field(default_factory=dict)
-    #: Per-constraint compiled monitors advanced over ``observed``.
-    monitor_cache: dict = field(default_factory=dict)
-    # List-backed observation log: appends are O(1) (tuple
-    # concatenation was quadratic over a session lifetime); the
-    # ``observed`` property memoises a tuple view for external readers.
-    _observed: list[AccessKey] = field(default_factory=list, repr=False)
-    _observed_view: tuple[AccessKey, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
-    #: Latest instant the engine saw activity for this session
-    #: (authentication or a decision) — the idle-expiry clock.
-    last_seen: float | None = field(default=None, repr=False, compare=False)
-    #: How many times the ``observed`` tuple view was materialised —
-    #: the regression meter of the memo-churn fix (tests assert batch
-    #: paths rebuild at most once per batch, not once per item).
-    view_rebuilds: int = field(default=0, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.session_id:
-            self.session_id = f"session-{next(_session_counter)}"
-        if self.last_seen is None:
-            self.last_seen = self.start_time
-
-    @property
-    def observed(self) -> tuple[AccessKey, ...]:
-        """Accesses the engine has observed for this session (fed by
-        :meth:`AccessControlEngine.observe`) — the basis of incremental
-        spatial checking."""
-        if self._observed_view is None:
-            self._observed_view = tuple(self._observed)
-            self.view_rebuilds += 1
-        return self._observed_view
-
-    @observed.setter
-    def observed(self, value: Iterable[AccessKey | tuple[str, str, str]]) -> None:
-        self._observed = [
-            a if type(a) is AccessKey else AccessKey.of(a) for a in value
-        ]
-        self._observed_view = None
-        # Cached monitor states were advanced over the old history.
-        self.monitor_cache.clear()
-
-    def record_observation(self, access: AccessKey) -> None:
-        """Append one access to the observation log (O(1) amortised)."""
-        self._observed.append(AccessKey.of(access))
-        self._observed_view = None
-
-    def record_observations(self, accesses: Iterable[AccessKey]) -> None:
-        """Append a batch with a single view invalidation."""
-        self._observed.extend(AccessKey.of(a) for a in accesses)
-        self._observed_view = None
-
-    def observed_len(self) -> int:
-        """History length without materialising the tuple view."""
-        return len(self._observed)
-
-    def touch(self, t: float) -> None:
-        if t > self.last_seen:
-            self.last_seen = t
-
-    def role_set(self) -> frozenset:
-        """The active roles as a frozenset (the columnar handle returns
-        its interned instance; here it is a plain copy)."""
-        return frozenset(self.active_roles)
-
-    def create_tracker(self, key: str, duration: float, scheme) -> ValidityTracker:
-        tracker = ValidityTracker(
-            duration=duration, scheme=scheme, start_time=self.start_time
-        )
-        self.trackers[key] = tracker
-        return tracker
-
-    def advance_monitors(self, access: AccessKey) -> None:
-        """Step every cached constraint monitor by one access."""
-        for constraint, (compiled, states) in list(self.monitor_cache.items()):
-            self.monitor_cache[constraint] = (
-                compiled,
-                compiled.step(states, access),
-            )
-
-    def monitor_entry(self, constraint):
-        return self.monitor_cache.get(constraint)
-
-    def init_monitor(self, constraint, compiled):
-        # Fold the list-backed log directly: the tuple view is a
-        # reader-facing memo and need not be rebuilt here.
-        entry = (compiled, compiled.run(self._observed))
-        self.monitor_cache[constraint] = entry
-        return entry
-
-    def clear_monitor_states(self) -> None:
-        self.monitor_cache.clear()
 
 
 @dataclass(frozen=True)
@@ -261,31 +155,17 @@ class AccessControlEngine:
         behaviour, kept for equivalence testing and as the baseline of
         ``benchmarks/bench_decision_cache.py``.  Decisions are
         bit-identical either way (property-tested).
-    use_vector_batches:
-        Enable the table-driven vectorized sweep
-        (:mod:`repro.rbac.vector_engine`) on :meth:`decide_batch` and
-        :meth:`decide_batch_many` (the default).  ``False`` forces the
-        scalar per-request loop — kept as the differential baseline of
-        ``tests/test_vector_engine.py`` and
-        ``benchmarks/bench_vector_engine.py``.  Decisions and
-        provenance are bit-identical either way (property-tested).
-    use_session_store:
-        Keep resident session state in the columnar
-        :class:`~repro.rbac.session_store.SessionStore` (the default):
-        sessions returned by :meth:`authenticate` are
-        :class:`~repro.rbac.session_store.StoredSession` handles over
-        numpy columns instead of :class:`Session` dataclasses —
-        ~200 bytes of store overhead per resident session instead of
-        kilobytes of object graph.  ``False`` keeps the object-backed
-        sessions — the differential baseline of
-        ``tests/test_session_store.py``.  Decisions, provenance, audit
-        records and tracker timelines are bit-identical either way
-        (property-tested).
     record_timelines:
-        Store mode only: record the per-tracker ``valid``/``active``
-        timeline events (the default).  ``False`` drops the event
-        arenas — the million-session benchmark's configuration — and
-        makes ``valid_timeline()`` raise.
+        Record the per-tracker ``valid``/``active`` timeline events (the
+        default).  ``False`` drops the event arenas — the
+        million-session benchmark's configuration — and makes
+        ``valid_timeline()`` raise.
+
+    Resident session state lives in the columnar
+    :class:`~repro.rbac.session_store.SessionStore`: sessions returned
+    by :meth:`authenticate` are :class:`~repro.rbac.session_store.Session`
+    handles over numpy columns (~200 bytes of store overhead per
+    resident session).
     """
 
     def __init__(
@@ -296,8 +176,6 @@ class AccessControlEngine:
         classifier: PermissionClassifier | None = None,
         coordination_scope: str = "subject",
         use_srac_caches: bool = True,
-        use_vector_batches: bool = True,
-        use_session_store: bool = True,
         record_timelines: bool = True,
     ):
         if coordination_scope not in ("subject", "owner"):
@@ -312,24 +190,14 @@ class AccessControlEngine:
         self.classifier = classifier
         self.coordination_scope = coordination_scope
         self.use_srac_caches = use_srac_caches
-        self.use_vector_batches = use_vector_batches
         self.audit = AuditLog()
-        if use_session_store:
-            self._store: SessionStore | None = SessionStore(
-                scheme, record_timelines=record_timelines
-            )
-            # Handles are views — the columns are the state — so the
-            # engine only weakly tracks them; dropping every reference
-            # to a session does not lose it (materialize() by id).
-            self._sessions: "dict[str, Session] | weakref.WeakValueDictionary" = (
-                weakref.WeakValueDictionary()
-            )
-        else:
-            self._store = None
-            self._sessions = {}
-        # Set by ShardedEngine so freshly minted handles/sessions carry
-        # their routing stamp (attribute routing replaces the old
-        # per-session-id route dict).
+        # Handles are views — the columns are the state — so dropping
+        # every reference to a session does not lose it (the store
+        # caches live handles per row; materialize() finds one by id).
+        self._store = SessionStore(scheme, record_timelines=record_timelines)
+        # Set by ShardedEngine so freshly minted handles carry their
+        # routing stamp (routing is two attribute reads, with no
+        # per-session route dict to grow beside the store).
         self.shard_index: int | None = None
         self.router_token: object | None = None
         # Owner-scope state: combined histories (list-backed, O(1)
@@ -403,12 +271,9 @@ class AccessControlEngine:
         taken while it was enabled."""
         granted = self.audit.granted_count - self._obs_granted_base
         denied = self.audit.denied_count - self._obs_denied_base
-        store_bytes = (
-            float(self._store.nbytes()) if self._store is not None else 0.0
-        )
         return {
             "engine.sessions.resident": float(self.resident_sessions()),
-            "engine.sessions.store_bytes": store_bytes,
+            "engine.sessions.store_bytes": float(self._store.nbytes()),
             "engine.decisions": granted + denied,
             "engine.decisions.granted": granted,
             "engine.decisions.denied": denied,
@@ -467,15 +332,7 @@ class AccessControlEngine:
         eviction (explicit-history callers filter their own trace via
         :meth:`~repro.coalition.Coalition.admissible_trace`).  Returns
         the number of observations removed."""
-        removed = 0
-        if self._store is not None:
-            removed += self._store.rescind_server(server)
-        else:
-            for session in self._sessions.values():
-                kept = [a for a in session._observed if a.server != server]
-                if len(kept) != len(session._observed):
-                    removed += len(session._observed) - len(kept)
-                    session.observed = kept  # setter clears monitor_cache
+        removed = self._store.rescind_server(server)
         for owner, observed in self._owner_observed.items():
             kept = [a for a in observed if a.server != server]
             if len(kept) != len(observed):
@@ -497,74 +354,55 @@ class AccessControlEngine:
         paper's subject creation after certificate validation)."""
         user = self.policy.user(user_name)
         subject = Subject(user, frozenset(principals) | {f"user:{user_name}"})
-        if self._store is not None:
-            sid = subject.subject_id
-            seq: int | None = None
-            if sid.startswith("subject-"):
-                try:
-                    seq = int(sid[8:])
-                except ValueError:  # pragma: no cover - exotic ids
-                    seq = None
-            row = self._store.open(
-                subject, t, next(_session_counter), subj_seq=seq
-            )
-            return self._handle(row, subject=subject)
-        session = Session(subject=subject, start_time=t)
-        session._shard_index = self.shard_index
-        session._router = self.router_token
-        self._sessions[session.session_id] = session
-        return session
+        sid = subject.subject_id
+        seq: int | None = None
+        if sid.startswith("subject-"):
+            try:
+                seq = int(sid[8:])
+            except ValueError:  # pragma: no cover - exotic ids
+                seq = None
+        row = self._store.open(subject, t, next(_session_counter), subj_seq=seq)
+        return self._handle(row, subject=subject)
 
-    def _handle(self, row: int, subject: Subject | None = None) -> StoredSession:
+    def _handle(self, row: int, subject: Subject | None = None) -> Session:
         """The (cached) handle for a live store row."""
         store = self._store
         handle = store.handle_for(row)
         if handle is None:
             if not store._alive.data[row]:
                 raise RbacError(f"no live session at store row {row}")
-            handle = StoredSession(store, row, subject=subject)
+            handle = Session(store, row, subject=subject)
             handle._shard_index = self.shard_index
             handle._router = self.router_token
             store.register_handle(row, handle)
-            self._sessions[handle.session_id] = handle
         return handle
 
     def materialize(self, session_id: str) -> Session:
-        """The live session with ``session_id`` — for columnar engines
-        a (possibly fresh) :class:`StoredSession` view over the row;
-        the store keeps no per-session Python object, so dropping every
-        handle loses nothing.  Raises :class:`RbacError` for unknown or
-        closed sessions."""
-        session = self._sessions.get(session_id)
-        if session is not None:
-            return session
-        if self._store is not None:
-            row = self._store.row_of_session_id(session_id)
-            if row is not None:
-                return self._handle(row)
-        raise RbacError(f"unknown session {session_id!r}")
+        """The live session with ``session_id`` — a (possibly fresh)
+        handle over its row found by a vectorized id scan; the store
+        keeps no per-session Python object, so dropping every handle
+        loses nothing.  Raises :class:`RbacError` for unknown or closed
+        sessions."""
+        row = self._store.row_of_session_id(session_id)
+        if row is None:
+            raise RbacError(f"unknown session {session_id!r}")
+        return self._handle(row)
 
-    def session_at(self, row: int) -> StoredSession:
-        """The handle for store row ``row`` (columnar engines only) —
-        the bulk loader's O(1) alternative to :meth:`materialize`."""
-        if self._store is None:
-            raise RbacError("session_at requires the columnar session store")
+    def session_at(self, row: int) -> Session:
+        """The handle for store row ``row`` — the bulk loader's O(1)
+        alternative to :meth:`materialize`."""
         return self._handle(int(row))
 
     def resident_sessions(self) -> int:
         """How many sessions are currently resident."""
-        if self._store is not None:
-            return self._store.resident
-        return len(self._sessions)
+        return self._store.resident
 
     def close_session(self, session: Session, t: float) -> None:
-        """End a session: deactivate everything."""
+        """End a session: deactivate everything and release its row."""
         for role in list(session.active_roles):
             self.deactivate_role(session, role.name, t)
-        self._sessions.pop(session.session_id, None)
-        store = getattr(session, "_store", None)
-        if store is not None and store is self._store:
-            store.close(session._row, session._gen)
+        if session._store is self._store:
+            self._store.close(session._row, session._gen)
 
     def expire_sessions(
         self, now: float | None = None, idle_for: float = 0.0
@@ -576,33 +414,14 @@ class AccessControlEngine:
         trackers has reached (never behind a tracker clock), exactly as
         an explicit :meth:`close_session` there.  Returns the number of
         sessions expired."""
-        expired = 0
-        if self._store is not None:
-            eff_now, rows = self._store.idle_rows(now, idle_for)
-            for row in rows.tolist():
-                session = self._handle(row)
-                t = eff_now
-                for tracker in session.trackers.values():
-                    t = max(t, tracker.now)
-                self.close_session(session, t)
-                expired += 1
-            return expired
-        sessions = list(self._sessions.values())
-        if not sessions:
-            return 0
-        eff_now = (
-            float(now)
-            if now is not None
-            else max(s.last_seen for s in sessions)
-        )
-        for session in sessions:
-            if eff_now - session.last_seen >= idle_for:
-                t = eff_now
-                for tracker in session.trackers.values():
-                    t = max(t, tracker.now)
-                self.close_session(session, t)
-                expired += 1
-        return expired
+        eff_now, rows = self._store.idle_rows(now, idle_for)
+        for row in rows.tolist():
+            session = self._handle(row)
+            t = eff_now
+            for tracker in session.trackers.values():
+                t = max(t, tracker.now)
+            self.close_session(session, t)
+        return len(rows)
 
     def open_sessions(
         self,
@@ -618,8 +437,6 @@ class AccessControlEngine:
         per-session Python objects.  Returns the opened row indices
         (:meth:`session_at` materialises handles on demand)."""
         store = self._store
-        if store is None:
-            raise RbacError("open_sessions requires the columnar session store")
         names = list(user_names)
         role_objs = tuple(self.policy.role(name) for name in roles)
         role_fs = frozenset(role_objs)
@@ -678,7 +495,9 @@ class AccessControlEngine:
 
     def activate_role(self, session: Session, role_name: str, t: float) -> None:
         """Activate a role the user is entitled to (checks UA membership
-        and DSD), and activate the validity trackers of its permissions."""
+        and DSD), and activate the validity trackers of its permissions.
+        Raises :class:`RbacError` on a closed session."""
+        session.require_open()
         role = self.policy.role(role_name)
         entitled = self.policy.roles_of_user(session.subject.user)
         # A user may activate any assigned role or one it dominates.
@@ -745,9 +564,7 @@ class AccessControlEngine:
         key = self._tracker_key(permission)
         tracker = session.trackers.get(key)
         if tracker is None:
-            tracker = session.create_tracker(
-                key, self._duration_for(permission), self.scheme
-            )
+            tracker = session.create_tracker(key, self._duration_for(permission))
         return tracker
 
     # -- decisions ---------------------------------------------------------------
@@ -757,7 +574,9 @@ class AccessControlEngine:
         session (a proof was issued).  Advances the cached constraint
         monitors so that incremental decisions (``history=None``) stay
         O(1) in history length.  Under owner scope the observation also
-        counts against every companion session of the same user."""
+        counts against every companion session of the same user.
+        Raises :class:`RbacError` on a closed session."""
+        session.require_open()
         access = AccessKey.of(access)
         session.record_observation(access)
         session.advance_monitors(access)
@@ -971,9 +790,9 @@ class AccessControlEngine:
 
     def _history_len(self, session: Session, history: Trace | None) -> int:
         if history is None and self.coordination_scope != "owner":
-            # Column/list length read — no tuple-view materialisation
-            # (the memo-churn fix: a batch that records observations no
-            # longer rebuilds the O(n) view once per decision).
+            # Column length read — no tuple-view materialisation (a
+            # batch that records observations must not rebuild the O(n)
+            # view once per decision).
             return session.observed_len()
         effective = self._effective_history(session, history)
         try:
@@ -1034,70 +853,41 @@ class AccessControlEngine:
         access it is granted.
 
         Incremental batches take the **vectorized sweep**
-        (:mod:`repro.rbac.vector_engine`) when ``use_vector_batches``
-        is on: decisions and provenance are bit-identical to the
-        scalar loop (property-tested), only faster.  Batches the sweep
-        cannot handle — explicit history, disclosed program,
-        ``observe_granted``, owner scope, products over the table
-        budget, non-monotone time — fall back to the scalar loop,
-        which itself hoists the candidate lookup per distinct access.
+        (:mod:`repro.rbac.vector_engine`): the same decisions and
+        provenance as the per-request :meth:`decide` loop, only faster.
+        Batches the sweep cannot handle — explicit history, disclosed
+        program, ``observe_granted``, owner scope, products over the
+        table budget, non-monotone time — fall back to that loop, with
+        the candidate lookup hoisted per distinct access.
         """
         keys = [
             a if type(a) is AccessKey else AccessKey(*a) for a in accesses
         ]
+        if not keys:
+            return []
         # Same float sequence as `clock += dt` accumulation, at C speed.
         times: list[float] = list(
-            itertools.accumulate(
-                itertools.repeat(dt, len(keys) - 1), initial=t
-            )
-        ) if keys else []
-        if keys and self.use_vector_batches:
-            prepared = None
-            if (
-                history is None
-                and program is None
-                and not observe_granted
-                and dt >= 0
-            ):
-                from repro.rbac.vector_engine import (
-                    commit_sweep,
-                    prepare_sweep,
-                )
+            itertools.accumulate(itertools.repeat(dt, len(keys) - 1), initial=t)
+        )
+        if (
+            history is None
+            and program is None
+            and not observe_granted
+            and dt >= 0
+        ):
+            from repro.rbac.vector_engine import commit_sweep, prepare_sweep
 
-                prepared = prepare_sweep(self, session, keys, times)
+            prepared = prepare_sweep(self, session, keys, times)
             if prepared is not None:
                 self._vector_decisions += len(keys)
                 return commit_sweep(prepared)
-            self._vector_fallbacks += len(keys)
-        decisions: list[Decision] = []
-        obs_on = OBS.enabled
-        if program is not None:
-            history_mode = "program"
-        elif history is None:
-            history_mode = "incremental"
-        else:
-            history_mode = "explicit"
-        candidate_memo: dict[
-            AccessKey, tuple[tuple[Role, Permission], ...]
-        ] = {}
-        for access, when in zip(keys, times):
-            start = 0.0
-            if obs_on:
-                self._obs_decisions += 1
-                if self._obs_decisions % DECIDE_SPAN_SAMPLE == 0:
-                    start = time.perf_counter()
-            candidates = candidate_memo.get(access)
-            if candidates is None:
-                candidates = self._candidates(session, access)
-                candidate_memo[access] = candidates
-            decision = self._decide_core(
-                session, access, when, history, program, history_mode,
-                candidates, start,
-            )
-            if observe_granted and decision.granted:
-                self.observe(session, access)
-            decisions.append(decision)
-        return decisions
+        self._vector_fallbacks += len(keys)
+        return self._decide_each(
+            [(session, access, when) for access, when in zip(keys, times)],
+            history,
+            program,
+            observe_granted,
+        )
 
     def decide_batch_many(
         self,
@@ -1111,18 +901,18 @@ class AccessControlEngine:
         ``requests`` is a sequence of ``(session, access)`` pairs; the
         i-th request is decided at ``t + i·dt`` on the same global
         clock accumulation as :meth:`decide_batch` (or at ``times[i]``
-        when an explicit nondecreasing instant vector is given — the
-        sharded engine passes each shard its exact slice of the global
-        clock).  Incremental mode only (each session's own observed
-        history, no program).
+        when an explicit instant vector is given — the sharded engine
+        passes each shard its exact slice of the global clock).
+        Incremental mode only (each session's own observed history, no
+        program).
 
-        The stream is regrouped per session and swept with the
-        vectorized path; validity-tracker effects are per-session, so
-        regrouping cannot change any verdict, and the audit log still
-        receives the decisions in global stream order.  If any
-        session's subsequence is ineligible the *whole* stream falls
-        back to the scalar loop, so decisions are identical either
-        way.
+        The stream goes through
+        :func:`~repro.rbac.vector_engine.sweep_interleaved`, which
+        regroups it per session (validity-tracker effects are
+        per-session, so regrouping cannot change any verdict) and
+        records the decisions in global stream order.  If any session's
+        subsequence is ineligible the *whole* stream is decided by the
+        per-request loop instead, so decisions are identical either way.
         """
         pairs = [
             (session, a if type(a) is AccessKey else AccessKey(*a))
@@ -1134,58 +924,45 @@ class AccessControlEngine:
                     itertools.repeat(dt, len(pairs) - 1), initial=t
                 )
             ) if pairs else []
-        else:
-            times = list(times)
-            if len(times) != len(pairs):
-                raise RbacError(
-                    f"times has {len(times)} entries for {len(pairs)} requests"
-                )
-        monotone = all(b >= a for a, b in zip(times, times[1:]))
-        if pairs and self.use_vector_batches:
-            prepared = None
-            if monotone:
-                from repro.rbac.vector_engine import (
-                    commit_sweep,
-                    prepare_sweep,
-                )
+        elif len(times) != len(pairs):
+            raise RbacError(
+                f"times has {len(times)} entries for {len(pairs)} requests"
+            )
+        from repro.rbac.vector_engine import sweep_interleaved
 
-                by_session: dict[int, tuple[Session, list[int]]] = {}
-                for i, (session, _access) in enumerate(pairs):
-                    entry = by_session.get(id(session))
-                    if entry is None:
-                        by_session[id(session)] = (session, [i])
-                    else:
-                        entry[1].append(i)
-                prepared = []
-                for session, indices in by_session.values():
-                    prep = prepare_sweep(
-                        self,
-                        session,
-                        [pairs[i][1] for i in indices],
-                        [times[i] for i in indices],
-                    )
-                    if prep is None:
-                        prepared = None
-                        break
-                    prepared.append((prep, indices))
-            if prepared is not None:
-                decisions: list[Decision] = [None] * len(pairs)  # type: ignore[list-item]
-                granted = 0
-                for prep, indices in prepared:
-                    swept = commit_sweep(prep, record_audit=False)
-                    granted += prep.granted
-                    for local, i in enumerate(indices):
-                        decisions[i] = swept[local]
-                self.audit.record_many(decisions, granted=granted)
-                self._vector_decisions += len(pairs)
-                return decisions
-            self._vector_fallbacks += len(pairs)
-        out: list[Decision] = []
+        entries = [
+            (session, access, when)
+            for (session, access), when in zip(pairs, times)
+        ]
+        decisions = sweep_interleaved(self, entries)
+        if decisions is not None:
+            return decisions
+        return self._decide_each(entries, None, None, False)
+
+    def _decide_each(
+        self,
+        entries: Sequence[tuple[Session, AccessKey, float]],
+        history: Trace | None,
+        program: Program | None,
+        observe_granted: bool,
+    ) -> list[Decision]:
+        """The per-request loop behind both batch entry points: each
+        ``(session, access, t)`` is decided in stream order exactly as
+        :meth:`decide` would (with the candidate lookup hoisted per
+        distinct session and access), feeding grants back through
+        :meth:`observe` when ``observe_granted`` is set."""
+        if program is not None:
+            history_mode = "program"
+        elif history is None:
+            history_mode = "incremental"
+        else:
+            history_mode = "explicit"
         obs_on = OBS.enabled
         memo: dict[
             tuple[int, AccessKey], tuple[tuple[Role, Permission], ...]
         ] = {}
-        for (session, access), when in zip(pairs, times):
+        out: list[Decision] = []
+        for session, access, when in entries:
             start = 0.0
             if obs_on:
                 self._obs_decisions += 1
@@ -1196,12 +973,13 @@ class AccessControlEngine:
             if candidates is None:
                 candidates = self._candidates(session, access)
                 memo[memo_key] = candidates
-            out.append(
-                self._decide_core(
-                    session, access, when, None, None, "incremental",
-                    candidates, start,
-                )
+            decision = self._decide_core(
+                session, access, when, history, program, history_mode,
+                candidates, start,
             )
+            if observe_granted and decision.granted:
+                self.observe(session, access)
+            out.append(decision)
         return out
 
     def explain(
@@ -1284,15 +1062,14 @@ class AccessControlEngine:
                         )
                     )
                     live_set(compiled, universe)
-                    if self.use_vector_batches:
-                        compile_table(constraint, universe)
+                    compile_table(constraint, universe)
                 warmed += 1
                 continue
             for access in targets:
                 _compiled, universe, _live = self._extension_entry(
                     constraint, access
                 )
-                if self.use_srac_caches and self.use_vector_batches:
+                if self.use_srac_caches:
                     # The vector sweep keys its table on exactly this
                     # entry's universe — warming it here is what makes
                     # the first batch table-cache-miss-free.
@@ -1344,11 +1121,7 @@ class AccessControlEngine:
         self._extension_cache.clear()
         self._extension_tables.clear()
         self._owner_monitors.clear()
-        if self._store is not None:
-            self._store.clear_all_monitor_states()
-        else:
-            for session in self._sessions.values():
-                session.monitor_cache.clear()
+        self._store.clear_all_monitor_states()
 
     # -- internals -------------------------------------------------------------
 

@@ -3,12 +3,11 @@
 A resident session's hot state — validity-tracker accrual, compiled
 monitor states, the active role set and the observation log — lives in
 per-engine **numpy columns** indexed by row instead of per-session
-Python objects.  A ``Session`` dataclass costs hundreds of bytes to
-kilobytes of object overhead (dict headers, list over-allocation,
-tracker ``__slots__`` instances, recorder lists); at the ROADMAP's
-"millions of users" scale that overhead *is* the memory bill.  The
-columnar layout brings a resident session down to a fixed set of
-scalar cells:
+Python objects.  A per-session object graph costs hundreds of bytes to
+kilobytes (dict headers, list over-allocation, tracker instances,
+recorder lists); at the ROADMAP's "millions of users" scale that
+overhead *is* the memory bill.  The columnar layout brings a resident
+session down to a fixed set of scalar cells:
 
 ::
 
@@ -31,17 +30,18 @@ scalar cells:
     observation arena (append-only, shared by all rows)
       sym i32 (interned AccessKey id)   nxt i32 (linked list)
 
-Scalar callers never see the columns: :class:`StoredSession` is a lazy
-**handle** that duck-types :class:`repro.rbac.engine.Session` — its
-``trackers`` mapping yields :class:`ColumnTracker` views that replay
+Scalar callers never see the columns: a :class:`Session` is a lazy
+**handle** over one row — its ``trackers`` mapping yields
+:class:`ColumnTracker` views that replay
 :class:`repro.temporal.validity.ValidityTracker`'s closed-form accrual
-*expression for expression* against the columns, so decisions, audit
-records and recorded timelines are bit-identical to the object-backed
-engine (property-tested in ``tests/test_session_store.py``).  Handles
-are cached per row in a ``WeakValueDictionary``; when the last handle
-of a *closed* row dies, a ``weakref.finalize`` hook returns the row to
-the free list (rows are generation-stamped so stale finalizers and
-stale handles can never free or mutate a recycled row).
+*expression for expression* against the columns (checked step by step
+against ``ValidityTracker`` in ``tests/test_session_store.py``, and
+decisions against the definitions-level oracle in
+``tests/test_spec_oracle.py``).  Handles are cached per row in a
+``WeakValueDictionary``; when the last handle of a *closed* row dies, a
+``weakref.finalize`` hook returns the row to the free list (rows are
+generation-stamped so stale finalizers and stale handles can never
+free or mutate a recycled row).
 
 Timeline recording (the audit ``valid``/``active`` state functions) is
 columnar too: events append to a per-tracker-key arena and are replayed
@@ -77,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.srac.compiled import TransitionTable
     from repro.srac.monitors import CompiledConstraint
 
-__all__ = ["SessionStore", "StoredSession", "ColumnTracker"]
+__all__ = ["SessionStore", "Session", "ColumnTracker"]
 
 _INITIAL_ROWS = 64
 _INITIAL_ARENA = 256
@@ -209,8 +209,8 @@ class _TrackerColumns:
 
     def replay(self, row: int, gen: int) -> tuple[TimelineRecorder, TimelineRecorder]:
         """Re-run this row's recorded events through fresh recorders —
-        the exact ``set`` call sequence the object-backed tracker made,
-        so the frozen timelines are identical."""
+        the exact ``set`` call sequence a ``ValidityTracker`` makes, so
+        the frozen timelines are identical."""
         if not self.record_events:
             raise TemporalError(
                 "timeline recording is disabled for this session store "
@@ -268,11 +268,10 @@ class _MonitorColumn:
 class ColumnTracker:
     """A :class:`~repro.temporal.validity.ValidityTracker`-compatible
     view over one tracker cell.  Every method is a line-for-line port
-    of the object tracker's closed-form accrual — the same float
-    expressions in the same order — so scalar decisions and recorded
-    timelines agree bit for bit.  The view pins its session handle
-    (``_session``) so the row cannot be recycled while the view is
-    reachable."""
+    of ``ValidityTracker``'s closed-form accrual — the same float
+    expressions in the same order — so states and recorded timelines
+    agree bit for bit.  The view pins its session handle (``_session``)
+    so the row cannot be recycled while the view is reachable."""
 
     __slots__ = ("_tc", "_row", "_gen", "_session", "scheme")
 
@@ -282,7 +281,7 @@ class ColumnTracker:
         row: int,
         gen: int,
         scheme: Scheme,
-        session: "StoredSession | None" = None,
+        session: "Session | None" = None,
     ):
         self._tc = tc
         self._row = row
@@ -455,7 +454,7 @@ class _RoleSetView(MutableSet):
 
     __slots__ = ("_session",)
 
-    def __init__(self, session: "StoredSession"):
+    def __init__(self, session: "Session"):
         self._session = session
 
     @classmethod
@@ -498,7 +497,7 @@ class _TrackerMap(Mapping):
 
     __slots__ = ("_session", "_views")
 
-    def __init__(self, session: "StoredSession"):
+    def __init__(self, session: "Session"):
         self._session = session
         self._views: dict[str, ColumnTracker] = {}
 
@@ -541,52 +540,10 @@ class _TrackerMap(Mapping):
         return tc is not None and bool(tc.alloc.data[session._row])
 
 
-class _MonitorCacheView:
-    """``session.monitor_cache``: dict-compatible façade over the
-    monitor-state columns (truthiness, length, ``clear`` and item reads
-    are what engine internals and tests use)."""
-
-    __slots__ = ("_session",)
-
-    def __init__(self, session: "StoredSession"):
-        self._session = session
-
-    def _entries(self):
-        session = self._session
-        return session._store.monitor_items(session._row)
-
-    def __bool__(self) -> bool:
-        session = self._session
-        return session._store.has_monitor_state(session._row)
-
-    def __len__(self) -> int:
-        return len(self._entries())
-
-    def __contains__(self, constraint: object) -> bool:
-        session = self._session
-        return (
-            session._store.monitor_entry(session._row, constraint) is not None
-        )
-
-    def get(self, constraint, default=None):
-        session = self._session
-        entry = session._store.monitor_entry(session._row, constraint)
-        return entry if entry is not None else default
-
-    def items(self):
-        return self._entries()
-
-    def keys(self):
-        return [constraint for constraint, _entry in self._entries()]
-
-    def clear(self) -> None:
-        session = self._session
-        session._store.clear_monitor_row(session._row)
-
-
-class StoredSession:
-    """A live handle to one store row, duck-typing
-    :class:`repro.rbac.engine.Session`.
+class Session:
+    """A subject's login session: a handle to one store row, with its
+    activated roles, per-permission validity trackers and observed
+    history.
 
     Handles are *views*: all state reads and writes go to the columns,
     so any number of materialisations of the same session observe the
@@ -606,7 +563,6 @@ class StoredSession:
         "view_rebuilds",
         "_tracker_map",
         "_role_view",
-        "_monitor_view",
         "_shard_index",
         "_router",
         "__weakref__",
@@ -626,11 +582,16 @@ class StoredSession:
         self.view_rebuilds = 0
         self._tracker_map: _TrackerMap | None = None
         self._role_view: _RoleSetView | None = None
-        self._monitor_view: _MonitorCacheView | None = None
         self._shard_index: int | None = None
         self._router: object | None = None
 
-    # -- Session surface --------------------------------------------------
+    def require_open(self) -> None:
+        """Raise :class:`~repro.errors.RbacError` once the session has
+        been closed (or its row recycled): a closed session must not be
+        re-armed with roles or fed observations."""
+        store, row = self._store, self._row
+        if not store._alive.data[row] or store._gen.data[row] != self._gen:
+            raise RbacError(f"session {self.session_id!r} is closed")
 
     @property
     def active_roles(self) -> _RoleSetView:
@@ -651,14 +612,10 @@ class StoredSession:
         return view
 
     @property
-    def monitor_cache(self) -> _MonitorCacheView:
-        view = self._monitor_view
-        if view is None:
-            view = self._monitor_view = _MonitorCacheView(self)
-        return view
-
-    @property
     def observed(self) -> tuple[AccessKey, ...]:
+        """Accesses the engine has observed for this session (fed by
+        :meth:`~repro.rbac.engine.AccessControlEngine.observe`) — the
+        basis of incremental spatial checking."""
         ver = int(self._store._obs_ver.data[self._row])
         if self._observed_view is None or self._view_ver != ver:
             self._observed_view = tuple(self._store.observed_list(self._row))
@@ -692,9 +649,7 @@ class StoredSession:
         """The interned active-role frozenset (no per-call copy)."""
         return self._store.role_set(self._row)
 
-    def create_tracker(
-        self, key: str, duration: float, scheme: Scheme
-    ) -> ColumnTracker:
+    def create_tracker(self, key: str, duration: float) -> ColumnTracker:
         self._store.alloc_tracker(self._row, key, duration)
         return self.trackers[key]
 
@@ -707,12 +662,9 @@ class StoredSession:
     def init_monitor(self, constraint, compiled):
         return self._store.init_monitor(self._row, constraint, compiled)
 
-    def clear_monitor_states(self) -> None:
-        self._store.clear_monitor_row(self._row)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"StoredSession(session_id={self.session_id!r}, "
+            f"Session(session_id={self.session_id!r}, "
             f"subject={self.subject!r}, row={self._row})"
         )
 
@@ -786,7 +738,7 @@ class SessionStore:
         # Monitor products too wide for an int64 encoding (astronomic;
         # falls back to per-row state tuples).
         self._odd_monitors: dict[int, dict[object, tuple]] = {}
-        self._handles: "weakref.WeakValueDictionary[int, StoredSession]" = (
+        self._handles: "weakref.WeakValueDictionary[int, Session]" = (
             weakref.WeakValueDictionary()
         )
         self._free: list[int] = []
@@ -1001,11 +953,11 @@ class SessionStore:
             mc.col.data[row] = -1
         self._free.append(row)
 
-    def register_handle(self, row: int, handle: StoredSession) -> None:
+    def register_handle(self, row: int, handle: Session) -> None:
         self._handles[row] = handle
         weakref.finalize(handle, self._on_handle_dead, row, handle._gen)
 
-    def handle_for(self, row: int) -> StoredSession | None:
+    def handle_for(self, row: int) -> Session | None:
         return self._handles.get(row)
 
     def subject_of(self, row: int) -> Subject:
@@ -1091,7 +1043,7 @@ class SessionStore:
     ) -> None:
         """Replace the row's log (the ``observed`` setter / rescind
         path).  Clears the row's monitor states — they were advanced
-        over the old history — exactly like the object-backed setter."""
+        over the old history."""
         self._obs_head.data[row] = -1
         self._obs_tail.data[row] = -1
         self._obs_len.data[row] = 0
@@ -1142,8 +1094,7 @@ class SessionStore:
 
     def init_monitor(self, row: int, constraint, compiled) -> tuple:
         """Initialise a row's monitor cell by folding its observed
-        history — the columnar analogue of the object engine's
-        ``monitor_cache`` fill."""
+        history."""
         states = compiled.run(self.observed_list(row))
         mc = self._monitors.get(constraint)
         if mc is None:
@@ -1186,22 +1137,6 @@ class SessionStore:
         if odd is not None:
             for constraint, (compiled, states) in list(odd.items()):
                 odd[constraint] = (compiled, compiled.step(states, access))
-
-    def has_monitor_state(self, row: int) -> bool:
-        if any(mc.col.data[row] >= 0 for mc in self._monitors.values()):
-            return True
-        return bool(self._odd_monitors.get(row))
-
-    def monitor_items(self, row: int) -> list[tuple]:
-        out = []
-        for constraint, mc in self._monitors.items():
-            value = int(mc.col.data[row])
-            if value >= 0:
-                out.append((constraint, (mc.compiled, mc.decode(value))))
-        odd = self._odd_monitors.get(row)
-        if odd is not None:
-            out.extend((c, entry) for c, entry in odd.items())
-        return out
 
     def clear_monitor_row(self, row: int) -> None:
         for mc in self._monitors.values():

@@ -41,10 +41,13 @@ switch at the same recorded instant), engine counters tick, and the
 decisions are appended to the audit log in stream order.
 
 Decisions and their :class:`~repro.obs.provenance.DecisionProvenance`
-are **bit-identical** to the scalar engine's (property-tested in
-``tests/test_vector_engine.py``); the only observable difference is
-that batched decisions do not emit sampled ``engine.decide`` tracing
-spans (``engine.decisions`` metrics still count them).
+are **bit-identical** to the per-request ``decide(..., history=None)``
+loop (property-tested against a twin engine in
+``tests/test_vector_engine.py``), and every verdict agrees with the
+definitions-level oracle of ``tests/test_spec_oracle.py``; the only
+observable difference is that batched decisions do not emit sampled
+``engine.decide`` tracing spans (``engine.decisions`` metrics still
+count them).
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from repro.temporal.validity import CODE_INACTIVE, CODE_VALID, STATE_CODES
 from repro.traces.trace import AccessKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.rbac.engine import AccessControlEngine, Session
+    from repro.rbac.engine import AccessControlEngine
+    from repro.rbac.session_store import Session
 
 __all__ = [
     "PreparedSweep",
@@ -158,10 +162,10 @@ def prepare_sweep(
     times_arr = np.asarray(times, dtype=np.float64)
     subject_id = session.subject.subject_id
     history_len = session.observed_len()
-    # Columnar fast path: a store-backed session's monitor cells *are*
-    # table state ids — no tuple decode/encode per candidate.
-    store = getattr(session, "_store", None)
-    store_row = session._row if store is not None else -1
+    # A session's monitor cells *are* table state ids — no tuple
+    # decode/encode per candidate.
+    store = session._store
+    store_row = session._row
     # One epoch read per sweep: the membership epoch cannot change
     # mid-batch under the shard lock, so this matches the scalar loop's
     # per-decision read bit for bit.
@@ -221,11 +225,7 @@ def prepare_sweep(
                 symbol = table.intern(access)
             except AlphabetError:
                 return None
-            state_id = (
-                store.monitor_state_id(store_row, constraint, table)
-                if store is not None
-                else None
-            )
+            state_id = store.monitor_state_id(store_row, constraint, table)
             if state_id is None:
                 _, states = engine._cached_monitors(session, constraint)
                 state_id = table.encode(states)
@@ -419,7 +419,9 @@ def sweep_interleaved(
     arrival order, every one already *vector-eligible on its face*
     (incremental history, no disclosed program, no ``observe_granted``
     feedback) — the :class:`~repro.service.service.DecisionService`
-    drain loop filters those out before calling.  The run is regrouped
+    drain loop filters those out before calling, and
+    :meth:`~repro.rbac.engine.AccessControlEngine.decide_batch_many`
+    only ever passes such entries.  The run is regrouped
     per session preserving per-session order; sessions are independent
     under subject scope, so regrouping cannot change any verdict.  The
     sweeps commit only if **every** group prepares — otherwise no
@@ -477,8 +479,8 @@ def commit_sweep(prep: PreparedSweep, record_audit: bool = True) -> list[Decisio
     identical to the scalar query-by-query sequence.
 
     With ``record_audit=False`` the caller takes over audit recording
-    (``decide_batch_many`` interleaves several sessions' decisions back
-    into global stream order first).
+    (:func:`sweep_interleaved` interleaves several sessions' decisions
+    back into global stream order first).
     """
     engine = prep.engine
     for _key, (permission, t_max) in prep.advances.items():

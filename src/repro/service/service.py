@@ -50,7 +50,7 @@ from repro.errors import ServiceError
 from repro.faults.retry import RetryPolicy
 from repro.obs import OBS, RECORDER, REGISTRY
 from repro.rbac.audit import Decision
-from repro.rbac.engine import Session
+from repro.rbac.session_store import Session
 from repro.rbac.vector_engine import sweep_interleaved
 from repro.service.sharding import ShardedEngine
 from repro.sral.ast import Program

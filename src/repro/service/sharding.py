@@ -31,8 +31,9 @@ from typing import Iterable
 from repro.concurrency import stripe_index
 from repro.errors import ServiceError
 from repro.rbac.audit import Decision
-from repro.rbac.engine import AccessControlEngine, EngineCacheStats, Session
+from repro.rbac.engine import AccessControlEngine, EngineCacheStats
 from repro.rbac.policy import Policy
+from repro.rbac.session_store import Session
 from repro.srac.reachability import cache_stats as srac_cache_stats
 from repro.srac.reachability import reset_cache_stats
 from repro.sral.ast import Program
@@ -133,7 +134,7 @@ class ShardedEngine:
         t: float,
         roles: Iterable[str] = (),
     ) -> dict[int, "np.ndarray"]:
-        """Bulk-open sessions across shards (columnar engines only):
+        """Bulk-open sessions across shards:
         users are routed by name exactly as :meth:`authenticate` would,
         then each shard bulk-loads its share
         (:meth:`AccessControlEngine.open_sessions`).  Returns

@@ -268,12 +268,14 @@ class TestCacheInvalidation:
 
     def test_invalidate_caches_clears_derived_state(self):
         engine, session = make_engine()
+        constraint = engine.policy.permissions["p"].spatial_constraint
         engine.decide(session, ("exec", "rsw", "s1"), 0.0, history=None)
         assert engine._extension_cache
+        assert session.monitor_entry(constraint) is not None
         engine.invalidate_caches()
         assert not engine._extension_cache
         assert not engine._candidates_cache
-        assert not session.monitor_cache
+        assert session.monitor_entry(constraint) is None
         # Still decides correctly after the purge.
         assert engine.decide(
             session, ("exec", "rsw", "s1"), 1.0, history=None

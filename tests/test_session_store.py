@@ -1,22 +1,29 @@
-"""Differential properties of the columnar session store.
+"""The columnar session store: differentials, mechanics and tracker
+reference.
 
-The contract of :mod:`repro.rbac.session_store` is *bit-identity*: an
-engine whose sessions live in struct-of-arrays columns must be
-indistinguishable from the classic object-backed engine — same
-decisions (full provenance), same audit order, same observation
-histories, same validity-tracker states and recorded timelines —
-across random policies, interleaved multi-session walks, session
-churn and server rescission.  Every test here runs the same workload
-through a store-backed and an object-backed engine and compares.
+Sessions live in :mod:`repro.rbac.session_store` columns; the
+:class:`~repro.rbac.session_store.Session` handle is the engine's only
+session representation.  The reference is the definitions-level oracle
+(:mod:`tests.spec_oracle`; the all-paths harness is
+``tests/test_spec_oracle.py``).  This module checks:
 
-The store's own mechanics (row recycling, generation guards, handle
-identity, memory accounting) are unit-tested at the bottom.
+* store-backed sessions against the oracle over random single-session
+  batches, interleaved multi-session walks with observe feedback, and
+  session churn with server rescission — every verdict field, the audit
+  order, and each open session's history, role set, last-seen instant
+  and tracker states;
+* the tracker cells — a :class:`~repro.rbac.session_store.ColumnTracker`
+  must replay the public :class:`~repro.temporal.validity.ValidityTracker`
+  step for step (state, budget, expiry, clock and both timelines);
+* bulk opens, the observed-view memo, idle expiry, ``AccessKey``
+  interning, row recycling, closed-handle guards and the memory budget.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import tracemalloc
 
 import pytest
@@ -31,7 +38,9 @@ from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
 from repro.service import DecisionService, ShardedEngine
 from repro.srac.parser import parse_constraint
+from repro.temporal.validity import Scheme, ValidityTracker
 from repro.traces.trace import AccessKey
+from tests.spec_oracle import SpecOracle, verdict
 
 COUNT_SRC = "count(0, 3, [res = r1])"
 
@@ -61,57 +70,75 @@ def _policy(constraints, durations):
     return policy
 
 
-def _build_pair(constraints, durations, sessions=1, **engine_kwargs):
-    """One policy, two engines: columnar store on vs off, ``sessions``
-    activated sessions each."""
+def _engine(policy, sharded: bool):
+    """A plain engine, or a two-shard engine whose sessions reach the
+    same store code through the shard wrapper."""
+    if sharded:
+        return ShardedEngine(policy, shards=2)
+    return AccessControlEngine(policy)
+
+
+def _build_with_oracle(constraints, durations, sessions=1):
+    """One policy, a store-backed engine and the oracle, with
+    ``sessions`` sessions opened and role ``r`` activated at 0.0 on
+    both sides (oracle session ids are the list indices)."""
     policy = _policy(constraints, durations)
+    engine = AccessControlEngine(policy)
+    oracle = SpecOracle({"r": list(policy.permissions.values())})
+    opened = []
+    for k in range(sessions):
+        session = engine.authenticate("u", 0.0)
+        engine.activate_role(session, "r", 0.0)
+        oracle.open(k, 0.0)
+        oracle.activate(k, "r", 0.0)
+        opened.append(session)
+    return engine, opened, oracle
+
+
+def _clock(t, dt, n):
+    """``t, t + dt, …`` on the engine's ``clock += dt`` accumulation."""
     out = []
-    for use_store in (True, False):
-        engine = AccessControlEngine(
-            policy, use_session_store=use_store, **engine_kwargs
-        )
-        opened = []
-        for _ in range(sessions):
-            session = engine.authenticate("u", 0.0)
-            engine.activate_role(session, "r", 0.0)
-            opened.append(session)
-        out.append((engine, opened))
+    for _ in range(n):
+        out.append(t)
+        t += dt
     return out
 
 
-def _assert_equivalent(store_side, plain_side):
-    """Audit, histories, role sets and tracker states must agree."""
-    (store_engine, store_sessions) = store_side
-    (plain_engine, plain_sessions) = plain_side
-    assert [_norm(d) for d in store_engine.audit] == [
-        _norm(d) for d in plain_engine.audit
+def _assert_matches_oracle(engine, sessions, oracle, decisions, expected, last_seen):
+    """Every decision carries the oracle's verdict, the audit holds
+    exactly those decisions in stream order, and every open session's
+    history, role set, last-seen instant and tracker states are what
+    the oracle's replay implies."""
+    assert [verdict(d) for d in decisions] == [
+        dataclasses.astuple(e) for e in expected
     ]
-    assert store_engine.audit.granted_count == plain_engine.audit.granted_count
-    for ss, ps in zip(store_sessions, plain_sessions):
-        assert tuple(ss.observed) == tuple(ps.observed)
-        assert ss.role_set() == ps.role_set()
-        assert ss.last_seen == ps.last_seen
-        assert set(ss.trackers) == set(ps.trackers)
-        for key, plain_tracker in ps.trackers.items():
-            store_tracker = ss.trackers[key]
-            assert store_tracker.now == plain_tracker.now
-            assert store_tracker.state(plain_tracker.now) == (
-                plain_tracker.state(plain_tracker.now)
+    assert list(engine.audit) == decisions
+    assert engine.audit.granted_count == sum(d.granted for d in decisions)
+    live = [k for k, state in oracle.sessions.items() if not state.closed]
+    assert engine.resident_sessions() == len(live)
+    permissions = {
+        p.name: p for perms in oracle.role_permissions.values() for p in perms
+    }
+    for k in live:
+        session, state = sessions[k], oracle.sessions[k]
+        assert session.observed == tuple(state.history)
+        assert {role.name for role in session.role_set()} == state.roles
+        assert session.last_seen == last_seen[k]
+        assert set(session.trackers) == set(state.intervals)
+        for name, tracker in session.trackers.items():
+            permission, now = permissions[name], tracker.now
+            assert tracker.state(now).value == oracle.temporal_state(
+                k, permission, now
             )
-            assert store_tracker.remaining_budget(plain_tracker.now) == (
-                plain_tracker.remaining_budget(plain_tracker.now)
-            )
-            assert (
-                store_tracker.valid_timeline() == plain_tracker.valid_timeline()
-            )
-            assert (
-                store_tracker.active_timeline()
-                == plain_tracker.active_timeline()
-            )
+            budget = permission.validity_duration
+            if not math.isinf(budget):
+                budget = max(0.0, budget - oracle.consumed(k, name, now))
+            assert tracker.remaining_budget(now) == budget
 
 
 class TestDifferentialProperty:
-    """Random policies x random workloads: columnar == object, bitwise."""
+    """Random policies x random workloads: store-backed sessions
+    against the oracle, bitwise on every verdict field."""
 
     @given(
         constraint=strategies.constraints(max_leaves=4),
@@ -121,11 +148,13 @@ class TestDifferentialProperty:
     )
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_single_session_bit_identity(self, constraint, duration, batch, dt):
-        store, plain = _build_pair([constraint], [duration])
-        got = store[0].decide_batch(store[1][0], batch, t=1.0, dt=dt)
-        want = plain[0].decide_batch(plain[1][0], batch, t=1.0, dt=dt)
-        assert [_norm(d) for d in got] == [_norm(d) for d in want]
-        _assert_equivalent(store, plain)
+        engine, sessions, oracle = _build_with_oracle([constraint], [duration])
+        times = _clock(1.0, dt, len(batch))
+        got = engine.decide_batch(sessions[0], batch, t=1.0, dt=dt)
+        want = [oracle.decide(0, a, when) for a, when in zip(batch, times)]
+        _assert_matches_oracle(
+            engine, sessions, oracle, got, want, {0: times[-1]}
+        )
 
     @given(
         constraint=strategies.constraints(max_leaves=3),
@@ -143,23 +172,36 @@ class TestDifferentialProperty:
     ):
         """An interleaved multi-session stream — scalar decides plus
         granted-observation feedback plus a vectorized sweep — must
-        leave both engines in identical states."""
-        store, plain = _build_pair([constraint], [duration], sessions=4)
+        decide as the oracle does and leave the sessions in the states
+        its replay implies."""
+        engine, sessions, oracle = _build_with_oracle(
+            [constraint], [duration], sessions=4
+        )
+        decisions, expected = [], []
+        last_seen = dict.fromkeys(range(4), 0.0)
         t = 1.0
         for step, (idx, access) in enumerate(walk):
             t += 0.5
-            got = store[0].decide(store[1][idx], access, t, history=None)
-            want = plain[0].decide(plain[1][idx], access, t, history=None)
-            assert _norm(got) == _norm(want)
-            if observe_every and step % observe_every == 0 and got.granted:
-                store[0].observe(store[1][idx], access)
-                plain[0].observe(plain[1][idx], access)
-        requests_store = [(store[1][i], a) for i, a in walk]
-        requests_plain = [(plain[1][i], a) for i, a in walk]
-        got = store[0].decide_batch_many(requests_store, t=t + 1.0, dt=0.25)
-        want = plain[0].decide_batch_many(requests_plain, t=t + 1.0, dt=0.25)
-        assert [_norm(d) for d in got] == [_norm(d) for d in want]
-        _assert_equivalent(store, plain)
+            got = engine.decide(sessions[idx], access, t, history=None)
+            want = oracle.decide(idx, access, t)
+            decisions.append(got)
+            expected.append(want)
+            last_seen[idx] = t
+            if observe_every and step % observe_every == 0:
+                if got.granted:
+                    engine.observe(sessions[idx], access)
+                if want.granted:
+                    oracle.observe(idx, access)
+        times = _clock(t + 1.0, 0.25, len(walk))
+        decisions += engine.decide_batch_many(
+            [(sessions[i], a) for i, a in walk], t=t + 1.0, dt=0.25
+        )
+        for (idx, access), when in zip(walk, times):
+            expected.append(oracle.decide(idx, access, when))
+            last_seen[idx] = when
+        _assert_matches_oracle(
+            engine, sessions, oracle, decisions, expected, last_seen
+        )
 
     @given(
         closes=st.lists(st.integers(0, 5), min_size=1, max_size=4),
@@ -168,44 +210,89 @@ class TestDifferentialProperty:
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_churn_and_rescind_bit_identity(self, closes, rescind, batch):
-        """Closing sessions mid-stream and rescinding an evicted
-        server's observations must behave identically columnar vs
-        object-backed (the churn suite's store-mode twin)."""
+        """Closing sessions mid-stream and rescinding a server's
+        observations must leave the survivors deciding as the oracle
+        does, with exactly the oracle's histories."""
         constraint = parse_constraint(COUNT_SRC)
-        store, plain = _build_pair([constraint], [None], sessions=6)
+        engine, sessions, oracle = _build_with_oracle(
+            [constraint], [None], sessions=6
+        )
         seed = AccessKey.of("exec", "r1", "s1")
-        for engine, sessions in (store, plain):
-            for k, session in enumerate(sessions):
-                for _ in range(k % 4):
-                    engine.observe(session, seed)
-        for engine, sessions in (store, plain):
-            engine.decide_batch_many(
-                [(sessions[i % 6], a) for i, a in enumerate(batch)],
-                t=1.0,
-                dt=0.5,
-            )
-        closed = set()
+        for k, session in enumerate(sessions):
+            for _ in range(k % 4):
+                engine.observe(session, seed)
+                oracle.observe(k, seed)
+        requests = [(i % 6, a) for i, a in enumerate(batch)]
+        times = _clock(1.0, 0.5, len(requests))
+        decisions = engine.decide_batch_many(
+            [(sessions[k], a) for k, a in requests], t=1.0, dt=0.5
+        )
+        expected = [
+            oracle.decide(k, a, when) for (k, a), when in zip(requests, times)
+        ]
+        last_seen = dict.fromkeys(range(6), 0.0)
+        for (k, _), when in zip(requests, times):
+            last_seen[k] = when
         for idx in closes:
-            if idx in closed:
+            if oracle.sessions[idx].closed:
                 continue
-            closed.add(idx)
-            store[0].close_session(store[1][idx], 50.0)
-            plain[0].close_session(plain[1][idx], 50.0)
+            engine.close_session(sessions[idx], 50.0)
+            oracle.close(idx, 50.0)
         if rescind:
-            assert store[0].rescind_server("s1") == plain[0].rescind_server(
-                "s1"
+            held = sum(
+                a.server == "s1"
+                for state in oracle.sessions.values()
+                if not state.closed
+                for a in state.history
             )
-        survivors_store = (store[0], [
-            s for i, s in enumerate(store[1]) if i not in closed
-        ])
-        survivors_plain = (plain[0], [
-            s for i, s in enumerate(plain[1]) if i not in closed
-        ])
-        for (engine, sessions) in (survivors_store, survivors_plain):
-            for k, session in enumerate(sessions):
-                engine.decide(session, seed, 60.0 + k, history=None)
-        _assert_equivalent(survivors_store, survivors_plain)
-        assert store[0].resident_sessions() == plain[0].resident_sessions()
+            assert engine.rescind_server("s1") == held
+            oracle.rescind("s1")
+        survivors = [k for k, state in oracle.sessions.items() if not state.closed]
+        for n, k in enumerate(survivors):
+            decisions.append(
+                engine.decide(sessions[k], seed, 60.0 + n, history=None)
+            )
+            expected.append(oracle.decide(k, seed, 60.0 + n))
+            last_seen[k] = 60.0 + n
+        _assert_matches_oracle(
+            engine, sessions, oracle, decisions, expected, last_seen
+        )
+
+
+class TestTrackerReference:
+    """A column tracker against the public ``ValidityTracker``."""
+
+    @given(
+        scheme=st.sampled_from(list(Scheme)),
+        duration=st.sampled_from([math.inf, 1.0, 2.5, 4.0]),
+        start=st.sampled_from([0.0, 1.5]),
+        events=st.lists(
+            st.tuples(
+                st.sampled_from(["activate", "deactivate", "migrate", "state"]),
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_column_tracker_matches_validity_tracker(
+        self, scheme, duration, start, events
+    ):
+        engine = AccessControlEngine(_policy([None], [None]), scheme=scheme)
+        session = engine.authenticate("u", start)
+        column = session.create_tracker("k", duration)
+        reference = ValidityTracker(duration, scheme=scheme, start_time=start)
+        t = start
+        for kind, step in events:
+            t += step
+            for tracker in (column, reference):
+                getattr(tracker, kind)(t)
+            assert column.state() is reference.state()
+            assert column.remaining_budget() == reference.remaining_budget()
+            assert column.expiry_time() == reference.expiry_time()
+            assert column.now == reference.now
+            assert column.valid_timeline() == reference.valid_timeline()
+            assert column.active_timeline() == reference.active_timeline()
 
 
 class TestBulkOpen:
@@ -215,8 +302,8 @@ class TestBulkOpen:
         tracker states, and identical subsequent decisions."""
         constraint = parse_constraint(COUNT_SRC)
         policy = _policy([constraint], [5.0])
-        bulk_engine = AccessControlEngine(policy, use_session_store=True)
-        scalar_engine = AccessControlEngine(policy, use_session_store=True)
+        bulk_engine = AccessControlEngine(policy)
+        scalar_engine = AccessControlEngine(policy)
         rows = bulk_engine.open_sessions(["u"] * 8, 1.0, roles=("r",))
         bulk_sessions = [bulk_engine.session_at(r) for r in rows]
         scalar_sessions = []
@@ -247,35 +334,26 @@ class TestBulkOpen:
 
     def test_bulk_open_rejects_unknown_role_and_user(self):
         policy = _policy([None], [None])
-        engine = AccessControlEngine(policy, use_session_store=True)
+        engine = AccessControlEngine(policy)
         with pytest.raises(RbacError):
             engine.open_sessions(["nobody"], 0.0, roles=("r",))
         assert engine.resident_sessions() == 0
 
-    def test_bulk_open_requires_store(self):
-        engine = AccessControlEngine(
-            _policy([None], [None]), use_session_store=False
-        )
-        with pytest.raises(RbacError):
-            engine.open_sessions(["u"], 0.0)
-
 
 class TestObservedViewMemo:
-    """Satellite 3: the ``observed`` tuple view must rebuild once per
-    mutation batch, not once per appended access."""
+    """The ``observed`` tuple view must rebuild once per mutation
+    batch, not once per appended access — on a plain engine and through
+    the shard wrapper alike."""
 
-    def _session(self, use_store: bool):
-        engine = AccessControlEngine(
-            _policy([parse_constraint(COUNT_SRC)], [None]),
-            use_session_store=use_store,
-        )
+    def _session(self, sharded: bool, src: str = COUNT_SRC):
+        engine = _engine(_policy([parse_constraint(src)], [None]), sharded)
         session = engine.authenticate("u", 0.0)
         engine.activate_role(session, "r", 0.0)
         return engine, session
 
-    @pytest.mark.parametrize("use_store", [True, False])
-    def test_view_rebuilds_coalesce_per_batch(self, use_store):
-        engine, session = self._session(use_store)
+    @pytest.mark.parametrize("sharded", [True, False])
+    def test_view_rebuilds_coalesce_per_batch(self, sharded):
+        engine, session = self._session(sharded)
         access = AccessKey.of("exec", "r1", "s1")
         assert session.view_rebuilds == 0
         # Repeated reads of an unchanged history share one rebuild.
@@ -295,18 +373,13 @@ class TestObservedViewMemo:
         assert len(session.observed) == 75
         assert session.view_rebuilds == 3
 
-    @pytest.mark.parametrize("use_store", [True, False])
-    def test_incremental_decides_never_materialize_view(self, use_store):
+    @pytest.mark.parametrize("sharded", [True, False])
+    def test_incremental_decides_never_materialize_view(self, sharded):
         """The subject-scope incremental *grant* path reads only the
         history length — a million-session sweep must not rebuild a
         tuple per session per batch.  (Denial provenance legitimately
         walks the history for its coordination footprint.)"""
-        engine = AccessControlEngine(
-            _policy([parse_constraint("count(0, 100, [res = r1])")], [None]),
-            use_session_store=use_store,
-        )
-        session = engine.authenticate("u", 0.0)
-        engine.activate_role(session, "r", 0.0)
+        engine, session = self._session(sharded, "count(0, 100, [res = r1])")
         access = AccessKey.of("exec", "r1", "s1")
         for i in range(6):
             assert engine.decide(
@@ -319,44 +392,47 @@ class TestObservedViewMemo:
 
 
 class TestIdleExpiry:
-    def _engine(self, use_store: bool):
-        engine = AccessControlEngine(
-            _policy([None], [None]), use_session_store=use_store
-        )
+    def _engine(self, sharded: bool):
+        engine = _engine(_policy([None], [None]), sharded)
         sessions = []
-        for _ in range(4):
-            session = engine.authenticate("u", 0.0)
+        for k in range(4):
+            if sharded:
+                session = engine.authenticate("u", 0.0, shard_key=f"agent-{k}")
+            else:
+                session = engine.authenticate("u", 0.0)
             engine.activate_role(session, "r", 0.0)
             sessions.append(session)
         return engine, sessions
 
-    @pytest.mark.parametrize("use_store", [True, False])
-    def test_idle_sessions_expire(self, use_store):
-        engine, sessions = self._engine(use_store)
+    @pytest.mark.parametrize("sharded", [True, False])
+    def test_idle_sessions_expire(self, sharded):
+        engine, sessions = self._engine(sharded)
         access = AccessKey.of("exec", "r1", "s1")
         # Sessions 0 and 1 stay hot; 2 and 3 never decide again.
         for t in (10.0, 20.0, 30.0):
             engine.decide(sessions[0], access, t, history=None)
             engine.decide(sessions[1], access, t + 0.5, history=None)
-        assert engine.expire_sessions(idle_for=25.0) == 2
+        # A sharded engine's default "now" is each shard's own latest
+        # activity, so it gets the instant explicitly.
+        now = 30.5 if sharded else None
+        assert engine.expire_sessions(now=now, idle_for=25.0) == 2
         assert engine.resident_sessions() == 2
         # The hot pair survives and keeps deciding.
         decision = engine.decide(sessions[0], access, 40.0, history=None)
         assert decision.granted
         # Everything idles out relative to the latest activity.
-        assert engine.expire_sessions(idle_for=0.0) == 2
+        now = 40.0 if sharded else None
+        assert engine.expire_sessions(now=now, idle_for=0.0) == 2
         assert engine.resident_sessions() == 0
 
-    @pytest.mark.parametrize("use_store", [True, False])
-    def test_expire_nothing_when_fresh(self, use_store):
-        engine, _ = self._engine(use_store)
+    @pytest.mark.parametrize("sharded", [True, False])
+    def test_expire_nothing_when_fresh(self, sharded):
+        engine, _ = self._engine(sharded)
         assert engine.expire_sessions(idle_for=1.0) == 0
         assert engine.resident_sessions() == 4
 
     def test_service_idle_sweep_counts_expired(self):
-        engine = ShardedEngine(
-            _policy([None], [None]), shards=2, use_session_store=True
-        )
+        engine = ShardedEngine(_policy([None], [None]), shards=2)
         with DecisionService(
             engine,
             workers=2,
@@ -401,22 +477,19 @@ class TestAccessKeyInterning:
         assert AccessKey.of("read", "r1", "s2") is not a
 
     def test_record_observation_interns(self):
-        store, plain = _build_pair([None], [None])
-        for _, sessions in (store, plain):
-            session = sessions[0]
-            session.record_observation(("exec", "r1", "s1"))
-            session.record_observation(AccessKey("exec", "r1", "s1"))
-            first, second = session.observed
-            assert first is second
-            assert first is AccessKey.of("exec", "r1", "s1")
+        engine = AccessControlEngine(_policy([None], [None]))
+        session = engine.authenticate("u", 0.0)
+        session.record_observation(("exec", "r1", "s1"))
+        session.record_observation(AccessKey("exec", "r1", "s1"))
+        first, second = session.observed
+        assert first is second
+        assert first is AccessKey.of("exec", "r1", "s1")
 
 
 class TestStoreMechanics:
     def _engine(self, **kwargs):
         return AccessControlEngine(
-            _policy([parse_constraint(COUNT_SRC)], [4.0]),
-            use_session_store=True,
-            **kwargs,
+            _policy([parse_constraint(COUNT_SRC)], [4.0]), **kwargs
         )
 
     def test_handles_are_cached_and_materializable(self):
@@ -461,6 +534,24 @@ class TestStoreMechanics:
         engine.close_session(session, 2.0)
         assert engine.resident_sessions() == 0
 
+    def test_closed_session_cannot_be_rearmed(self):
+        """A closed handle must not take roles or observations again —
+        otherwise it decides ``granted`` while no session is resident."""
+        engine = self._engine()
+        session = engine.authenticate("u", 0.0)
+        engine.activate_role(session, "r", 0.0)
+        access = AccessKey.of("exec", "r1", "s1")
+        engine.close_session(session, 1.0)
+        with pytest.raises(RbacError):
+            engine.activate_role(session, "r", 2.0)
+        with pytest.raises(RbacError):
+            engine.observe(session, access)
+        assert session.observed == ()
+        decision = engine.decide(session, access, 3.0, history=None)
+        assert not decision.granted
+        assert decision.provenance.kind == "no-candidate"
+        assert engine.resident_sessions() == 0
+
     def test_record_timelines_off_drops_event_arenas(self):
         engine = self._engine(record_timelines=False)
         session = engine.authenticate("u", 0.0)
@@ -489,18 +580,14 @@ class TestStoreMechanics:
 
 class TestMemoryBudget:
     def test_bytes_per_session_within_budget(self):
-        """The ISSUE gate, in miniature: marginal store overhead for a
+        """The store gate, in miniature: marginal store overhead for a
         bulk-opened population (timelines off, capacity reserved so
         doubling slack is excluded) must stay within 200 B/session."""
         from repro.workloads.scale import ScaleSpec, build_policy
 
         n = 20_000
         spec = ScaleSpec(sessions=n, users=100, servers=8, requests=1)
-        engine = AccessControlEngine(
-            build_policy(spec),
-            use_session_store=True,
-            record_timelines=False,
-        )
+        engine = AccessControlEngine(build_policy(spec), record_timelines=False)
         names = [f"u{i % spec.users:05d}" for i in range(n)]
         engine._store.reserve(n)
         gc.collect()

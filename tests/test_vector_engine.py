@@ -1,12 +1,15 @@
-"""Differential properties of the vectorized decision core.
+"""Bit-identity of the vectorized decision core.
 
 The contract of :mod:`repro.rbac.vector_engine` is *bit-identity*: for
 any eligible batch, the vector sweep must return exactly the decisions
-the scalar loop returns — same grants, same reasons, same
-:class:`~repro.obs.provenance.DecisionProvenance`, same audit order,
-and the same validity-tracker end state (including the recorded
-timelines).  Every test here runs the same workload through a
-vector-enabled and a vector-disabled engine and compares.
+the per-request ``decide`` loop returns — same grants, same reasons,
+same :class:`~repro.obs.provenance.DecisionProvenance`, same audit
+order, and the same validity-tracker end state (including the recorded
+timelines).  Every test here runs the same workload through a batch
+call on one engine and through ``decide`` one request at a time on a
+twin engine over the same policy, and compares.  (Whether those
+decisions are *right* is checked against the definitions-level oracle
+in ``tests/test_spec_oracle.py``.)
 
 Ineligible batches must *fall back*, not fail: the fallback paths are
 driven both through configuration (owner scope, uncached SRAC,
@@ -44,7 +47,8 @@ def _norm(decision: Decision) -> Decision:
 
 
 def _build_engines(permissions, durations, use_srac_caches=True):
-    """One policy, two engines: vector path on vs off."""
+    """One policy, two engines: the first takes batch calls, its twin
+    replays the same requests through :func:`_decide_loop`."""
     policy = Policy()
     policy.add_user("u")
     policy.add_role("r")
@@ -62,15 +66,37 @@ def _build_engines(permissions, durations, use_srac_caches=True):
         policy.assign_permission("r", f"p{i}")
     policy.assign_user("u", "r")
     out = []
-    for use_vector in (True, False):
-        engine = AccessControlEngine(
-            policy,
-            use_srac_caches=use_srac_caches,
-            use_vector_batches=use_vector,
-        )
+    for _ in range(2):
+        engine = AccessControlEngine(policy, use_srac_caches=use_srac_caches)
         session = engine.authenticate("u", 0.0)
         engine.activate_role(session, "r", 0.0)
         out.append((engine, session))
+    return out
+
+
+def _decide_loop(
+    engine, session, accesses, t, dt=0.0, history=None, observe_granted=False
+):
+    """What ``decide_batch`` promises to equal: one ``decide`` per
+    request at ``t``, ``t + dt``, … (same clock accumulation), with
+    granted accesses fed back through ``observe`` on request."""
+    out, clock = [], t
+    for access in accesses:
+        decision = engine.decide(session, access, clock, history=history)
+        if observe_granted and decision.granted:
+            engine.observe(session, access)
+        out.append(decision)
+        clock += dt
+    return out
+
+
+def _decide_loop_many(engine, requests, t, dt):
+    """``decide_batch_many``'s promise: one ``decide`` per
+    ``(session, access)`` on the global clock ``t``, ``t + dt``, …"""
+    out, clock = [], t
+    for session, access in requests:
+        out.append(engine.decide(session, access, clock, history=None))
+        clock += dt
     return out
 
 
@@ -94,7 +120,7 @@ def _assert_equivalent(vec, sc):
 
 
 class TestDifferentialProperty:
-    """Random policies x random workloads: scalar == vector, bitwise."""
+    """Random policies x random workloads: batch == decide loop, bitwise."""
 
     @given(
         constraint=strategies.constraints(max_leaves=4),
@@ -109,7 +135,7 @@ class TestDifferentialProperty:
     ):
         vec, sc = _build_engines([constraint], [duration])
         got = vec[0].decide_batch(vec[1], batch, t=t0, dt=dt)
-        want = sc[0].decide_batch(sc[1], batch, t=t0, dt=dt)
+        want = _decide_loop(sc[0], sc[1], batch, t=t0, dt=dt)
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
         _assert_equivalent(vec, sc)
 
@@ -126,7 +152,7 @@ class TestDifferentialProperty:
         must match the scalar walk exactly."""
         vec, sc = _build_engines([c1, c2], [3.0, None])
         got = vec[0].decide_batch(vec[1], batch, t=1.0, dt=dt)
-        want = sc[0].decide_batch(sc[1], batch, t=1.0, dt=dt)
+        want = _decide_loop(sc[0], sc[1], batch, t=1.0, dt=dt)
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
         _assert_equivalent(vec, sc)
 
@@ -134,7 +160,7 @@ class TestDifferentialProperty:
         vec, sc = _build_engines([parse_constraint(COUNT_SRC)], [None])
         batch = [AccessKey("exec", "r1", "s1")] * 10
         got = vec[0].decide_batch(vec[1], batch, t=1.0, dt=0.5)
-        want = sc[0].decide_batch(sc[1], batch, t=1.0, dt=0.5)
+        want = _decide_loop(sc[0], sc[1], batch, t=1.0, dt=0.5)
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
         stats = vec[0].cache_stats()
         assert stats.vector_decisions == 10
@@ -152,7 +178,7 @@ class TestTemporalBoundaries:
         # instants 0, 2, 4, 6, 8 include the boundary itself.
         batch = [AccessKey("exec", "r1", "s1")] * 5
         got = vec[0].decide_batch(vec[1], batch, t=0.0, dt=2.0)
-        want = sc[0].decide_batch(sc[1], batch, t=0.0, dt=2.0)
+        want = _decide_loop(sc[0], sc[1], batch, t=0.0, dt=2.0)
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
         assert [d.granted for d in got] == [True, True, False, False, False]
         _assert_equivalent(vec, sc)
@@ -163,7 +189,7 @@ class TestTemporalBoundaries:
         vec, sc = _build_engines([None], [2.0])
         batch = [AccessKey("exec", "r1", "s1")] * 8
         vec[0].decide_batch(vec[1], batch, t=0.5, dt=0.5)
-        sc[0].decide_batch(sc[1], batch, t=0.5, dt=0.5)
+        _decide_loop(sc[0], sc[1], batch, t=0.5, dt=0.5)
         _assert_equivalent(vec, sc)
         (tracker,) = vec[1].trackers.values()
         assert 2.0 in tracker.valid_timeline().switches
@@ -198,7 +224,7 @@ class TestFallbacks:
             [constraint], [None], use_srac_caches=False
         )
         got = vec[0].decide_batch(vec[1], self._grant_batch(), t=1.0, dt=1.0)
-        want = sc[0].decide_batch(sc[1], self._grant_batch(), t=1.0, dt=1.0)
+        want = _decide_loop(sc[0], sc[1], self._grant_batch(), t=1.0, dt=1.0)
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
         assert vec[0].cache_stats().vector_fallbacks == 6
 
@@ -212,8 +238,8 @@ class TestFallbacks:
             got = vec[0].decide_batch(
                 vec[1], self._grant_batch(), t=1.0, dt=1.0, **kwargs
             )
-            want = sc[0].decide_batch(
-                sc[1], self._grant_batch(), t=1.0, dt=1.0, **kwargs
+            want = _decide_loop(
+                sc[0], sc[1], self._grant_batch(), t=1.0, dt=1.0, **kwargs
             )
             assert [_norm(d) for d in got] == [_norm(d) for d in want]
             assert vec[0].cache_stats().vector_fallbacks == 6
@@ -231,7 +257,7 @@ class TestFallbacks:
         monkeypatch.setattr(TransitionTable, "intern", boom)
         got = vec[0].decide_batch(vec[1], self._grant_batch(), t=1.0, dt=1.0)
         monkeypatch.undo()
-        want = sc[0].decide_batch(sc[1], self._grant_batch(), t=1.0, dt=1.0)
+        want = _decide_loop(sc[0], sc[1], self._grant_batch(), t=1.0, dt=1.0)
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
         assert vec[0].cache_stats().vector_fallbacks == 6
         _assert_equivalent(vec, sc)
@@ -242,14 +268,15 @@ class TestFallbacks:
         loop's behaviour, whatever it is, is reproduced."""
         constraint = parse_constraint(COUNT_SRC)
         vec, sc = _build_engines([constraint], [5.0])
-        for engine, session in (vec, sc):
-            engine.decide_batch(session, self._grant_batch()[:1], t=4.0)
+        vec[0].decide_batch(vec[1], self._grant_batch()[:1], t=4.0)
+        _decide_loop(sc[0], sc[1], self._grant_batch()[:1], t=4.0)
         outcomes = []
-        for engine, session in (vec, sc):
+        for (engine, session), run in (
+            (vec, AccessControlEngine.decide_batch),
+            (sc, _decide_loop),
+        ):
             try:
-                result = engine.decide_batch(
-                    session, self._grant_batch()[:2], t=1.0, dt=0.5
-                )
+                result = run(engine, session, self._grant_batch()[:2], t=1.0, dt=0.5)
                 outcomes.append([_norm(d) for d in result])
             except ReproError as exc:
                 outcomes.append(type(exc).__name__)
@@ -321,10 +348,8 @@ class TestBatchMany:
             t=1.0,
             dt=0.25,
         )
-        want = sc[0].decide_batch_many(
-            [(sc_sessions[i % 3], accesses[i]) for i in range(24)],
-            t=1.0,
-            dt=0.25,
+        want = _decide_loop_many(
+            sc[0], [(sc_sessions[i % 3], accesses[i]) for i in range(24)], 1.0, 0.25
         )
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
         assert vec[0].cache_stats().vector_decisions == 24
@@ -371,8 +396,8 @@ class TestBatchMany:
         got = sharded.decide_batch_many(
             [(sh_sessions[j], a) for j, a in requests], t=2.0, dt=0.5
         )
-        want = plain.decide_batch_many(
-            [(pl_sessions[j], a) for j, a in requests], t=2.0, dt=0.5
+        want = _decide_loop_many(
+            plain, [(pl_sessions[j], a) for j, a in requests], 2.0, 0.5
         )
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
         assert sum(s["decisions"] for s in sharded.shard_stats()) == 20
