@@ -214,17 +214,14 @@ def _batched_service(max_batch: int, workers: int):
     return engine, sessions, service
 
 
-def run_batched(
-    n: int, max_batch: int, workers: int, measure_latency: bool = False
-) -> tuple[float, dict, dict]:
-    """One micro-batching measurement: ``n`` requests submitted in
-    ``submit_many`` chunks through the service at ``max_batch``
-    (``max_batch=1`` *is* the scalar per-request service — the
-    baseline the batched mode is compared against).  Returns
-    ``(requests/sec, service stats, latency percentiles)``; the
-    latency run is separate from the throughput runs because the
-    per-future done-callbacks used to timestamp completions are
-    themselves measurable overhead.
+def run_batched(n: int, max_batch: int, workers: int) -> tuple[float, dict]:
+    """One micro-batching throughput measurement: ``n`` requests
+    submitted in ``submit_many`` chunks through the service at
+    ``max_batch`` (``max_batch=1`` *is* the scalar per-request service
+    — the baseline the batched mode is compared against).  Returns
+    ``(requests/sec, service stats)``.  A closed-loop flood measures
+    queue depth, not latency, so this run reports no latencies; the
+    open-loop end-to-end benchmark (``benchmarks/e2e``) does.
     """
     engine, sessions, service = _batched_service(max_batch, workers)
     clocks = [0.0] * len(sessions)
@@ -237,7 +234,6 @@ def run_batched(
             requests.append((sessions[k], _request(start + i), clocks[k]))
         return requests
 
-    latencies: list[float] = []
     with service:
         service.submit_many(wave(min(2000, n), 0))
         if not service.drain(timeout=300.0):
@@ -245,16 +241,9 @@ def run_batched(
         service.reset_stats()
         start = time.perf_counter()
         for offset in range(0, n, SUBMIT_CHUNK):
-            chunk = wave(min(SUBMIT_CHUNK, n - offset), 4000 + offset)
-            chunk_start = time.perf_counter()
-            futures = service.submit_many(chunk)
-            if measure_latency:
-                for future in futures:
-                    future.add_done_callback(
-                        lambda f, t0=chunk_start: latencies.append(
-                            time.perf_counter() - t0
-                        )
-                    )
+            service.submit_many(
+                wave(min(SUBMIT_CHUNK, n - offset), 4000 + offset)
+            )
         if not service.drain(timeout=600.0):
             raise AssertionError("batched service failed to drain in time")
         wall = time.perf_counter() - start
@@ -263,14 +252,7 @@ def run_batched(
         raise AssertionError(f"batched service reported {stats.errors} errors")
     if max_batch > 1 and stats.vector_decisions == 0:
         raise AssertionError("batched mode never used the vector sweep")
-    latencies.sort()
-    percentiles = {
-        "p50_ms": _percentile(latencies, 0.50) * 1e3,
-        "p99_ms": _percentile(latencies, 0.99) * 1e3,
-        "max_ms": (latencies[-1] * 1e3) if latencies else 0.0,
-        "samples": len(latencies),
-    }
-    return n / wall, stats.as_dict(), percentiles
+    return n / wall, stats.as_dict()
 
 
 def run_low_load(n: int = 300) -> dict:
@@ -380,20 +362,17 @@ def measure_batched(n: int, repeats: int = 3) -> dict:
 
     scalar_rate, scalar_stats = 0.0, {}
     for _ in range(repeats):
-        rate, stats, _ = run_batched(max(n // 4, 2000), 1, workers=4)
+        rate, stats = run_batched(max(n // 4, 2000), 1, workers=4)
         if rate > scalar_rate:
             scalar_rate, scalar_stats = rate, stats
 
     batched_rate, batched_stats = 0.0, {}
     for workers in (1, 4):
         for _ in range(repeats):
-            rate, stats, _ = run_batched(n, BATCH_MAX, workers)
+            rate, stats = run_batched(n, BATCH_MAX, workers)
             if rate > batched_rate:
                 batched_rate, batched_stats = rate, stats
 
-    _, _, latency = run_batched(
-        n, BATCH_MAX, workers=1, measure_latency=True
-    )
     low_load = run_low_load()
 
     speedup = batched_rate / scalar_rate if scalar_rate else 0.0
@@ -413,7 +392,6 @@ def measure_batched(n: int, repeats: int = 3) -> dict:
             "max": batched_stats.get("max_batch_size", 0),
             "batches": batched_stats.get("batches", 0),
         },
-        "latency_under_load": latency,
         "low_load_latency": low_load,
     }
 
@@ -568,11 +546,8 @@ def print_report(report: dict) -> None:
         f"vector decisions={batched['batched_stats']['vector_decisions']} "
         f"fallbacks={batched['batched_stats']['vector_fallbacks']}"
     )
-    lat = batched["latency_under_load"]
     low = batched["low_load_latency"]
     print(
-        f"latency under load: p50={lat['p50_ms']:.2f}ms "
-        f"p99={lat['p99_ms']:.2f}ms; "
         f"low load: p50={low['p50_ms']:.3f}ms p99={low['p99_ms']:.3f}ms "
         f"(budget {low['budget_ms']:g}ms)"
     )

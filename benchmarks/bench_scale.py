@@ -317,7 +317,6 @@ def drive_population(
         "throughput": len(decisions) / wall,
         "granted": granted,
         "denied": len(decisions) - granted,
-        "mean_latency_ms": stats.mean_latency_s * 1e3,
         "mean_batch_size": stats.mean_batch_size,
         "vector_decisions": stats.vector_decisions,
         "vector_fallbacks": stats.vector_fallbacks,

@@ -22,6 +22,9 @@ avoid even that by registering a **collector** — a zero-argument
 callable returning ``{metric_name: value}`` that the registry invokes
 at :meth:`~MetricsRegistry.snapshot` time.  Collectors are held by
 weak reference so short-lived engines (tests, benchmarks) never leak.
+Collected values of one name are summed across collectors, except the
+names in :data:`COLLECTED_GAUGES` (current values: a dead owner's are
+not kept) and :data:`COLLECTED_MAXIMA` (combined by ``max``).
 """
 
 from __future__ import annotations
@@ -39,6 +42,26 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY"]
 DEFAULT_BUCKETS = (
     1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0,
 )
+
+
+#: Collected names that are current values of their owner (resident
+#: sessions, queued proofs, the membership epoch): summed over live
+#: collectors only, never absorbed from a dead one.
+COLLECTED_GAUGES = frozenset({
+    "engine.sessions.resident", "engine.sessions.store_bytes",
+    "proofbatch.pending", "proofbatch.parked", "coalition.membership_epoch",
+})
+
+#: Collected names combined by ``max`` rather than summed.
+COLLECTED_MAXIMA = frozenset({"engine.decide.max_s"})
+
+
+def _combine(into: dict[str, float], name: str, value: float) -> None:
+    """Fold one collected value into ``into`` (max or sum by name)."""
+    if name in into and name in COLLECTED_MAXIMA:
+        into[name] = max(into[name], value)
+    else:
+        into[name] = into.get(name, 0) + value
 
 
 def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
@@ -243,10 +266,12 @@ class MetricsRegistry:
     def absorb(self, values: Mapping[str, float]) -> None:
         """Fold a dying collector's final values into the registry
         (called from component ``__del__``s) so the totals it
-        contributed survive its garbage collection."""
+        contributed survive its garbage collection.  Its gauges
+        (:data:`COLLECTED_GAUGES`) die with it."""
         with self._table_lock:
             for k, v in values.items():
-                self._absorbed[k] = self._absorbed.get(k, 0) + v
+                if k not in COLLECTED_GAUGES:
+                    _combine(self._absorbed, k, v)
 
     # -- snapshot / reset -----------------------------------------------------
 
@@ -271,10 +296,10 @@ class MetricsRegistry:
                 pulled = fn()
             except Exception:  # pragma: no cover - defensive
                 continue
-            # Sum duplicate keys: every shard of a ShardedEngine exports
-            # the same metric names, and the fleet-wide total is wanted.
+            # Every shard of a ShardedEngine exports the same names, and
+            # the fleet-wide total (or maximum) is wanted.
             for k, v in pulled.items():
-                collected[k] = collected.get(k, 0) + v
+                _combine(collected, k, v)
         if collected:
             out["collected"] = dict(sorted(collected.items()))
         return out

@@ -82,6 +82,29 @@ def _constraint_source(constraint: Constraint) -> str:
     return text
 
 
+#: The no-candidate decision's attribution: every field None.
+_NO_CANDIDATE = CandidateProvenance(None, None, None, None, None, None)
+
+
+def _candidate_record(
+    role: Role, permission: Permission, spatial_ok: bool, state: PermissionState
+) -> CandidateProvenance:
+    """The provenance record of one examined ``(role, permission)``
+    pair — shared by the scalar loop, the vector sweep's prototypes
+    and :meth:`AccessControlEngine.explain`."""
+    constraint = permission.spatial_constraint
+    return CandidateProvenance(
+        role=role.name,
+        permission=permission.name,
+        constraint=(
+            _constraint_source(constraint) if constraint is not None else None
+        ),
+        spatial_ok=spatial_ok,
+        temporal_ok=state is PermissionState.VALID,
+        temporal_state=state.value,
+    )
+
+
 @dataclass(frozen=True)
 class EngineCacheStats:
     """Snapshot of the engine's caching layers for one report:
@@ -269,8 +292,7 @@ class AccessControlEngine:
         regardless of when observability was switched on;
         ``engine.decide.sampled*`` timing exists only for decisions
         taken while it was enabled."""
-        granted = self.audit.granted_count - self._obs_granted_base
-        denied = self.audit.denied_count - self._obs_denied_base
+        granted, denied = self.decision_counts()
         return {
             "engine.sessions.resident": float(self.resident_sessions()),
             "engine.sessions.store_bytes": float(self._store.nbytes()),
@@ -676,103 +698,77 @@ class AccessControlEngine:
         instead of re-resolving it per element."""
         session.touch(t)
         epoch = self._current_epoch()
-        if not candidates:
-            decision = Decision(
-                subject_id=session.subject.subject_id,
-                access=access,
-                granted=False,
-                time=t,
-                reason="no active role provides a matching permission",
-                provenance=DecisionProvenance(
-                    kind="no-candidate",
-                    history_mode=history_mode,
-                    history_len=self._history_len(session, history),
-                    epoch=epoch,
-                ),
-            )
-            self.audit.record(decision)
-            if start:
-                self._record_decide(start, decision)
-            return decision
-
-        last_reason = ""
         records: list[CandidateProvenance] = []
         for role, permission in candidates:
             spatial_ok = self._spatial_ok(
                 session, permission, access, history, program
             )
-            tracker = self._tracker(session, permission)
-            state = tracker.state(t)
-            temporal_ok = state is PermissionState.VALID
-            constraint = permission.spatial_constraint
-            records.append(
-                CandidateProvenance(
-                    role=role.name,
-                    permission=permission.name,
-                    constraint=(
-                        _constraint_source(constraint)
-                        if constraint is not None
-                        else None
-                    ),
-                    spatial_ok=spatial_ok,
-                    temporal_ok=temporal_ok,
-                    temporal_state=state.value,
-                )
-            )
-            if spatial_ok and temporal_ok:
-                decision = Decision(
-                    subject_id=session.subject.subject_id,
-                    access=access,
-                    granted=True,
-                    time=t,
-                    role=role.name,
-                    permission=permission.name,
-                    spatial_ok=True,
-                    temporal_ok=True,
-                    provenance=DecisionProvenance(
-                        kind="granted",
-                        candidates=(records[-1],),
-                        history_mode=history_mode,
-                        history_len=self._history_len(session, history),
-                        epoch=epoch,
-                    ),
-                )
-                self.audit.record(decision)
-                if start:
-                    self._record_decide(start, decision)
-                return decision
-            if not spatial_ok:
-                last_reason = (
-                    f"spatial constraint of {permission.name!r} cannot be satisfied"
-                )
-            else:
-                last_reason = (
-                    f"permission {permission.name!r} is {state.value}"
-                )
-        failing = records[-1]
-        decision = Decision(
-            subject_id=session.subject.subject_id,
-            access=access,
-            granted=False,
-            time=t,
-            role=failing.role,
-            permission=failing.permission,
-            spatial_ok=failing.spatial_ok,
-            temporal_ok=failing.temporal_ok,
-            reason=last_reason,
-            provenance=DecisionProvenance(
-                kind="spatial" if not failing.spatial_ok else "temporal",
-                candidates=tuple(records),
-                history_mode=history_mode,
-                history_len=self._history_len(session, history),
-                foreign_servers=self._foreign_servers(session, access, history),
-                epoch=epoch,
-            ),
+            state = self._tracker(session, permission).state(t)
+            records.append(_candidate_record(role, permission, spatial_ok, state))
+            if spatial_ok and state is PermissionState.VALID:
+                break
+        decision = self._build_decision(
+            session, access, t, records, history, history_mode,
+            self._history_len(session, history), epoch,
         )
         self.audit.record(decision)
         if start:
             self._record_decide(start, decision)
         return decision
+
+    def _build_decision(
+        self,
+        session: Session,
+        access: AccessKey,
+        t: float,
+        records: Sequence[CandidateProvenance],
+        history: Trace | None,
+        history_mode: str,
+        history_len: int,
+        epoch: int | None,
+    ) -> Decision:
+        """The one place a ``Decision`` is made, from the candidate
+        records examined in order (the scalar loop's decisions and the
+        vector sweep's prototypes).  No records: no candidate matched.
+        A last record passing both checks is the grant.  Otherwise the
+        last record's failing check is the denial's kind and reason,
+        and only denials pay the foreign-server scan."""
+        foreign: tuple[str, ...] = ()
+        if not records:
+            last, candidates = _NO_CANDIDATE, ()
+            kind = "no-candidate"
+            reason = "no active role provides a matching permission"
+        elif records[-1].spatial_ok and records[-1].temporal_ok:
+            last = records[-1]
+            kind, reason, candidates = "granted", "", (last,)
+        else:
+            last, candidates = records[-1], tuple(records)
+            if not last.spatial_ok:
+                kind = "spatial"
+                reason = f"spatial constraint of {last.permission!r} cannot be satisfied"
+            else:
+                kind = "temporal"
+                reason = f"permission {last.permission!r} is {last.temporal_state}"
+            foreign = self._foreign_servers(session, access, history)
+        return Decision(
+            subject_id=session.subject.subject_id,
+            access=access,
+            granted=kind == "granted",
+            time=t,
+            role=last.role,
+            permission=last.permission,
+            spatial_ok=last.spatial_ok,
+            temporal_ok=last.temporal_ok,
+            reason=reason,
+            provenance=DecisionProvenance(
+                kind=kind,
+                candidates=candidates,
+                history_mode=history_mode,
+                history_len=history_len,
+                foreign_servers=foreign,
+                epoch=epoch,
+            ),
+        )
 
     def _effective_history(
         self, session: Session, history: Trace | None
@@ -1004,25 +1000,13 @@ class AccessControlEngine:
         access = AccessKey(*access)
         rows: list[dict] = []
         for role, permission in self._candidates(session, access):
-            tracker = self._tracker(session, permission)
-            state = tracker.state(t)
-            constraint = permission.spatial_constraint
-            rows.append(
-                {
-                    "role": role.name,
-                    "permission": permission.name,
-                    "constraint": (
-                        _constraint_source(constraint)
-                        if constraint is not None
-                        else None
-                    ),
-                    "spatial_ok": self._spatial_ok(
-                        session, permission, access, history, program
-                    ),
-                    "temporal_ok": state is PermissionState.VALID,
-                    "state": state.value,
-                }
+            state = self._tracker(session, permission).state(t)
+            spatial_ok = self._spatial_ok(
+                session, permission, access, history, program
             )
+            row = _candidate_record(role, permission, spatial_ok, state)._asdict()
+            row["state"] = row.pop("temporal_state")
+            rows.append(row)
         return rows
 
     # -- cache management --------------------------------------------------------
@@ -1090,6 +1074,16 @@ class AccessControlEngine:
             srac=cache_stats(),
             vector_decisions=self._vector_decisions,
             vector_fallbacks=self._vector_fallbacks,
+        )
+
+    def decision_counts(self) -> tuple[int, int]:
+        """``(granted, denied)`` decisions since construction or the
+        last :meth:`reset_stats` — audit-derived, so exact on every
+        path (scalar, vector sweep, service) with or without
+        observability."""
+        return (
+            self.audit.granted_count - self._obs_granted_base,
+            self.audit.denied_count - self._obs_denied_base,
         )
 
     def reset_stats(self) -> None:

@@ -19,6 +19,10 @@ session most of that work is invariant:
   and the vector of temporal state codes — a handful of distinct
   values per group — so whole ``Decision`` prototypes are memoised and
   per-element decisions are cheap clones differing only in ``time``.
+  The prototypes are made by the engine's shared constructors
+  (``_candidate_record`` and ``AccessControlEngine._build_decision``),
+  the same code that makes every scalar decision, so kinds, reasons
+  and provenance cannot drift between the two paths.
 
 The sweep is organised **prepare → commit**:
 
@@ -58,10 +62,14 @@ import numpy as np
 
 from repro.errors import AlphabetError
 from repro.obs import OBS
-from repro.obs.provenance import CandidateProvenance, DecisionProvenance
 from repro.rbac.audit import Decision
-from repro.rbac.engine import _constraint_source
-from repro.temporal.validity import CODE_INACTIVE, CODE_VALID, STATE_CODES
+from repro.rbac.engine import _candidate_record
+from repro.temporal.validity import (
+    CODE_INACTIVE,
+    CODE_VALID,
+    STATE_CODES,
+    PermissionState,
+)
 from repro.traces.trace import AccessKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,8 +82,6 @@ __all__ = [
     "commit_sweep",
     "sweep_interleaved",
 ]
-
-_NO_CANDIDATE_REASON = "no active role provides a matching permission"
 
 
 def _fill(
@@ -160,8 +166,6 @@ def prepare_sweep(
     prep.decisions = [None] * n  # type: ignore[list-item]
     decisions = prep.decisions
     times_arr = np.asarray(times, dtype=np.float64)
-    subject_id = session.subject.subject_id
-    history_len = session.observed_len()
     # A session's monitor cells *are* table state ids — no tuple
     # decode/encode per candidate.
     store = session._store
@@ -170,6 +174,7 @@ def prepare_sweep(
     # mid-batch under the shard lock, so this matches the scalar loop's
     # per-decision read bit for bit.
     epoch = engine._current_epoch()
+    history_len = session.observed_len()
 
     groups: dict[AccessKey, list[int]] = {}
     for i, access in enumerate(accesses):
@@ -186,18 +191,9 @@ def prepare_sweep(
         ts = times_arr if m == n else times_arr[idx_list]
 
         if k == 0:
-            proto = Decision(
-                subject_id=subject_id,
-                access=access,
-                granted=False,
-                time=0.0,
-                reason=_NO_CANDIDATE_REASON,
-                provenance=DecisionProvenance(
-                    kind="no-candidate",
-                    history_mode="incremental",
-                    history_len=history_len,
-                    epoch=epoch,
-                ),
+            proto = engine._build_decision(
+                session, access, 0.0, (), None, "incremental", history_len,
+                epoch,
             )
             _fill(decisions, proto, range(m), idx_list, times)
             continue
@@ -206,12 +202,10 @@ def prepare_sweep(
         # whole batch (the observed history is frozen) — one table
         # gather each.  Bail to scalar when a product is over budget.
         spatial: list[bool] = []
-        ctexts: list[str | None] = []
         for _role, permission in candidates:
             constraint = permission.spatial_constraint
             if constraint is None:
                 spatial.append(True)
-                ctexts.append(None)
                 continue
             _compiled, universe, live = engine._extension_entry(
                 constraint, access
@@ -231,7 +225,6 @@ def prepare_sweep(
                 state_id = table.encode(states)
             successor = int(table.trans[state_id, symbol])
             spatial.append(bool(table.live[successor]))
-            ctexts.append(_constraint_source(constraint))
 
         # Temporal state codes per candidate over the group's time
         # vector: one searchsorted against the tracker's breakpoints.
@@ -295,30 +288,12 @@ def prepare_sweep(
         prep.granted += m - granted_list.count(-1)
         for j in sorted(set(granted_list) - {-1}):
             role, permission = candidates[j]
-            record = CandidateProvenance(
-                role=role.name,
-                permission=permission.name,
-                constraint=ctexts[j],
-                spatial_ok=True,
-                temporal_ok=True,
-                temporal_state=STATE_CODES[CODE_VALID].value,
+            record = _candidate_record(
+                role, permission, True, PermissionState.VALID
             )
-            proto = Decision(
-                subject_id=subject_id,
-                access=access,
-                granted=True,
-                time=0.0,
-                role=role.name,
-                permission=permission.name,
-                spatial_ok=True,
-                temporal_ok=True,
-                provenance=DecisionProvenance(
-                    kind="granted",
-                    candidates=(record,),
-                    history_mode="incremental",
-                    history_len=history_len,
-                    epoch=epoch,
-                ),
+            proto = engine._build_decision(
+                session, access, 0.0, (record,), None, "incremental",
+                history_len, epoch,
             )
             winners = [p for p, g in enumerate(granted_list) if g == j]
             positions = range(m) if len(winners) == m else winners
@@ -327,84 +302,27 @@ def prepare_sweep(
         # Denials examine every candidate; the provenance depends only
         # on the column of temporal codes, of which a k-candidate group
         # has at most k+1 distinct values — build one prototype per
-        # distinct code column and clone the rest.
-        denied_positions = [p for p, g in enumerate(granted_list) if g == -1]
-        if denied_positions:
-            foreign = engine._foreign_servers(session, access, None)
-            columns = codes_mat.T[denied_positions]  # (denied, k)
-            # Group identical code columns by hand: the service's
-            # micro-batches make these groups small, where
-            # ``np.unique(axis=0)`` costs more than the whole sweep.
-            uniq: list[tuple[int, ...]] = []
-            uniq_index: dict[tuple[int, ...], int] = {}
-            inverse: list[int] = []
-            for col in map(tuple, columns.tolist()):
-                g = uniq_index.get(col)
-                if g is None:
-                    g = uniq_index[col] = len(uniq)
-                    uniq.append(col)
-                inverse.append(g)
-            protos: list[Decision] = []
-            for row in uniq:
-                records = []
-                last_reason = ""
-                for j, (role, permission) in enumerate(candidates):
-                    code = int(row[j])
-                    records.append(
-                        CandidateProvenance(
-                            role=role.name,
-                            permission=permission.name,
-                            constraint=ctexts[j],
-                            spatial_ok=spatial[j],
-                            temporal_ok=code == CODE_VALID,
-                            temporal_state=STATE_CODES[code].value,
-                        )
-                    )
-                    if not spatial[j]:
-                        last_reason = (
-                            f"spatial constraint of {permission.name!r} "
-                            f"cannot be satisfied"
-                        )
-                    else:
-                        last_reason = (
-                            f"permission {permission.name!r} is "
-                            f"{STATE_CODES[code].value}"
-                        )
-                failing = records[-1]
-                protos.append(
-                    Decision(
-                        subject_id=subject_id,
-                        access=access,
-                        granted=False,
-                        time=0.0,
-                        role=failing.role,
-                        permission=failing.permission,
-                        spatial_ok=failing.spatial_ok,
-                        temporal_ok=failing.temporal_ok,
-                        reason=last_reason,
-                        provenance=DecisionProvenance(
-                            kind=(
-                                "spatial"
-                                if not failing.spatial_ok
-                                else "temporal"
-                            ),
-                            candidates=tuple(records),
-                            history_mode="incremental",
-                            history_len=history_len,
-                            foreign_servers=foreign,
-                            epoch=epoch,
-                        ),
-                    )
+        # distinct code column and clone the rest.  (Grouped by hand:
+        # the service's micro-batches make these groups small, where
+        # ``np.unique(axis=0)`` costs more than the whole sweep.)
+        denied = [p for p, g in enumerate(granted_list) if g == -1]
+        if not denied:
+            continue
+        by_column: dict[tuple[int, ...], list[int]] = {}
+        for p, column in zip(denied, codes_mat.T[denied].tolist()):
+            by_column.setdefault(tuple(column), []).append(p)
+        for column, positions in by_column.items():
+            records = [
+                _candidate_record(role, permission, spatial[j], STATE_CODES[code])
+                for j, ((role, permission), code) in enumerate(
+                    zip(candidates, column)
                 )
-            proto_dicts = [proto.__dict__ for proto in protos]
-            new = Decision.__new__
-            for p, g in zip(denied_positions, inverse):
-                d = new(Decision)
-                dd = d.__dict__
-                dd.update(proto_dicts[g])
-                i = idx_list[p]
-                dd["time"] = times[i]
-                decisions[i] = d
+            ]
+            proto = engine._build_decision(
+                session, access, 0.0, records, None, "incremental",
+                history_len, epoch,
+            )
+            _fill(decisions, proto, positions, idx_list, times)
 
     return prep
 
@@ -425,46 +343,48 @@ def sweep_interleaved(
     per session preserving per-session order; sessions are independent
     under subject scope, so regrouping cannot change any verdict.  The
     sweeps commit only if **every** group prepares — otherwise no
-    session-visible state has been touched, ``None`` is returned (one
-    vector fallback counted per entry) and the caller replays the run
-    through the scalar loop.  The audit log receives the decisions in
-    arrival order, exactly as the scalar per-request loop would have
-    recorded them.
+    session-visible state has been touched, ``None`` is returned and
+    the caller replays the run through the scalar loop.  A run that
+    returns ``None`` or raises counts one vector fallback per entry;
+    a swept run counts one vector decision per entry.  The audit log
+    receives the decisions in arrival order, exactly as the scalar
+    per-request loop would have recorded them.
     """
-    n = len(entries)
-    if n == 0:
-        return []
-    by_session: dict[int, tuple["Session", list[int]]] = {}
-    for i, (session, _access, _t) in enumerate(entries):
-        entry = by_session.get(id(session))
-        if entry is None:
-            by_session[id(session)] = (session, [i])
+    decisions = None
+    try:
+        by_session: dict[int, tuple["Session", list[int]]] = {}
+        for i, (session, _access, _t) in enumerate(entries):
+            entry = by_session.get(id(session))
+            if entry is None:
+                by_session[id(session)] = (session, [i])
+            else:
+                entry[1].append(i)
+        preps: list[tuple[PreparedSweep, list[int]]] = []
+        for session, idx_list in by_session.values():
+            times = [entries[i][2] for i in idx_list]
+            # Per-session monotonicity is all a sweep needs (trackers
+            # are per session); the global stream may interleave clocks.
+            if any(b < a for a, b in zip(times, times[1:])):
+                return None
+            prep = prepare_sweep(
+                engine, session, [entries[i][1] for i in idx_list], times
+            )
+            if prep is None:
+                return None
+            preps.append((prep, idx_list))
+        swept: list[Decision] = [None] * len(entries)  # type: ignore[list-item]
+        granted = 0
+        for prep, idx_list in preps:
+            granted += prep.granted
+            for i, decision in zip(idx_list, commit_sweep(prep, record_audit=False)):
+                swept[i] = decision
+        engine.audit.record_many(swept, granted=granted)
+        decisions = swept
+    finally:
+        if decisions is None:
+            engine._vector_fallbacks += len(entries)
         else:
-            entry[1].append(i)
-    preps: list[tuple[PreparedSweep, list[int]]] = []
-    for session, idx_list in by_session.values():
-        times = [entries[i][2] for i in idx_list]
-        # Per-session monotonicity is all a sweep needs (trackers are
-        # per session); the global stream may interleave clocks freely.
-        if any(b < a for a, b in zip(times, times[1:])):
-            engine._vector_fallbacks += n
-            return None
-        prep = prepare_sweep(
-            engine, session, [entries[i][1] for i in idx_list], times
-        )
-        if prep is None:
-            engine._vector_fallbacks += n
-            return None
-        preps.append((prep, idx_list))
-    decisions: list[Decision] = [None] * n  # type: ignore[list-item]
-    granted = 0
-    for prep, idx_list in preps:
-        swept = commit_sweep(prep, record_audit=False)
-        granted += prep.granted
-        for local, i in enumerate(idx_list):
-            decisions[i] = swept[local]
-    engine.audit.record_many(decisions, granted=granted)
-    engine._vector_decisions += n
+            engine._vector_decisions += len(entries)
     return decisions
 
 

@@ -39,10 +39,10 @@ concurrent-service benchmark uses it for its latency model).
 from __future__ import annotations
 
 import collections
+import logging
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from concurrent.futures import _base as _future_base
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -50,6 +50,7 @@ from repro.errors import ServiceError
 from repro.faults.retry import RetryPolicy
 from repro.obs import OBS, RECORDER, REGISTRY
 from repro.rbac.audit import Decision
+from repro.rbac.engine import AccessControlEngine
 from repro.rbac.session_store import Session
 from repro.rbac.vector_engine import sweep_interleaved
 from repro.service.sharding import ShardedEngine
@@ -57,6 +58,8 @@ from repro.sral.ast import Program
 from repro.traces.trace import AccessKey, Trace
 
 __all__ = ["DecisionService", "ServiceStats"]
+
+_log = logging.getLogger(__name__)
 
 #: Record one ``service.request`` span per this many completed requests
 #: (histogram observations are unsampled; spans carry the per-phase
@@ -76,67 +79,145 @@ BATCH_EWMA_DECAY = 0.8
 #: histograms (requests per drain, not seconds).
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
-
-# Future state constants (plain strings, stable since Python 3.2).
-_PENDING = _future_base.PENDING
-_RUNNING = _future_base.RUNNING
-_CANCELLED = _future_base.CANCELLED
-_CANCELLED_AND_NOTIFIED = _future_base.CANCELLED_AND_NOTIFIED
-_FINISHED = _future_base.FINISHED
+# Request states, in lifecycle order (done means >= _CANCELLED).
+_PENDING, _RUNNING, _CANCELLED, _FINISHED = range(4)
 
 
-class _ShardFuture(Future):
-    """A :class:`Future` sharing one condition with its shard siblings.
+class _Request:
+    """One submitted request, from :meth:`DecisionService.submit` to its
+    resolution: the request fields plus a result slot.
 
-    ``Future.__init__`` allocates a fresh ``Condition`` (and its RLock)
-    per instance — at micro-batching rates that allocation is the
-    single largest submission cost.  All futures of one shard share the
-    shard's condition instead: state transitions still serialise on it,
-    and since a shard's decisions resolve on that shard's single active
-    drainer, the shared lock sees no cross-shard contention.
-
-    ``result``/``exception`` are re-implemented as wait *loops*: the
-    inherited single-``wait`` versions assume a private condition where
-    one wakeup means completion, which a sibling's broadcast would
-    violate (a spurious ``TimeoutError`` with no timeout set).
+    The future-style surface — :meth:`result`, :meth:`exception`,
+    :meth:`cancel`, :meth:`cancelled`, :meth:`running`, :meth:`done`
+    and :meth:`add_done_callback` — is guarded by the condition its
+    shard shares among all its requests: a lock per request would be
+    the largest submission cost at micro-batching rates, and a shard's
+    requests resolve on its single active drainer anyway.  Waits loop,
+    because one request's broadcast also wakes its siblings.
     """
 
-    def __init__(self, condition: threading.Condition):
+    __slots__ = (
+        "session", "access", "t", "history", "program", "observe",
+        "enqueued_at", "_condition", "_state", "_result", "_exception",
+        "_callbacks",
+    )
+
+    def __init__(
+        self,
+        condition: threading.Condition,
+        session: Session,
+        access: AccessKey | tuple[str, str, str],
+        t: float,
+        history: Trace | None,
+        program: Program | None,
+        observe: bool,
+        enqueued_at: float,
+    ):
+        self.session = session
+        self.access = access if type(access) is AccessKey else AccessKey(*access)
+        self.t = t
+        self.history = history
+        self.program = program
+        self.observe = observe
+        self.enqueued_at = enqueued_at
         self._condition = condition
         self._state = _PENDING
-        self._result = None
-        self._exception = None
-        self._waiters = []
-        self._done_callbacks = []
+        self._result: Decision | None = None
+        self._exception: BaseException | None = None
+        self._callbacks: list | None = None
 
-    def _wait_done(self, timeout: float | None) -> str:
-        """Wait (condition held by caller) until done or timeout;
-        returns the final state, raising on cancellation/timeout."""
+    def _wait(self, timeout: float | None) -> None:
+        """Wait (condition held) until resolved; raises
+        :class:`CancelledError` or, once ``timeout`` has elapsed,
+        :class:`TimeoutError`."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            state = self._state
-            if state == _FINISHED:
-                return state
-            if state in (_CANCELLED, _CANCELLED_AND_NOTIFIED):
-                raise CancelledError()
-            remaining = (
-                None if deadline is None else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
+        while self._state < _CANCELLED:
+            if deadline is None:
+                self._condition.wait()
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError()
             self._condition.wait(remaining)
+        if self._state == _CANCELLED:
+            raise CancelledError()
 
-    def result(self, timeout: float | None = None):
+    def result(self, timeout: float | None = None) -> Decision:
+        """The decision; re-raises the request's exception."""
         with self._condition:
-            self._wait_done(timeout)
+            self._wait(timeout)
             if self._exception is not None:
                 raise self._exception
             return self._result
 
-    def exception(self, timeout: float | None = None):
+    def exception(self, timeout: float | None = None) -> BaseException | None:
+        """The exception the request failed with, or ``None``."""
         with self._condition:
-            self._wait_done(timeout)
+            self._wait(timeout)
             return self._exception
+
+    def cancel(self) -> bool:
+        """Cancel the request while it waits in its shard queue.
+        Returns ``False`` once a drainer has taken it or it finished."""
+        with self._condition:
+            if self._state == _CANCELLED:
+                return True
+            if self._state != _PENDING:
+                return False
+            self._state = _CANCELLED
+            callbacks, self._callbacks = self._callbacks, None
+            self._condition.notify_all()
+        _run_callbacks(self, callbacks)
+        return True
+
+    def cancelled(self) -> bool:
+        return self._state == _CANCELLED
+
+    def running(self) -> bool:
+        return self._state == _RUNNING
+
+    def done(self) -> bool:
+        return self._state >= _CANCELLED
+
+    def add_done_callback(self, fn: Callable[["_Request"], object]) -> None:
+        """Call ``fn(request)`` once the request is done — at once if
+        it already is."""
+        with self._condition:
+            if self._state < _CANCELLED:
+                if self._callbacks is None:
+                    self._callbacks = [fn]
+                else:
+                    self._callbacks.append(fn)
+                return
+        _run_callbacks(self, (fn,))
+
+
+def _run_callbacks(request: _Request, callbacks) -> None:
+    """Run done-callbacks outside every lock; a raising callback is
+    logged and the rest still run (as with ``Future``)."""
+    for fn in callbacks or ():
+        try:
+            fn(request)
+        except Exception:
+            _log.exception("exception calling callback for %r", request)
+
+
+def _resolve(condition: threading.Condition, outcomes) -> None:
+    """Finish ``(request, decision, error)`` outcomes of one shard under
+    one acquisition of its condition with one broadcast, then run their
+    done-callbacks outside it."""
+    pending = []
+    with condition:
+        for request, decision, error in outcomes:
+            request._result = decision
+            request._exception = error
+            request._state = _FINISHED
+            if request._callbacks is not None:
+                pending.append((request, request._callbacks))
+                request._callbacks = None
+        condition.notify_all()
+    for request, callbacks in pending:
+        _run_callbacks(request, callbacks)
 
 
 class _ShardQueue:
@@ -224,8 +305,8 @@ class ServiceStats:
     workers: int
     shards: int
     hook_retries: int = 0
-    #: Requests whose future was cancelled before a worker picked them
-    #: up (they are popped, never decided, and count toward drain()).
+    #: Requests cancelled before a worker picked them up (they are
+    #: popped, never decided, and count toward drain()).
     cancelled: int = 0
     #: Drained micro-batches and the requests they carried — their
     #: ratio is the realised batching factor.
@@ -294,7 +375,7 @@ class DecisionService:
         Bound of each shard's request queue (backpressure threshold).
     post_decision_hook:
         ``Callable[[Decision], None]`` run outside the shard lock after
-        every decision, before the future resolves.
+        every decision, before its request resolves.
     hook_retry:
         Optional :class:`~repro.faults.retry.RetryPolicy` for the
         post-decision hook.  The hook is the delivery edge of the
@@ -303,7 +384,7 @@ class DecisionService:
         network); with a policy attached, a raising hook is re-invoked
         on the deterministic backoff schedule (real ``time.sleep`` —
         size the delays for the deployment) before the error is
-        surfaced on the future.
+        surfaced on the request.
     max_batch:
         Largest number of requests one drain pops from a shard queue.
         ``1`` disables micro-batching entirely — the scalar
@@ -388,8 +469,8 @@ class DecisionService:
             _ShardQueue(maxsize=queue_depth)
             for _ in range(engine.shard_count)
         ]
-        # One shared future condition per shard (see _ShardFuture).
-        self._future_conditions = [
+        # One condition per shard, shared by its requests (see _Request).
+        self._conditions = [
             threading.Condition() for _ in range(engine.shard_count)
         ]
         self._executor = ThreadPoolExecutor(
@@ -523,9 +604,18 @@ class DecisionService:
         observe_granted: bool = False,
         block: bool = True,
         timeout: float | None = None,
-    ) -> "Future[Decision]":
-        """Enqueue one request; returns a future for its
-        :class:`~repro.rbac.audit.Decision`.
+    ) -> _Request:
+        """Enqueue one request; returns a request object that resolves
+        to its :class:`~repro.rbac.audit.Decision`.
+
+        The returned object offers ``result(timeout)``,
+        ``exception(timeout)``, ``cancel()``, ``cancelled()``,
+        ``running()``, ``done()`` and ``add_done_callback(fn)``, raising
+        :class:`~concurrent.futures.CancelledError` and
+        :class:`TimeoutError` as a :class:`~concurrent.futures.Future`
+        does.  It is not a ``Future``: ``concurrent.futures.wait`` and
+        ``as_completed`` do not accept it.  ``cancel()`` succeeds only
+        while the request still waits in its shard queue.
 
         ``history=None`` (the default) selects the engine's
         **incremental mode**: the spatial check runs against the
@@ -546,37 +636,14 @@ class DecisionService:
         if self._closed:
             raise ServiceError("service is shut down")
         index = self.engine.shard_of(session)
-        future: Future[Decision] = _ShardFuture(self._future_conditions[index])
-        item = (
-            future,
-            session,
-            access if type(access) is AccessKey else AccessKey(*access),
-            t,
-            history,
-            program,
-            observe_granted,
-            time.perf_counter(),
+        request = _Request(
+            self._conditions[index], session, access, t, history, program,
+            observe_granted, time.perf_counter(),
         )
-        # Count the submission *before* the queue put: a worker can
-        # complete the request between the put and any later increment,
-        # which would let observers see completed > submitted.  On
-        # rejection the reservation is rolled back.
-        with self._stats_lock:
-            self._submitted += 1
-        if not self._queues[index].put_many(
-            (item,), block=block, timeout=timeout
-        ):
-            with self._stats_lock:
-                self._submitted -= 1
-                self._rejected += 1
-            if OBS.enabled:
-                self._obs_rejected.inc()
-            raise ServiceError(
-                f"shard {index} queue is full "
-                f"({self._queues[index].maxsize} pending)"
-            )
-        self._kick(index)
-        return future
+        error = self._enqueue(index, [request], block, timeout)
+        if error is not None:
+            raise error
+        return request
 
     def decide(
         self,
@@ -598,10 +665,12 @@ class DecisionService:
         observe_granted: bool = False,
         block: bool = True,
         timeout: float | None = None,
-    ) -> "list[Future[Decision]]":
+    ) -> list[_Request]:
         """Submit a batch of ``(session, access, t)`` requests, each in
         incremental-history mode — the same default as :meth:`submit`,
-        so batch and single submission decide identically.
+        so batch and single submission decide identically.  Returns one
+        request object per request, in order, with the methods listed
+        under :meth:`submit`.
 
         The batch is pre-sliced per shard and appended to each shard
         queue in one lock acquisition, then every touched shard gets a
@@ -609,7 +678,7 @@ class DecisionService:
         per-request ones.  ``block=True`` (default) applies
         backpressure per shard; with ``block=False`` (or an elapsed
         ``timeout``) requests that find no queue room are rejected by
-        resolving **their own futures** with
+        resolving **their own request objects** with
         :class:`~repro.errors.ServiceError` — accepted requests in the
         same call proceed normally, and rejections count toward the
         ``rejected`` stat exactly as for :meth:`submit`.
@@ -617,53 +686,63 @@ class DecisionService:
         if self._closed:
             raise ServiceError("service is shut down")
         now = time.perf_counter()
-        futures: list[Future[Decision]] = []
         shard_of = self.engine.shard_of
-        conditions = self._future_conditions
-        per_shard: dict[int, list] = {}
+        conditions = self._conditions
+        out: list[_Request] = []
+        per_shard: dict[int, list[_Request]] = {}
         for session, access, t in requests:
             index = shard_of(session)
-            future: Future[Decision] = _ShardFuture(conditions[index])
-            futures.append(future)
-            items = per_shard.get(index)
-            if items is None:
-                items = per_shard[index] = []
-            items.append(
-                (
-                    future,
-                    session,
-                    access if type(access) is AccessKey else AccessKey(*access),
-                    t,
-                    None,
-                    None,
-                    observe_granted,
-                    now,
-                )
+            request = _Request(
+                conditions[index], session, access, t, None, None,
+                observe_granted, now,
             )
+            out.append(request)
+            batch = per_shard.get(index)
+            if batch is None:
+                per_shard[index] = [request]
+            else:
+                batch.append(request)
+        for index, batch in per_shard.items():
+            self._enqueue(index, batch, block, timeout)
+        return out
+
+    def _enqueue(
+        self,
+        index: int,
+        requests: list[_Request],
+        block: bool,
+        timeout: float | None,
+    ) -> ServiceError | None:
+        """Append one shard's requests to its queue and kick its
+        drainer — the one enqueue path of :meth:`submit` and
+        :meth:`submit_many`.  The requests count as submitted *before*
+        the put: a worker can complete one between the put and any
+        later increment, which would let observers see completed >
+        submitted.  Requests that find no room are rolled back, counted
+        as rejected and resolved with the returned
+        :class:`~repro.errors.ServiceError` (``None`` when all fit)."""
+        queue = self._queues[index]
         with self._stats_lock:
-            self._submitted += len(futures)
-        rejected = 0
-        for index, items in per_shard.items():
-            accepted = self._queues[index].put_many(
-                items, block=block, timeout=timeout
-            )
-            if accepted:
-                self._kick(index)
-            if accepted < len(items):
-                rejected += len(items) - accepted
-                error = ServiceError(
-                    f"shard {index} queue is full "
-                    f"({self._queues[index].maxsize} pending)"
-                )
-                for item in items[accepted:]:
-                    item[0].set_exception(error)
-        if rejected:
-            with self._stats_lock:
-                self._submitted -= rejected
-                self._rejected += rejected
-            if OBS.enabled:
-                self._obs_rejected.inc(rejected)
-        return futures
+            self._submitted += len(requests)
+        accepted = queue.put_many(requests, block=block, timeout=timeout)
+        if accepted:
+            self._kick(index)
+        rejected = len(requests) - accepted
+        if not rejected:
+            return None
+        with self._stats_lock:
+            self._submitted -= rejected
+            self._rejected += rejected
+        if OBS.enabled:
+            self._obs_rejected.inc(rejected)
+        error = ServiceError(
+            f"shard {index} queue is full ({queue.maxsize} pending)"
+        )
+        _resolve(
+            self._conditions[index],
+            [(request, None, error) for request in requests[accepted:]],
+        )
+        return error
 
     # -- worker side ------------------------------------------------------------
 
@@ -709,101 +788,58 @@ class DecisionService:
                     # no accepted request is stranded.
                     pass
 
-    def _process_batch(self, index: int, items: list) -> None:
+    def _process_batch(self, index: int, items: list[_Request]) -> None:
         obs_on = OBS.enabled
         occupancy = len(items) + self._queues[index].qsize()
         shard = self.engine._shards[index]
+        condition = self._conditions[index]
         # Honour cancellation before anything can enter a sweep: only a
-        # future that transitions to RUNNING here gets decided.
-        # cancel() returns False from now on, so the future resolution
-        # below cannot race a concurrent cancel.  The whole scan runs
-        # under one acquisition of the shard's shared future condition
-        # (equivalent to per-item ``set_running_or_notify_cancel`` —
-        # ``cancel()`` already notified waiters and ran callbacks, so
-        # the cancelled branch only records the terminal state).
+        # request that turns RUNNING here gets decided, and cancel()
+        # returns False from then on, so the resolution below cannot
+        # race a concurrent cancel.  Anything not PENDING was cancelled
+        # (rejected requests never reach a queue).
         live = []
-        cancelled = 0
-        condition = self._future_conditions[index]
         with condition:
-            for item in items:
-                future = item[0]
-                if future._state == _PENDING:
-                    future._state = _RUNNING
-                    live.append(item)
-                else:  # CANCELLED (the only other pre-decision state)
-                    future._state = _CANCELLED_AND_NOTIFIED
-                    for waiter in future._waiters:
-                        waiter.add_cancelled(future)
-                    cancelled += 1
+            for request in items:
+                if request._state == _PENDING:
+                    request._state = _RUNNING
+                    live.append(request)
+        cancelled = len(items) - len(live)
         popped_at = time.perf_counter()
         results: list[tuple] = []
         if live:
             with shard.lock:
-                self._decide_batch_locked(shard, live, results)
+                self._decide_batch_locked(shard.engine, live, results)
         decided_at = time.perf_counter()
 
         # Outside the shard lock: downstream effects, per-item
-        # accounting and prompt future resolution (each future resolves
-        # right after its own hook, not after the whole batch's).
+        # accounting and prompt resolution.  Without a hook the whole
+        # batch resolves in one broadcast (``decided_at`` *is* each
+        # request's completion time); with one, each request resolves
+        # right after its own hook, not after the whole batch's.
+        hook = self._hook
+        if hook is None and results:
+            _resolve(condition, results)
         granted = denied = errors = 0
         total_latency = 0.0
         max_latency = 0.0
-        hook = self._hook
-        if hook is not None:
-            for item, decision, error in results:
+        finished_at = decided_at
+        for request, decision, error in results:
+            if hook is not None:
                 if error is None:
                     error = self._run_hook(decision)
-                latency = time.perf_counter() - item[7]
-                total_latency += latency
-                if latency > max_latency:
-                    max_latency = latency
-                if error is not None:
-                    errors += 1
-                    item[0].set_exception(error)
-                else:
-                    if decision.granted:
-                        granted += 1
-                    else:
-                        denied += 1
-                    item[0].set_result(decision)
-        elif results:
-            # Hookless fast path: resolve the whole batch under one
-            # acquisition of the shared condition with one broadcast
-            # (``decided_at`` *is* each item's completion time), then
-            # run any registered done-callbacks outside it — the same
-            # transitions ``set_result``/``set_exception`` make, minus
-            # a lock cycle and a wakeup per item.
-            callbacks = None
-            with condition:
-                for item, decision, error in results:
-                    latency = decided_at - item[7]
-                    total_latency += latency
-                    if latency > max_latency:
-                        max_latency = latency
-                    future = item[0]
-                    if error is not None:
-                        errors += 1
-                        future._exception = error
-                    else:
-                        if decision.granted:
-                            granted += 1
-                        else:
-                            denied += 1
-                        future._result = decision
-                    future._state = _FINISHED
-                    for waiter in future._waiters:
-                        if error is not None:
-                            waiter.add_exception(future)
-                        else:
-                            waiter.add_result(future)
-                    if future._done_callbacks:
-                        if callbacks is None:
-                            callbacks = []
-                        callbacks.append(future)
-                condition.notify_all()
-            if callbacks is not None:
-                for future in callbacks:
-                    future._invoke_callbacks()
+                _resolve(condition, ((request, decision, error),))
+                finished_at = time.perf_counter()
+            latency = finished_at - request.enqueued_at
+            total_latency += latency
+            if latency > max_latency:
+                max_latency = latency
+            if error is not None:
+                errors += 1
+            elif decision.granted:
+                granted += 1
+            else:
+                denied += 1
         done_at = time.perf_counter()
 
         batch_n = len(items)
@@ -850,10 +886,10 @@ class DecisionService:
             if hook is not None:
                 self._obs_hook[index].observe(hook_s)
             queue_wait_obs = self._obs_queue_wait[index]
-            for item, _decision, _error in results:
-                queue_wait_obs.observe(popped_at - item[7])
+            for request, _decision, _error in results:
+                queue_wait_obs.observe(popped_at - request.enqueued_at)
             if results and completed % REQUEST_SPAN_SAMPLE < len(results):
-                enqueued_at = results[0][0][7]
+                enqueued_at = results[0][0].enqueued_at
                 RECORDER.record(
                     "service.request",
                     enqueued_at,
@@ -875,11 +911,14 @@ class DecisionService:
                 )
 
     def _decide_batch_locked(
-        self, shard, live: list, results: list
+        self,
+        engine: AccessControlEngine,
+        live: list[_Request],
+        results: list,
     ) -> None:
         """Decide a drained batch under the shard lock, appending
-        ``(item, decision, error)`` triples to ``results`` in arrival
-        order.
+        ``(request, decision, error)`` triples to ``results`` in
+        arrival order.
 
         Contiguous vector-eligible stretches (incremental history, no
         program, no ``observe_granted``) are swept through
@@ -887,63 +926,70 @@ class DecisionService:
         request is decided scalar **in its arrival slot**, so
         ``observe_granted`` feedback is replayed in stream order and
         the per-shard audit log is identical to the scalar service's.
-        Every scalar decision is exception-isolated: a poisoned request
-        fails only its own future.
         """
-        run: list = []
-        for item in live:
-            if item[4] is None and item[5] is None and not item[6]:
-                run.append(item)
+        run: list[_Request] = []
+        for request in live:
+            if (
+                request.history is None
+                and request.program is None
+                and not request.observe
+            ):
+                run.append(request)
                 continue
             if run:
-                self._flush_run(shard, run, results)
+                self._flush_run(engine, run, results)
                 run = []
-            _future, session, access, t, history, program, observe, _enq = item
-            try:
-                decision = self.engine._decide_on(
-                    shard, session, access, t, history, program
-                )
-                if observe and decision.granted:
-                    shard.engine.observe(session, access)
-                results.append((item, decision, None))
-            except BaseException as exc:
-                results.append((item, None, exc))
+            self._decide_scalar(engine, (request,), results)
         if run:
-            self._flush_run(shard, run, results)
+            self._flush_run(engine, run, results)
 
-    def _flush_run(self, shard, run: list, results: list) -> None:
+    def _flush_run(
+        self, engine: AccessControlEngine, run: list[_Request], results: list
+    ) -> None:
         """Dispatch one vector-eligible run: the batched sweep when it
         is long enough and every session group prepares, the scalar
-        per-request loop (with per-item exception isolation) otherwise."""
+        loop otherwise."""
         if len(run) >= MIN_VECTOR_RUN:
-            decisions = None
             try:
                 decisions = sweep_interleaved(
-                    shard.engine,
-                    [(item[1], item[2], item[3]) for item in run],
+                    engine, [(r.session, r.access, r.t) for r in run]
                 )
             except BaseException:
-                # A poisoned request must fail only its own future:
-                # replay the run item-by-item below so the failure is
-                # isolated to the request that caused it.
-                shard.engine._vector_fallbacks += len(run)
+                # A poisoned request must fail only its own request:
+                # the scalar loop below replays the run one by one.
+                decisions = None
             if decisions is not None:
-                shard.decisions += len(run)
-                granted = 0
-                for item, decision in zip(run, decisions):
-                    if decision.granted:
-                        granted += 1
-                    results.append((item, decision, None))
-                shard.granted += granted
-                return
-        for item in run:
-            try:
-                decision = self.engine._decide_on(
-                    shard, item[1], item[2], item[3], None, None
+                results.extend(
+                    (request, decision, None)
+                    for request, decision in zip(run, decisions)
                 )
-                results.append((item, decision, None))
+                return
+        self._decide_scalar(engine, run, results)
+
+    @staticmethod
+    def _decide_scalar(
+        engine: AccessControlEngine,
+        requests: Sequence[_Request],
+        results: list,
+    ) -> None:
+        """The one scalar loop: decide each request in order, feeding
+        ``observe_granted`` grants back.  Every exception, BaseException
+        included, is stored on its own request — one escaping here
+        would leave the shard's drain flag set and stall the shard."""
+        for request in requests:
+            try:
+                decision = engine.decide(
+                    request.session,
+                    request.access,
+                    request.t,
+                    request.history,
+                    request.program,
+                )
+                if request.observe and decision.granted:
+                    engine.observe(request.session, request.access)
+                results.append((request, decision, None))
             except BaseException as exc:
-                results.append((item, None, exc))
+                results.append((request, None, exc))
 
     def _run_hook(self, decision: Decision) -> BaseException | None:
         """Invoke the post-decision hook, retrying per ``hook_retry``.

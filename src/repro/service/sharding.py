@@ -43,16 +43,14 @@ __all__ = ["ShardedEngine"]
 
 
 class _Shard:
-    """One engine plus its guard lock and throughput counters."""
+    """One engine plus its guard lock."""
 
-    __slots__ = ("index", "engine", "lock", "decisions", "granted")
+    __slots__ = ("index", "engine", "lock")
 
     def __init__(self, index: int, engine: AccessControlEngine):
         self.index = index
         self.engine = engine
         self.lock = threading.Lock()
-        self.decisions = 0
-        self.granted = 0
 
 
 class ShardedEngine:
@@ -215,26 +213,7 @@ class ShardedEngine:
     ) -> Decision:
         shard = self._shard_for(session)
         with shard.lock:
-            return self._decide_on(shard, session, access, t, history, program)
-
-    def _decide_on(
-        self,
-        shard: _Shard,
-        session: Session,
-        access: AccessKey | tuple[str, str, str],
-        t: float,
-        history: Trace | None = (),
-        program: Program | None = None,
-    ) -> Decision:
-        """Decide with ``shard.lock`` already held (the
-        :class:`~repro.service.service.DecisionService` drain path —
-        it must pop the shard queue and decide under one critical
-        section to preserve per-session FIFO order)."""
-        decision = shard.engine.decide(session, access, t, history, program)
-        shard.decisions += 1
-        if decision.granted:
-            shard.granted += 1
-        return decision
+            return shard.engine.decide(session, access, t, history, program)
 
     def enforce(
         self,
@@ -246,15 +225,7 @@ class ShardedEngine:
     ) -> Decision:
         shard = self._shard_for(session)
         with shard.lock:
-            decision = self._decide_on(shard, session, access, t, history, program)
-        if not decision.granted:
-            from repro.errors import AccessDenied
-
-            raise AccessDenied(
-                f"access {AccessKey(*access)} denied: {decision.reason}",
-                decision=decision,
-            )
-        return decision
+            return shard.engine.enforce(session, access, t, history, program)
 
     def decide_batch(
         self,
@@ -268,12 +239,9 @@ class ShardedEngine:
     ) -> list[Decision]:
         shard = self._shard_for(session)
         with shard.lock:
-            decisions = shard.engine.decide_batch(
+            return shard.engine.decide_batch(
                 session, accesses, t, dt, history, program, observe_granted
             )
-        shard.decisions += len(decisions)
-        shard.granted += sum(d.granted for d in decisions)
-        return decisions
 
     def decide_batch_many(
         self,
@@ -307,8 +275,6 @@ class ShardedEngine:
                     dt,
                     times=[times[i] for i in indices],
                 )
-            shard.decisions += len(indices)
-            shard.granted += sum(d.granted for d in swept)
             for local, i in enumerate(indices):
                 decisions[i] = swept[local]
         return decisions
@@ -384,31 +350,32 @@ class ShardedEngine:
         """Per-shard decision/grant/session counts (load-balance view),
         plus each shard engine's vectorized-sweep accounting — how many
         of the shard's decisions went through the batched path vs. the
-        scalar fallback (the per-shard batching-efficacy view)."""
+        scalar fallback (the per-shard batching-efficacy view).
+        Decision and grant counts are the engine's audit-derived
+        :meth:`~AccessControlEngine.decision_counts` since the last
+        :meth:`reset_stats`."""
         out = []
         for shard in self._shards:
             with shard.lock:
+                granted, denied = shard.engine.decision_counts()
+                stats = shard.engine.cache_stats()
                 out.append(
                     {
                         "shard": shard.index,
-                        "decisions": shard.decisions,
-                        "granted": shard.granted,
+                        "decisions": granted + denied,
+                        "granted": granted,
                         "sessions": shard.engine.resident_sessions(),
-                        # Engine counters are only mutated under this
-                        # shard's lock, so reading them here is exact.
-                        "vector_decisions": shard.engine._vector_decisions,
-                        "vector_fallbacks": shard.engine._vector_fallbacks,
+                        "vector_decisions": stats.vector_decisions,
+                        "vector_fallbacks": stats.vector_fallbacks,
                     }
                 )
         return out
 
     def reset_stats(self) -> None:
-        """Zero shard throughput counters, every shard engine's hit/miss
-        counters and the process-level SRAC counters — cache *contents*
-        are kept, so benchmarks measure warm steady-state."""
+        """Zero every shard engine's decision and hit/miss counters and
+        the process-level SRAC counters — cache *contents* are kept, so
+        benchmarks measure warm steady-state."""
         for shard in self._shards:
             with shard.lock:
-                shard.decisions = 0
-                shard.granted = 0
                 shard.engine.reset_stats()
         reset_cache_stats()

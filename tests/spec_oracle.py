@@ -21,6 +21,10 @@ engine path against something that shares none of that machinery:
   :meth:`~repro.temporal.timeline.BooleanTimeline.integrate` over the
   recorded activation intervals; ``t_b`` is the session start (whole
   execution) or the last migration (per server).
+* **Owner scope** (Section 1, "the device and even its companions") —
+  the history ``h`` of an incremental request is the combined
+  observation list of every session of the requester's owner, closed
+  sessions' observations included.
 
 Deliberately naive: no caching beyond one DFA per (constraint,
 alphabet), and no imports from the engine, the session store, the
@@ -205,6 +209,7 @@ def verdict(decision) -> tuple:
 class _SessionState:
     #: t_b: the session start, or the last migration (per-server scheme)
     base: float
+    owner: object
     roles: set[str] = field(default_factory=set)
     history: list[AccessKey] = field(default_factory=list)
     #: permission name -> activation intervals [on, off]; off None = open
@@ -216,13 +221,16 @@ class SpecOracle:
     """Replays session events in time order and decides requests.
 
     ``role_permissions`` maps each role name to its permissions (RP);
-    ``per_server`` selects the per-server base-time scheme."""
+    ``per_server`` selects the per-server base-time scheme;
+    ``owner_scope`` decides incremental requests against the owner's
+    combined history instead of the session's own."""
 
     def __init__(
         self,
         role_permissions: Mapping[str, Sequence[Permission]],
         per_server: bool = False,
         extension_alphabet: Iterable[AccessKey] = (),
+        owner_scope: bool = False,
     ):
         self.role_permissions = {
             role: sorted(perms, key=lambda p: p.name)
@@ -230,12 +238,18 @@ class SpecOracle:
         }
         self.per_server = per_server
         self.extension_alphabet = tuple(extension_alphabet)
+        self.owner_scope = owner_scope
         self.sessions: dict[object, _SessionState] = {}
+        #: owner -> the observations of all its sessions, in order
+        self.owners: dict[object, list[AccessKey]] = {}
 
     # -- events --------------------------------------------------------
 
-    def open(self, sid, t: float) -> None:
-        self.sessions[sid] = _SessionState(base=t)
+    def open(self, sid, t: float, owner=None) -> None:
+        """Open session ``sid``; without an ``owner`` it is its own."""
+        owner = sid if owner is None else owner
+        self.sessions[sid] = _SessionState(base=t, owner=owner)
+        self.owners.setdefault(owner, [])
 
     def activate(self, sid, role: str, t: float) -> None:
         state = self.sessions[sid]
@@ -260,7 +274,9 @@ class SpecOracle:
             self.sessions[sid].base = t
 
     def observe(self, sid, access: AccessKey) -> None:
-        self.sessions[sid].history.append(AccessKey(*access))
+        state = self.sessions[sid]
+        state.history.append(AccessKey(*access))
+        self.owners[state.owner].append(AccessKey(*access))
 
     def close(self, sid, t: float) -> None:
         for role in sorted(self.sessions[sid].roles):
@@ -271,6 +287,8 @@ class SpecOracle:
         for state in self.sessions.values():
             if not state.closed:
                 state.history = [a for a in state.history if a.server != server]
+        for owner, history in self.owners.items():
+            self.owners[owner] = [a for a in history if a.server != server]
 
     # -- queries -------------------------------------------------------
 
@@ -310,9 +328,16 @@ class SpecOracle:
         history: Sequence[AccessKey] | None = None,
     ) -> Expected:
         """Decide ``access`` at ``t`` against ``history`` (``None``: the
-        session's own observed history)."""
+        session's own observed history, or its owner's under owner
+        scope)."""
         access = AccessKey(*access)
-        trace = self.sessions[sid].history if history is None else list(history)
+        state = self.sessions[sid]
+        if history is not None:
+            trace = list(history)
+        elif self.owner_scope:
+            trace = self.owners[state.owner]
+        else:
+            trace = state.history
         records = []
         for role, permission in self.candidates(sid, access):
             spatial = spatial_ok(

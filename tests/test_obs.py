@@ -10,6 +10,7 @@ only ever counts and times.
 
 from __future__ import annotations
 
+import gc
 import threading
 
 import pytest
@@ -302,6 +303,37 @@ class TestEngineObservability:
         engine.decide(session, ("exec", "rsw", "s0"), 2.0, history=None)
         collected = REGISTRY.snapshot()["collected"]
         assert collected["engine.decisions"] == 1
+
+
+class TestCollectedGaugesAndMaxima:
+    def test_dead_engine_gauges_are_not_absorbed(self):
+        """A garbage-collected engine's resident sessions and store
+        bytes die with it; only its counters are kept."""
+        gc.collect()
+        before = REGISTRY.snapshot().get("collected", {})
+        engine, session = _fresh_engine(count_bound=5)
+        engine.open_sessions(["u"] * 1000, 0.0, roles=["r"])
+        engine.decide(session, ("exec", "rsw", "s0"), 1.0, history=None)
+        live = REGISTRY.snapshot()["collected"]
+        assert live["engine.sessions.resident"] == (
+            before.get("engine.sessions.resident", 0) + 1001
+        )
+        del engine, session
+        gc.collect()
+        after = REGISTRY.snapshot().get("collected", {})
+        for gauge in ("engine.sessions.resident", "engine.sessions.store_bytes"):
+            assert after.get(gauge, 0) == before.get(gauge, 0), gauge
+        assert after["engine.decisions"] == before.get("engine.decisions", 0) + 1
+
+    def test_decide_max_combines_by_max_not_sum(self):
+        engine = ShardedEngine(make_policy(), shards=2)
+        for shard, max_s in zip(engine._shards, (0.5, 2.0)):
+            shard.engine._obs_decide_max_s = max_s
+        assert REGISTRY.snapshot()["collected"]["engine.decide.max_s"] == 2.0
+        # A dead engine's maximum still counts, combined by max too.
+        REGISTRY.absorb({"engine.decide.max_s": 3.0})
+        REGISTRY.absorb({"engine.decide.max_s": 1.0})
+        assert REGISTRY.snapshot()["collected"]["engine.decide.max_s"] == 3.0
 
 
 class TestProvenance:

@@ -18,7 +18,13 @@ vector path in exactly their arrival slot.
 from __future__ import annotations
 
 import itertools
+import logging
+import os
+import random
+import sys
 import threading
+import time
+from collections import Counter
 from concurrent.futures import CancelledError
 
 import pytest
@@ -26,6 +32,7 @@ import pytest
 import repro.rbac.engine as rbac_engine
 import repro.rbac.model as rbac_model
 from repro.errors import ServiceError
+from repro.rbac.audit import Decision
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
 from repro.service import DecisionService, ShardedEngine
@@ -340,6 +347,224 @@ class TestCancellation:
                     future.result()
             else:
                 assert future.result() is not None
+
+
+def parked_service(engine):
+    """A one-worker service whose hook parks the worker until ``gate``
+    is set (the request being hooked stays RUNNING meanwhile)."""
+    gate = threading.Event()
+    in_hook = threading.Event()
+
+    def hook(decision):
+        in_hook.set()
+        assert gate.wait(timeout=30.0)
+
+    service = DecisionService(
+        engine, workers=1, queue_depth=4096, max_batch=64, max_wait_s=0.0,
+        post_decision_hook=hook,
+    )
+    return service, gate, in_hook
+
+
+class TestRequestObject:
+    """The object ``submit`` returns: one result slot per request on its
+    shard's shared condition, with a future-style surface."""
+
+    def test_callback_added_after_resolution_runs_at_once(self):
+        engine, sessions = build_engine()
+        with DecisionService(engine, workers=1) as service:
+            request = service.submit(sessions[0], EXEC[0], 1.0)
+            decision = request.result(timeout=30.0)
+            seen = []
+            request.add_done_callback(seen.append)
+            assert seen == [request]
+            assert request.done() and not request.running()
+            assert not request.cancelled()
+        assert isinstance(decision, Decision)
+
+    def test_raising_callback_is_logged_and_later_callbacks_run(self, caplog):
+        engine, sessions = build_engine()
+        service, gate, in_hook = parked_service(engine)
+        try:
+            request = service.submit(sessions[0], EXEC[0], 1.0)
+            assert in_hook.wait(timeout=30.0)
+            seen = []
+
+            def boom(_request):
+                raise RuntimeError("callback failure")
+
+            request.add_done_callback(seen.append)
+            request.add_done_callback(boom)
+            request.add_done_callback(seen.append)
+            with caplog.at_level(logging.ERROR, logger="repro.service.service"):
+                gate.set()
+                assert service.drain(timeout=30.0)
+        finally:
+            gate.set()
+            service.shutdown()
+        assert seen == [request, request]
+        assert request.result().granted
+        logged = [
+            r for r in caplog.records
+            if r.name == "repro.service.service" and r.exc_info
+        ]
+        assert len(logged) == 1
+        assert isinstance(logged[0].exc_info[1], RuntimeError)
+
+    def test_cancel_running_or_finished_request_returns_false(self):
+        engine, sessions = build_engine()
+        service, gate, in_hook = parked_service(engine)
+        try:
+            request = service.submit(sessions[0], EXEC[0], 1.0)
+            assert in_hook.wait(timeout=30.0)
+            assert request.running()
+            assert not request.cancel()
+            gate.set()
+            assert service.drain(timeout=30.0)
+            assert not request.cancel()
+            assert request.done() and not request.cancelled()
+            stats = service.service_stats()
+        finally:
+            gate.set()
+            service.shutdown()
+        assert request.result().granted
+        assert stats.cancelled == 0
+
+    def test_stress_every_request_resolves_once(self):
+        """More submitter threads than cores, a short switch interval:
+        submit_many, submit, random cancel(), done-callbacks and
+        result(timeout=...) waits woken by sibling broadcasts."""
+        threads_n = 2 * (os.cpu_count() or 2) + 1
+        engine = ShardedEngine(make_policy(count_bound=10 ** 6), shards=2)
+        sessions = []
+        for k in range(2 * threads_n):
+            session = engine.authenticate("u", 0.0, shard_key=f"stress-{k}")
+            engine.activate_role(session, "r", 0.0)
+            sessions.append(session)
+        service = DecisionService(
+            engine, workers=2, queue_depth=32, max_batch=16, max_wait_s=0.0005
+        )
+        requests: list = []
+        #: id(request) -> number of callbacks registered
+        registered: Counter = Counter()
+        fired: list = []
+        #: id(request) -> when its first callback ran (its resolution)
+        resolved_at: dict = {}
+        cancelled_ok: set = set()
+        raised_rejections = [0]
+        early_timeouts: list = []
+        timeouts: list = []
+        lock = threading.Lock()
+        stop_at = time.monotonic() + 2.0
+
+        def on_done(request):
+            resolved_at.setdefault(id(request), time.monotonic())
+            fired.append(id(request))
+
+        def submitter(i):
+            rng = random.Random(1000 + i)
+            own = sessions[2 * i:2 * i + 2]
+            clock = 1.0
+            while time.monotonic() < stop_at:
+                batch = []
+                if rng.random() < 0.5:
+                    batch = service.submit_many(
+                        [
+                            (own[j % 2], EXEC[j % len(EXEC)], clock + j)
+                            for j in range(rng.randint(1, 8))
+                        ],
+                        block=False,
+                    )
+                    clock += len(batch)
+                else:
+                    try:
+                        batch = [
+                            service.submit(
+                                own[0], EXEC[0], clock, block=False
+                            )
+                        ]
+                    except ServiceError:
+                        with lock:
+                            raised_rejections[0] += 1
+                    clock += 1.0
+                for request in batch:
+                    for _ in range(rng.randint(1, 2)):
+                        with lock:
+                            registered[id(request)] += 1
+                        request.add_done_callback(on_done)
+                    # A repeated cancel() succeeds again and runs no
+                    # callback twice.
+                    if rng.random() < 0.3 and request.cancel():
+                        if request.cancel():
+                            with lock:
+                                cancelled_ok.add(id(request))
+                with lock:
+                    requests.extend(batch)
+                if batch and rng.random() < 0.5:
+                    request = rng.choice(batch)
+                    timeout = rng.choice([0.0005, 0.005, 0.05])
+                    start = time.monotonic()
+                    try:
+                        request.result(timeout=timeout)
+                    except TimeoutError:
+                        elapsed = time.monotonic() - start
+                        with lock:
+                            timeouts.append((request, start + timeout))
+                            if elapsed < timeout:
+                                early_timeouts.append(elapsed)
+                    except (CancelledError, ServiceError):
+                        pass
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(i,))
+                for i in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert service.drain(timeout=60.0)
+            stats = service.service_stats()
+        finally:
+            sys.setswitchinterval(old_interval)
+            service.shutdown()
+
+        assert requests
+        outcomes: Counter = Counter()
+        service_errors = raised_rejections[0]
+        for request in requests:
+            assert request.done()
+            if request.cancelled():
+                with pytest.raises(CancelledError):
+                    request.exception(timeout=0)
+                outcomes["cancelled"] += 1
+                continue
+            assert id(request) not in cancelled_ok
+            error = request.exception(timeout=0)
+            if error is not None:
+                assert isinstance(error, ServiceError)
+                service_errors += 1
+                outcomes["error"] += 1
+            else:
+                assert isinstance(request.result(timeout=0), Decision)
+                outcomes["result"] += 1
+        assert outcomes["cancelled"] == len(cancelled_ok)
+        # Every callback ran exactly once.
+        assert Counter(fired) == registered
+        # A wait times out only at its deadline, on a request still
+        # unresolved then — never because a sibling's broadcast woke it.
+        assert early_timeouts == []
+        for request, deadline in timeouts:
+            assert resolved_at[id(request)] >= deadline
+        assert stats.completed + stats.cancelled == stats.submitted
+        assert stats.cancelled == outcomes["cancelled"]
+        assert stats.rejected == service_errors
+        assert stats.errors == 0
+        assert outcomes["result"] > 0 and outcomes["cancelled"] > 0
 
 
 class TestPrewarm:

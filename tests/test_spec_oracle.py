@@ -14,6 +14,12 @@ requests, role (de)activation, migrations, ``close_session`` and
 * ``DecisionService`` with ``max_batch`` 1 (scalar drain) and 256
   (vector sweeps).
 
+Owner-scope walks (``coordination_scope="owner"``: every session of
+the one user decides against their combined observations) run through
+the same eight configurations; their sessions route by owner, so all
+land on one shard.  Owner scope is never vector-eligible, so these
+check the scalar decision loop on every path.
+
 Every decision must match the oracle on granted, role, permission,
 ``spatial_ok``, ``temporal_ok``, provenance kind, history length and
 the per-candidate verdicts; every open session's ``observed`` must
@@ -96,6 +102,8 @@ class Case:
     dt: float
     #: (kind, session, access, mode, history, role, server)
     steps: tuple[tuple, ...]
+    #: decide incremental requests against the owner's combined history
+    owner_scope: bool = False
 
     def policy(self) -> Policy:
         policy = Policy()
@@ -115,15 +123,20 @@ class Case:
         return SpecOracle(
             {role: [by_name[n] for n in names] for role, names in self.grants.items()},
             per_server=self.per_server,
+            owner_scope=self.owner_scope,
         )
 
     @property
     def scheme(self) -> Scheme:
         return Scheme.PER_SERVER if self.per_server else Scheme.WHOLE_EXECUTION
 
+    @property
+    def scope(self) -> str:
+        return "owner" if self.owner_scope else "subject"
+
 
 @st.composite
-def cases(draw) -> Case:
+def cases(draw, owner_scope: bool = False) -> Case:
     permissions = []
     for i in range(draw(st.integers(1, 2))):
         permissions.append(
@@ -161,6 +174,7 @@ def cases(draw) -> Case:
         initial=initial,
         dt=draw(st.sampled_from([0.25, 0.5])),
         steps=tuple(draw(st.lists(step, min_size=16, max_size=40))),
+        owner_scope=owner_scope,
     )
 
 
@@ -181,7 +195,7 @@ def expected_walk(case: Case):
     per-session histories and closed flags."""
     oracle = case.oracle()
     for k, roles in enumerate(case.initial):
-        oracle.open(k, 0.0)
+        oracle.open(k, 0.0, owner="u")
         for role in sorted(roles):
             oracle.activate(k, role, 0.0)
     verdicts = []
@@ -339,18 +353,19 @@ def run_walk(case: Case, config: str):
     in request order and the final histories of the open sessions."""
     policy = case.policy()
     service = None
+    options = dict(scheme=case.scheme, coordination_scope=case.scope)
     if config.startswith("sharded"):
         shards = int(config.split("-")[1])
-        engine = ShardedEngine(policy, shards=shards, scheme=case.scheme)
+        engine = ShardedEngine(policy, shards=shards, **options)
         decide_run = _interleaved_batches
     elif config.startswith("service"):
-        engine = ShardedEngine(policy, shards=4, scheme=case.scheme)
+        engine = ShardedEngine(policy, shards=4, **options)
         service = DecisionService(
             engine, workers=2, max_batch=int(config.split("-")[1]), max_wait_s=0.0
         )
         decide_run = _service_batches
     else:
-        engine = AccessControlEngine(policy, scheme=case.scheme)
+        engine = AccessControlEngine(policy, **options)
         decide_run = {
             "decide": _scalar,
             "decide_batch": _per_session_batches,
@@ -358,7 +373,7 @@ def run_walk(case: Case, config: str):
         }[config]
     sessions = []
     for k, roles in enumerate(case.initial):
-        if isinstance(engine, ShardedEngine):
+        if isinstance(engine, ShardedEngine) and not case.owner_scope:
             session = engine.authenticate("u", 0.0, shard_key=f"agent-{k}")
         else:
             session = engine.authenticate("u", 0.0)
@@ -446,6 +461,53 @@ class TestOracleHarness:
         # The walks exercise every outcome, not just the easy ones.
         for kind in ("granted", "spatial", "temporal", "no-candidate"):
             assert counts[f"kind:{kind}"] > 0, counts
+
+    def test_owner_scope_paths_agree_with_oracle(self, capsys):
+        counts: Counter = Counter()
+
+        @settings(max_examples=25, **HARNESS_SETTINGS)
+        @given(case=cases(owner_scope=True))
+        def harness(case):
+            check_case(case, counts=counts)
+
+        harness()
+        total = sum(counts[c] for c in CONFIGS)
+        with capsys.disabled():
+            print(
+                f"\nowner-scope oracle harness: {total} decisions checked; "
+                + "oracle outcomes "
+                + ", ".join(
+                    f"{k[5:]}={v}" for k, v in sorted(counts.items())
+                    if k.startswith("kind:")
+                )
+            )
+        assert total >= 1_000, counts
+        for kind in ("granted", "spatial", "temporal", "no-candidate"):
+            assert counts[f"kind:{kind}"] > 0, counts
+
+    def test_harness_catches_an_engine_ignoring_companions(self, monkeypatch):
+        """Non-vacuity for owner scope: an engine that decides on each
+        session's own history alone must fail the harness."""
+        original = AccessControlEngine.__init__
+
+        def subject_only(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            self.coordination_scope = "subject"
+
+        monkeypatch.setattr(AccessControlEngine, "__init__", subject_only)
+
+        @settings(
+            max_examples=60,
+            phases=[Phase.explicit, Phase.generate],
+            report_multiple_bugs=False,
+            **HARNESS_SETTINGS,
+        )
+        @given(case=cases(owner_scope=True))
+        def harness(case):
+            check_case(case, configs=("decide",))
+
+        with pytest.raises(AssertionError, match="disagrees with the oracle"):
+            harness()
 
     @pytest.mark.parametrize("breakage", ["live-mask", "state-codes"])
     def test_harness_catches_a_broken_engine(self, monkeypatch, breakage):
