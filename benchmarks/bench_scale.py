@@ -18,9 +18,10 @@ measures what that buys:
   of grants and denials.  (Whether the decisions are *right* is the
   job of the definitions-level oracle in ``tests/test_spec_oracle.py``.)
 * **resident scale** — ``open_sessions`` bulk-loads the full
-  population (1M+ sessions in the full run) under ``tracemalloc``;
-  the marginal bytes/session (and the store's own column accounting)
-  gate the ≤ 200 B/session budget.
+  population (1M+ sessions in the full run) under ``tracemalloc``, on
+  the default engine (timelines recorded, as deployed); the marginal
+  bytes/session (and the store's own column accounting) gate the
+  ≤ 200 B/session budget.
 * **throughput at scale** — the diurnal Zipf stream is driven through
   the micro-batched :class:`~repro.service.DecisionService`.
 
@@ -250,9 +251,7 @@ def build_population(spec: ScaleSpec, workload: ScaleWorkload):
     """Bulk-load the full session population under tracemalloc.
     Returns (engine, shard_ids, row_of, build report)."""
     _reset_counters()
-    engine = ShardedEngine(
-        build_policy(spec), shards=SHARDS, record_timelines=False
-    )
+    engine = ShardedEngine(build_policy(spec), shards=SHARDS)
     shard_ids = _shard_ids(engine, workload)
     counts = np.bincount(shard_ids, minlength=SHARDS)
     for shard in engine._shards:

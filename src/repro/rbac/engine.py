@@ -180,8 +180,9 @@ class AccessControlEngine:
         bit-identical either way (property-tested).
     record_timelines:
         Record the per-tracker ``valid``/``active`` timeline events (the
-        default).  ``False`` drops the event arenas — the
-        million-session benchmark's configuration — and makes
+        default).  A bulk-opened row stores no events — its open-time
+        activation is implied — so recording costs :meth:`open_sessions`
+        nothing per row.  ``False`` drops the event arenas and makes
         ``valid_timeline()`` raise.
 
     Resident session state lives in the columnar
@@ -452,12 +453,14 @@ class AccessControlEngine:
         roles: Iterable[str] = (),
     ) -> np.ndarray:
         """Bulk-authenticate ``user_names`` at ``t`` and activate
-        ``roles`` on every session — the columnar load path (vectorized
-        column fills; entitlement and DSD are checked once per distinct
-        user / role set).  Equivalent to :meth:`authenticate` +
-        :meth:`activate_role` per session (property-tested), minus the
-        per-session Python objects.  Returns the opened row indices
-        (:meth:`session_at` materialises handles on demand)."""
+        ``roles`` on every session — the columnar load path: column
+        fills, with entitlement, DSD and interning done once per
+        distinct user / role set.  Equivalent to :meth:`authenticate` +
+        :meth:`activate_role` per session — same states, timelines and
+        id sequences (checked in ``tests/test_session_store.py`` and
+        ``benchmarks/bench_scale.py``) — minus the per-session Python
+        objects.  Returns the opened row indices, in ``user_names``
+        order (:meth:`session_at` materialises handles on demand)."""
         store = self._store
         names = list(user_names)
         role_objs = tuple(self.policy.role(name) for name in roles)
@@ -476,44 +479,42 @@ class AccessControlEngine:
                 key = self._tracker_key(permission)
                 if key not in tracker_plan:
                     tracker_plan[key] = self._duration_for(permission)
-        checked: dict[str, tuple[int, int]] = {}
+        # Distinct users in first-appearance order — the order
+        # one-by-one authentication interns them — each checked and
+        # interned once.
+        user_index: dict[str, int] = {}
         user_codes: list[int] = []
         principal_codes: list[int] = []
-        sid_seqs: list[int] = []
-        subj_seqs: list[int] = []
-        for name in names:
-            entry = checked.get(name)
-            if entry is None:
-                user = self.policy.user(name)
-                if role_objs:
-                    entitled = self.policy.hierarchy.closure(
-                        self.policy.roles_of_user(user)
-                    )
-                    for role in role_objs:
-                        if role not in entitled:
-                            raise RbacError(
-                                f"user {name!r} is not authorized "
-                                f"for role {role.name!r}"
-                            )
-                entry = checked[name] = (
-                    store._intern_user(user),
-                    store._intern_principals(frozenset({f"user:{name}"})),
+        for name in dict.fromkeys(names):
+            user = self.policy.user(name)
+            if role_objs:
+                entitled = self.policy.hierarchy.closure(
+                    self.policy.roles_of_user(user)
                 )
-            user_codes.append(entry[0])
-            principal_codes.append(entry[1])
-            sid_seqs.append(next(_session_counter))
-            subj_seqs.append(next(rbac_model._subject_counter))
-        rows = store.open_block(
+                for role in role_objs:
+                    if role not in entitled:
+                        raise RbacError(
+                            f"user {name!r} is not authorized "
+                            f"for role {role.name!r}"
+                        )
+            user_index[name] = len(user_index)
+            user_codes.append(store._intern_user(user))
+            principal_codes.append(
+                store._intern_principals(frozenset({f"user:{name}"}))
+            )
+        n = len(names)
+        of_user = np.fromiter(map(user_index.__getitem__, names), np.intp, n)
+        return store.open_block(
             t,
-            sid_seqs,
-            subj_seqs,
-            user_codes,
-            principal_codes,
+            np.fromiter(itertools.islice(_session_counter, n), np.int64, n),
+            np.fromiter(
+                itertools.islice(rbac_model._subject_counter, n), np.int64, n
+            ),
+            np.array(user_codes, dtype=np.int32)[of_user],
+            np.array(principal_codes, dtype=np.int32)[of_user],
             store._intern_role_set(role_fs),
+            tracker_plan,
         )
-        for key, duration in tracker_plan.items():
-            store.tracker_activate_block(key, rows, t, duration)
-        return rows
 
     def activate_role(self, session: Session, role_name: str, t: float) -> None:
         """Activate a role the user is entitled to (checks UA membership

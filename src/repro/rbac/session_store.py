@@ -21,6 +21,8 @@ session down to a fixed set of scalar cells:
       alloc u8  active u8  anchor f64  consumed0 f64  expiry f64
       now f64   dur i16 (index into the key's distinct durations)
       + an append-only timeline event arena (row, gen, time, kind)
+      alloc: 0 free, 1 allocated, 2 activated when the row was opened
+      (its active-on / valid-on events at start_time are implied)
 
     per compiled constraint (lazily created, one cell per row)
       state i64  — the mixed-radix monitor-product encoding of
@@ -46,9 +48,12 @@ free or mutate a recycled row).
 Timeline recording (the audit ``valid``/``active`` state functions) is
 columnar too: events append to a per-tracker-key arena and are replayed
 through a real :class:`~repro.temporal.timeline.TimelineRecorder` only
-when a timeline is actually requested.  Stores built with
-``record_timelines=False`` skip the arena entirely — the
-million-session benchmark's configuration — at the price of
+when a timeline is actually requested.  A cell activated by a bulk
+open (:meth:`SessionStore.open_block`) stores no events: its
+active-on / valid-on pair at the row's start time is implied by
+``alloc == 2`` and replayed ahead of the stored events, so recording
+timelines costs a bulk-opened row nothing.  Stores built with
+``record_timelines=False`` skip the arena entirely, at the price of
 ``valid_timeline()`` raising :class:`~repro.errors.TemporalError`.
 """
 
@@ -87,6 +92,16 @@ _EV_ACTIVE_OFF = 0
 _EV_ACTIVE_ON = 1
 _EV_VALID_OFF = 2
 _EV_VALID_ON = 3
+
+# Tracker cell ``alloc`` values.
+_CELL_FREE = 0
+_CELL_ALLOCATED = 1
+_CELL_OPEN_ACTIVE = 2  # activated at open; its first two events are implied
+
+
+def _check_duration(duration: float) -> None:
+    if duration <= 0:
+        raise TemporalError(f"validity duration must be positive, got {duration}")
 
 
 class _Column:
@@ -207,10 +222,14 @@ class _TrackerColumns:
             self.ev_time.append(t)
             self.ev_kind.append(kind)
 
-    def replay(self, row: int, gen: int) -> tuple[TimelineRecorder, TimelineRecorder]:
+    def replay(
+        self, row: int, gen: int, start: float
+    ) -> tuple[TimelineRecorder, TimelineRecorder]:
         """Re-run this row's recorded events through fresh recorders —
         the exact ``set`` call sequence a ``ValidityTracker`` makes, so
-        the frozen timelines are identical."""
+        the frozen timelines are identical.  A cell activated at open
+        first replays the active-on / valid-on pair at the row's
+        ``start`` time, in :meth:`ColumnTracker.activate`'s order."""
         if not self.record_events:
             raise TemporalError(
                 "timeline recording is disabled for this session store "
@@ -218,6 +237,9 @@ class _TrackerColumns:
             )
         valid = TimelineRecorder(initial=False)
         active = TimelineRecorder(initial=False)
+        if self.alloc.data[row] == _CELL_OPEN_ACTIVE:
+            active.set(start, True)
+            valid.set(start, True)
         n = self.ev_row.count
         rows = self.ev_row.data[:n]
         gens = self.ev_gen.data[:n]
@@ -271,7 +293,8 @@ class ColumnTracker:
     of ``ValidityTracker``'s closed-form accrual — the same float
     expressions in the same order — so states and recorded timelines
     agree bit for bit.  The view pins its session handle (``_session``)
-    so the row cannot be recycled while the view is reachable."""
+    so the row cannot be recycled while the view is reachable, and
+    timeline replay reads the session's start time."""
 
     __slots__ = ("_tc", "_row", "_gen", "_session", "scheme")
 
@@ -281,7 +304,7 @@ class ColumnTracker:
         row: int,
         gen: int,
         scheme: Scheme,
-        session: "Session | None" = None,
+        session: "Session",
     ):
         self._tc = tc
         self._row = row
@@ -435,11 +458,15 @@ class ColumnTracker:
     # -- audit -----------------------------------------------------------
 
     def valid_timeline(self) -> BooleanTimeline:
-        valid, _active = self._tc.replay(self._row, self._gen)
+        valid, _active = self._tc.replay(
+            self._row, self._gen, self._session.start_time
+        )
         return valid.freeze()
 
     def active_timeline(self) -> BooleanTimeline:
-        _valid, active = self._tc.replay(self._row, self._gen)
+        _valid, active = self._tc.replay(
+            self._row, self._gen, self._session.start_time
+        )
         return active.freeze()
 
     @property
@@ -880,11 +907,17 @@ class SessionStore:
         user_codes,
         principal_codes,
         role_set_code: int,
+        trackers: Mapping[str, float],
     ) -> np.ndarray:
         """Bulk-open ``len(sid_seqs)`` rows at the high-water mark with
-        vectorized column fills (the scale benchmark's load path).
-        All inputs are parallel integer sequences; interning codes come
-        from the scalar helpers.  Returns the opened row indices."""
+        vectorized column fills (the bulk load path), each with the
+        ``trackers`` cells (key → duration) allocated and activated at
+        ``t`` — what ``create_tracker`` + ``activate(t)`` leaves, minus
+        the two timeline events, which ``alloc == 2`` implies.  All
+        other inputs are parallel integer sequences; interning codes
+        come from the scalar helpers.  Returns the opened row indices."""
+        for duration in trackers.values():
+            _check_duration(duration)
         n = len(sid_seqs)
         if n == 0:
             return np.empty(0, dtype=np.int64)
@@ -897,17 +930,24 @@ class SessionStore:
         self._start_time.data[sl] = t
         self._last_seen.data[sl] = t
         self._alive.data[sl] = 1
-        self._sid_seq.data[sl] = np.asarray(sid_seqs, dtype=np.int64)
-        self._subj_seq.data[sl] = np.asarray(subj_seqs, dtype=np.int64)
-        self._user_id.data[sl] = np.asarray(user_codes, dtype=np.int32)
-        self._principals_id.data[sl] = np.asarray(
-            principal_codes, dtype=np.int32
-        )
+        self._sid_seq.data[sl] = sid_seqs
+        self._subj_seq.data[sl] = subj_seqs
+        self._user_id.data[sl] = user_codes
+        self._principals_id.data[sl] = principal_codes
         self._role_set_id.data[sl] = role_set_code
         self._obs_head.data[sl] = -1
         self._obs_tail.data[sl] = -1
         self._obs_len.data[sl] = 0
         self._obs_ver.data[sl] = 0
+        for key, duration in trackers.items():
+            tc = self._tracker_columns(key)
+            tc.alloc.data[sl] = _CELL_OPEN_ACTIVE
+            tc.active.data[sl] = 1
+            tc.anchor.data[sl] = t
+            tc.consumed0.data[sl] = 0.0
+            tc.now.data[sl] = t
+            tc.expiry.data[sl] = math.inf if math.isinf(duration) else t + duration
+            tc.dur.data[sl] = tc.dur_code(duration)
         self._resident += n
         return rows
 
@@ -948,7 +988,7 @@ class SessionStore:
         self._odd_subjects.pop(row, None)
         self._odd_monitors.pop(row, None)
         for tc in self._trackers.values():
-            tc.alloc.data[row] = 0
+            tc.alloc.data[row] = _CELL_FREE
         for mc in self._monitors.values():
             mc.col.data[row] = -1
         self._free.append(row)
@@ -1160,48 +1200,13 @@ class SessionStore:
     def alloc_tracker(self, row: int, key: str, duration: float) -> None:
         """Allocate one tracker cell in the fresh (inactive) state the
         object tracker's constructor produces."""
-        if duration <= 0:
-            raise TemporalError(
-                f"validity duration must be positive, got {duration}"
-            )
+        _check_duration(duration)
         tc = self._tracker_columns(key)
         start = float(self._start_time.data[row])
-        tc.alloc.data[row] = 1
+        tc.alloc.data[row] = _CELL_ALLOCATED
         tc.active.data[row] = 0
         tc.anchor.data[row] = start
         tc.consumed0.data[row] = 0.0
         tc.expiry.data[row] = math.inf
         tc.now.data[row] = start
         tc.dur.data[row] = tc.dur_code(duration)
-
-    def tracker_activate_block(
-        self, key: str, rows: np.ndarray, t: float, duration: float
-    ) -> None:
-        """Bulk create-and-activate one tracker key for freshly opened
-        rows (start_time == ``t``): the vectorized equivalent of
-        ``create_tracker`` + ``activate(t)`` per row."""
-        if duration <= 0:
-            raise TemporalError(
-                f"validity duration must be positive, got {duration}"
-            )
-        tc = self._tracker_columns(key)
-        code = tc.dur_code(duration)
-        tc.alloc.data[rows] = 1
-        tc.active.data[rows] = 1
-        tc.anchor.data[rows] = t
-        tc.consumed0.data[rows] = 0.0
-        tc.now.data[rows] = t
-        tc.expiry.data[rows] = (
-            math.inf if math.isinf(duration) else t + duration
-        )
-        tc.dur.data[rows] = code
-        if tc.record_events:
-            gens = self._gen.data[rows]
-            # Per-row replay order is active-on then valid-on at t —
-            # appending the whole active block first preserves it.
-            for kind in (_EV_ACTIVE_ON, _EV_VALID_ON):
-                for row, gen in zip(rows.tolist(), gens.tolist()):
-                    tc.ev_row.append(row)
-                    tc.ev_gen.append(gen)
-                    tc.ev_time.append(t)
-                    tc.ev_kind.append(kind)

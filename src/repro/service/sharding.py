@@ -133,15 +133,21 @@ class ShardedEngine:
         roles: Iterable[str] = (),
     ) -> dict[int, "np.ndarray"]:
         """Bulk-open sessions across shards:
-        users are routed by name exactly as :meth:`authenticate` would,
-        then each shard bulk-loads its share
-        (:meth:`AccessControlEngine.open_sessions`).  Returns
-        ``{shard_index: row_indices}``; :meth:`session_at` materialises
-        handles on demand."""
+        users are routed by name exactly as :meth:`authenticate` would
+        (hashed once per distinct name), then each shard bulk-loads its
+        share in arrival order (:meth:`AccessControlEngine.open_sessions`).
+        Returns ``{shard_index: row_indices}``; :meth:`session_at`
+        materialises handles on demand."""
         roles = tuple(roles)
         by_shard: dict[int, list[str]] = {}
+        share_of: dict[str, list[str]] = {}  # name -> its shard's names
         for name in user_names:
-            by_shard.setdefault(self.shard_index(name), []).append(name)
+            share = share_of.get(name)
+            if share is None:
+                share = share_of[name] = by_shard.setdefault(
+                    self.shard_index(name), []
+                )
+            share.append(name)
         out: dict[int, "np.ndarray"] = {}
         for index, names in sorted(by_shard.items()):
             shard = self._shards[index]

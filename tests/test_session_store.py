@@ -296,41 +296,110 @@ class TestTrackerReference:
 
 
 class TestBulkOpen:
-    def test_bulk_open_equals_scalar_establishment(self):
-        """``open_sessions`` must leave every session exactly as
-        ``authenticate`` + ``activate_role`` would: same role set, same
-        tracker states, and identical subsequent decisions."""
-        constraint = parse_constraint(COUNT_SRC)
-        policy = _policy([constraint], [5.0])
-        bulk_engine = AccessControlEngine(policy)
-        scalar_engine = AccessControlEngine(policy)
-        rows = bulk_engine.open_sessions(["u"] * 8, 1.0, roles=("r",))
-        bulk_sessions = [bulk_engine.session_at(r) for r in rows]
-        scalar_sessions = []
-        for _ in range(8):
-            session = scalar_engine.authenticate("u", 1.0)
-            scalar_engine.activate_role(session, "r", 1.0)
-            scalar_sessions.append(session)
-        access = AccessKey.of("exec", "r1", "s1")
-        for t in (2.0, 4.0, 7.0):
-            got = [
-                _norm(bulk_engine.decide(s, access, t, history=None))
-                for s in bulk_sessions
-            ]
-            want = [
-                _norm(scalar_engine.decide(s, access, t, history=None))
-                for s in scalar_sessions
-            ]
-            assert got == want
+    @staticmethod
+    def _assert_twins(bulk_sessions, scalar_sessions):
+        """Same role set, tracker keys, clocks, states and both
+        timelines, session by session."""
         for bs, ss in zip(bulk_sessions, scalar_sessions):
             assert bs.role_set() == ss.role_set()
             assert set(bs.trackers) == set(ss.trackers)
             for key, st_tracker in ss.trackers.items():
-                assert bs.trackers[key].now == st_tracker.now
+                tracker = bs.trackers[key]
+                assert tracker.now == st_tracker.now
+                assert tracker.state() is st_tracker.state()
+                assert tracker.valid_timeline() == st_tracker.valid_timeline()
                 assert (
-                    bs.trackers[key].valid_timeline()
-                    == st_tracker.valid_timeline()
+                    tracker.active_timeline() == st_tracker.active_timeline()
                 )
+
+    def test_bulk_open_equals_scalar_establishment(self):
+        """``open_sessions`` must leave every session exactly as
+        ``authenticate`` + ``activate_role`` would: same role set,
+        tracker states and ``valid``/``active`` timelines, identical
+        subsequent decisions, and identical timelines after a later
+        deactivation, reactivation, migration and expiry crossing —
+        under both validity schemes."""
+        constraint = parse_constraint(COUNT_SRC)
+        policy = _policy([constraint, None], [5.0, 20.0])
+        access = AccessKey.of("exec", "r1", "s1")
+        # Decides at 2, 4 and 7 (p0's budget ends at 6 unless a
+        # migration renewed it), then deactivate → reactivate, and a
+        # decide past every remaining expiry.
+        steps = (
+            ("decide", 2.0),
+            ("notify_migration", 3.0),
+            ("decide", 4.0),
+            ("decide", 7.0),
+            ("deactivate_role", 8.0),
+            ("activate_role", 9.0),
+            ("notify_migration", 10.0),
+            ("decide", 31.0),
+        )
+        for scheme in (Scheme.WHOLE_EXECUTION, Scheme.PER_SERVER):
+            bulk_engine = AccessControlEngine(policy, scheme=scheme)
+            scalar_engine = AccessControlEngine(policy, scheme=scheme)
+            rows = bulk_engine.open_sessions(["u"] * 8, 1.0, roles=("r",))
+            bulk_sessions = [bulk_engine.session_at(r) for r in rows]
+            scalar_sessions = []
+            for _ in range(8):
+                session = scalar_engine.authenticate("u", 1.0)
+                scalar_engine.activate_role(session, "r", 1.0)
+                scalar_sessions.append(session)
+            self._assert_twins(bulk_sessions, scalar_sessions)
+            for op, t in steps:
+                outcomes = []
+                for engine, sessions in (
+                    (bulk_engine, bulk_sessions),
+                    (scalar_engine, scalar_sessions),
+                ):
+                    if op == "decide":
+                        outcomes.append(
+                            [
+                                _norm(engine.decide(s, access, t, history=None))
+                                for s in sessions
+                            ]
+                        )
+                    elif op == "notify_migration":
+                        for s in sessions:
+                            engine.notify_migration(s, t)
+                    else:
+                        for s in sessions:
+                            getattr(engine, op)(s, "r", t)
+                if outcomes:
+                    assert outcomes[0] == outcomes[1]
+                self._assert_twins(bulk_sessions, scalar_sessions)
+            # The last decide crossed an expiry on every session.
+            for session in bulk_sessions:
+                assert not any(
+                    tracker.is_valid() for tracker in session.trackers.values()
+                )
+
+    def test_recycled_bulk_row_implies_no_open_events(self):
+        """A bulk-opened row closed and reused by ``authenticate`` (with
+        a bumped generation) must not inherit the implied open-time
+        events: its timelines are a scalar twin's, and the public
+        ``ValidityTracker``'s (which shares no store code with either
+        twin) for the same authentication and activation instants."""
+        policy = _policy([parse_constraint(COUNT_SRC)], [5.0])
+        bulk_engine = AccessControlEngine(policy)
+        scalar_engine = AccessControlEngine(policy)
+        rows = bulk_engine.open_sessions(["u"] * 3, 1.0, roles=("r",))
+        closed = bulk_engine.session_at(rows[1])
+        row, gen = closed._row, closed._gen
+        bulk_engine.close_session(closed, 2.0)
+        del closed
+        gc.collect()
+        recycled = bulk_engine.authenticate("u", 3.0)
+        assert (recycled._row, recycled._gen) == (row, gen + 1)
+        twin = scalar_engine.authenticate("u", 3.0)
+        bulk_engine.activate_role(recycled, "r", 4.0)
+        scalar_engine.activate_role(twin, "r", 4.0)
+        self._assert_twins([recycled], [twin])
+        reference = ValidityTracker(5.0, start_time=3.0)
+        reference.activate(4.0)
+        (tracker,) = recycled.trackers.values()
+        assert tracker.valid_timeline() == reference.valid_timeline()
+        assert tracker.active_timeline() == reference.active_timeline()
 
     def test_bulk_open_rejects_unknown_role_and_user(self):
         policy = _policy([None], [None])
@@ -588,6 +657,28 @@ class TestMemoryBudget:
         n = 20_000
         spec = ScaleSpec(sessions=n, users=100, servers=8, requests=1)
         engine = AccessControlEngine(build_policy(spec), record_timelines=False)
+        names = [f"u{i % spec.users:05d}" for i in range(n)]
+        engine._store.reserve(n)
+        gc.collect()
+        tracemalloc.start()
+        base, _ = tracemalloc.get_traced_memory()
+        rows = engine.open_sessions(names, 0.0, roles=("agent",))
+        current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert engine.resident_sessions() == n
+        traced = (current - base - rows.nbytes) / n
+        columns = engine._store.nbytes() / n
+        assert max(traced, columns) <= 200.0, (traced, columns)
+
+    def test_bytes_per_session_within_budget_with_timelines(self):
+        """The same gate on a default engine (timelines recorded): a
+        bulk-opened row's open-time timeline events are implied by the
+        row, not stored, so recording them costs it nothing."""
+        from repro.workloads.scale import ScaleSpec, build_policy
+
+        n = 20_000
+        spec = ScaleSpec(sessions=n, users=100, servers=8, requests=1)
+        engine = AccessControlEngine(build_policy(spec))
         names = [f"u{i % spec.users:05d}" for i in range(n)]
         engine._store.reserve(n)
         gc.collect()
