@@ -16,6 +16,12 @@ lowers that loop onto dense transition tables and breakpoint arrays:
 * **multi-session sweep** — :meth:`decide_batch_many` over an
   interleaved stream from many sessions (the sharded drain shape).
 
+Beside throughput it reports what each decision costs to keep: the
+audit log retains every one, so ``retained_bytes_per_decision`` (by
+``tracemalloc``, swept and scalar) is how fast a server's memory grows
+with traffic, and is gated at the same budgets as
+``tests/test_vector_engine.py``.
+
 Before any number is reported, the vector batch and a twin engine's
 per-request :meth:`decide` loop replay mixed grant/deny/expiry
 workloads — including decisions exactly at a validity expiry instant —
@@ -38,6 +44,7 @@ import json
 import pathlib
 import random
 import time
+import tracemalloc
 
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
@@ -224,6 +231,70 @@ def rate_many(n: int, sessions: int = 8) -> float:
     )
 
 
+#: Retained-bytes budgets per decision (the test suite's gates).
+SWEPT_BUDGET_B = 200
+SCALAR_BUDGET_B = 300
+
+
+def _retention_stream(n: int, sessions: int = 8):
+    """A warmed engine, ``sessions`` sessions and a seeded stream of
+    ``n`` (session, access) pairs with their instants — grants of both
+    permissions and no-candidate denials, interleaved across sessions."""
+    engine, _ = _engine()
+    pool = []
+    for _ in range(sessions):
+        s = engine.authenticate("u", 0.0)
+        engine.activate_role(s, "r", 0.0)
+        pool.append(s)
+    alphabet = [
+        AccessKey.of(op, res, f"s{j}")
+        for op in ("exec", "read", "write")
+        for res in ("rsw", "r1")
+        for j in range(SERVERS)
+    ]
+    engine.decide_batch_many([(s, a) for s in pool for a in alphabet], t=1.0)
+    rng = random.Random(11)
+    requests = [(rng.choice(pool), rng.choice(alphabet)) for _ in range(n)]
+    times = [2.0 + i * 0.001 for i in range(n)]
+    return engine, requests, times
+
+
+def _traced_bytes(fn, n: int) -> float:
+    """Bytes still allocated after ``fn()``, per decision."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        fn()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (current - base) / n
+
+
+def retained_bytes_per_decision(n: int) -> dict[str, float]:
+    """What the audit log grows by per decision kept: ``swept``
+    through :meth:`decide_batch_many` in 256-request chunks (a service
+    micro-batch), ``scalar`` through one :meth:`decide` per request.
+    The request stream is built before tracing starts."""
+    engine, requests, times = _retention_stream(n)
+
+    def swept():
+        for lo in range(0, n, 256):
+            engine.decide_batch_many(
+                requests[lo:lo + 256], 0.0, times=times[lo:lo + 256]
+            )
+
+    swept_b = _traced_bytes(swept, n)
+    engine, requests, times = _retention_stream(n)
+
+    def scalar():
+        for (session, access), t in zip(requests, times):
+            engine.decide(session, access, t, history=None)
+
+    return {"swept": swept_b, "scalar": _traced_bytes(scalar, n)}
+
+
 def cold_compile_ms() -> float:
     """First vectorized batch on cold process caches: table build +
     live-set precomputation + sweep of a tiny batch."""
@@ -240,6 +311,7 @@ def measure(n: int = 50_000) -> dict:
     naive = rate_naive(n)
     vector = rate_batch(n)
     many = rate_many(n)
+    retained = retained_bytes_per_decision(min(n, 20_000))
     hits, misses, fallbacks, entries = table_cache_counters()
     return {
         "n": n,
@@ -249,6 +321,7 @@ def measure(n: int = 50_000) -> dict:
         "vector_batch_rate": vector,
         "many_rate": many,
         "speedup_vs_decide": vector / naive,
+        "retained_bytes_per_decision": retained,
         "table_cache": {
             "hits": hits,
             "misses": misses,
@@ -272,13 +345,22 @@ def print_report(report: dict) -> None:
         f"cold first batch: {report['cold_first_batch_ms']:.2f} ms "
         f"(table + live-set build)"
     )
+    retained = report["retained_bytes_per_decision"]
+    print(
+        f"retained per decision: {retained['swept']:.1f} B swept, "
+        f"{retained['scalar']:.1f} B scalar"
+    )
     print("table cache:", report["table_cache"])
 
 
 def check_acceptance(report: dict, smoke: bool = False) -> None:
-    """Hard gates.  Smoke mode (CI) uses conservative floors — shared
-    runners are slow and noisy; the full run asserts the ISSUE targets."""
+    """Hard gates.  The retained-bytes budgets hold in both modes.  Smoke
+    mode (CI) uses conservative throughput floors — shared runners are
+    slow and noisy; the full run asserts the design targets."""
     assert report["table_cache"]["fallbacks"] == 0, report["table_cache"]
+    retained = report["retained_bytes_per_decision"]
+    assert retained["swept"] <= SWEPT_BUDGET_B, retained
+    assert retained["scalar"] <= SCALAR_BUDGET_B, retained
     if smoke:
         assert report["vector_batch_rate"] > 25_000, report
         assert report["speedup_vs_decide"] > 3.0, report

@@ -17,7 +17,7 @@ from repro.traces.trace import AccessKey
 __all__ = ["Decision", "AuditLog"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """One access-control decision (the output of Eq. 3.1 + Eq. 4.1).
 
@@ -29,6 +29,12 @@ class Decision:
     (:class:`~repro.obs.provenance.DecisionProvenance`): every denial
     produced by the engine carries one naming the failing SRAC clause
     or the Eq. 4.1 temporal state.
+
+    The audit log keeps every decision, so its layout is the log's
+    cost: one slotted record (no per-instance ``__dict__``) whose
+    fields point at immutable values the engine shares between
+    decisions — the interned access key, reason string and candidate
+    records, and, within one sweep, the provenance record itself.
     """
 
     subject_id: str

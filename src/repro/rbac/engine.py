@@ -85,24 +85,11 @@ def _constraint_source(constraint: Constraint) -> str:
 #: The no-candidate decision's attribution: every field None.
 _NO_CANDIDATE = CandidateProvenance(None, None, None, None, None, None)
 
-
-def _candidate_record(
-    role: Role, permission: Permission, spatial_ok: bool, state: PermissionState
-) -> CandidateProvenance:
-    """The provenance record of one examined ``(role, permission)``
-    pair — shared by the scalar loop, the vector sweep's prototypes
-    and :meth:`AccessControlEngine.explain`."""
-    constraint = permission.spatial_constraint
-    return CandidateProvenance(
-        role=role.name,
-        permission=permission.name,
-        constraint=(
-            _constraint_source(constraint) if constraint is not None else None
-        ),
-        spatial_ok=spatial_ok,
-        temporal_ok=state is PermissionState.VALID,
-        temporal_state=state.value,
-    )
+#: One examined ``(role, permission)`` pair as the engine's memo holds
+#: it: the candidate record, the one-record tuple a grant by it
+#: carries, and the reason a denial ending on it gives ("" if it
+#: passes).
+_Examined = tuple[CandidateProvenance, tuple[CandidateProvenance], str]
 
 
 @dataclass(frozen=True)
@@ -252,6 +239,12 @@ class AccessControlEngine:
         self._extension_tables: dict[
             tuple[Constraint, AccessKey], "TransitionTable | None"
         ] = {}
+        # Attribution memo of _examined, valid for one policy version.
+        # Its keys hold names, a bool and a string, which hash at C
+        # speed; the Role / Permission dataclasses or the enum would
+        # cost a Python-level __hash__ per lookup.
+        self._examined_memo: dict[tuple[str, str, bool, str], _Examined] = {}
+        self._examined_version = policy.version
         self._candidate_hits = 0
         self._candidate_misses = 0
         self._live_hits = 0
@@ -671,7 +664,9 @@ class AccessControlEngine:
             # of the ≤5 % instrumentation budget.
             if self._obs_decisions % DECIDE_SPAN_SAMPLE == 0:
                 start = time.perf_counter()
-        access = AccessKey(*access)
+        # The decision keeps its access, so never a fresh key per call.
+        if type(access) is not AccessKey:
+            access = AccessKey.of(access)
         if program is not None:
             history_mode = "program"
         elif history is None:
@@ -699,17 +694,17 @@ class AccessControlEngine:
         instead of re-resolving it per element."""
         session.touch(t)
         epoch = self._current_epoch()
-        records: list[CandidateProvenance] = []
+        examined: list[_Examined] = []
         for role, permission in candidates:
             spatial_ok = self._spatial_ok(
                 session, permission, access, history, program
             )
             state = self._tracker(session, permission).state(t)
-            records.append(_candidate_record(role, permission, spatial_ok, state))
+            examined.append(self._examined(role, permission, spatial_ok, state))
             if spatial_ok and state is PermissionState.VALID:
                 break
         decision = self._build_decision(
-            session, access, t, records, history, history_mode,
+            session, access, t, examined, history, history_mode,
             self._history_len(session, history), epoch,
         )
         self.audit.record(decision)
@@ -717,40 +712,96 @@ class AccessControlEngine:
             self._record_decide(start, decision)
         return decision
 
+    def _examined(
+        self,
+        role: Role,
+        permission: Permission,
+        spatial_ok: bool,
+        state: PermissionState,
+    ) -> _Examined:
+        """The interned attribution of one examined ``(role,
+        permission)`` pair with these verdicts: one candidate record,
+        one grant tuple and one denial reason per distinct value, so
+        retained decisions share them.  Every decision path and
+        :meth:`explain` get their candidate records here.  The memo is
+        emptied whenever :attr:`Policy.version` moves, so a replaced
+        permission's old constraint text is never served."""
+        version = self.policy.version
+        if version != self._examined_version:
+            self._examined_memo.clear()
+            self._examined_version = version
+        key = (role.name, permission.name, spatial_ok, state._value_)
+        entry = self._examined_memo.get(key)
+        if entry is None:
+            constraint = permission.spatial_constraint
+            record = CandidateProvenance(
+                role=role.name,
+                permission=permission.name,
+                constraint=(
+                    _constraint_source(constraint)
+                    if constraint is not None else None
+                ),
+                spatial_ok=spatial_ok,
+                temporal_ok=state is PermissionState.VALID,
+                temporal_state=state.value,
+            )
+            if not spatial_ok:
+                reason = (
+                    f"spatial constraint of {permission.name!r} cannot be satisfied"
+                )
+            elif state is not PermissionState.VALID:
+                reason = f"permission {permission.name!r} is {state.value}"
+            else:
+                reason = ""
+            entry = self._examined_memo[key] = (record, (record,), reason)
+        return entry
+
     def _build_decision(
         self,
         session: Session,
         access: AccessKey,
         t: float,
-        records: Sequence[CandidateProvenance],
+        examined: Sequence[_Examined],
         history: Trace | None,
         history_mode: str,
         history_len: int,
         epoch: int | None,
+        shared: dict[DecisionProvenance, DecisionProvenance] | None = None,
     ) -> Decision:
-        """The one place a ``Decision`` is made, from the candidate
-        records examined in order (the scalar loop's decisions and the
-        vector sweep's prototypes).  No records: no candidate matched.
-        A last record passing both checks is the grant.  Otherwise the
-        last record's failing check is the denial's kind and reason,
-        and only denials pay the foreign-server scan."""
+        """The one place a ``Decision`` is made, from the candidates
+        examined in order (:meth:`_examined` entries; the scalar loop's
+        decisions and the vector sweep's prototypes).  None examined:
+        no candidate matched.  A last record passing both checks is the
+        grant.  Otherwise the last record's failing check is the
+        denial's kind and reason, and only denials pay the
+        foreign-server scan.  ``shared`` interns the provenance record
+        by value across the decisions of one call."""
         foreign: tuple[str, ...] = ()
-        if not records:
+        if not examined:
             last, candidates = _NO_CANDIDATE, ()
             kind = "no-candidate"
             reason = "no active role provides a matching permission"
-        elif records[-1].spatial_ok and records[-1].temporal_ok:
-            last = records[-1]
-            kind, reason, candidates = "granted", "", (last,)
         else:
-            last, candidates = records[-1], tuple(records)
-            if not last.spatial_ok:
-                kind = "spatial"
-                reason = f"spatial constraint of {last.permission!r} cannot be satisfied"
+            last, single, reason = examined[-1]
+            if last.spatial_ok and last.temporal_ok:
+                kind, candidates = "granted", single
             else:
-                kind = "temporal"
-                reason = f"permission {last.permission!r} is {last.temporal_state}"
-            foreign = self._foreign_servers(session, access, history)
+                kind = "spatial" if not last.spatial_ok else "temporal"
+                candidates = (
+                    single if len(examined) == 1
+                    else tuple(entry[0] for entry in examined)
+                )
+                foreign = self._foreign_servers(session, access, history)
+        provenance = DecisionProvenance(
+            kind=kind,
+            candidates=candidates,
+            history_mode=history_mode,
+            history_len=history_len,
+            foreign_servers=foreign,
+            epoch=epoch,
+        )
+        if shared is not None:
+            provenance = shared.setdefault(provenance, provenance)
         return Decision(
             subject_id=session.subject.subject_id,
             access=access,
@@ -761,14 +812,7 @@ class AccessControlEngine:
             spatial_ok=last.spatial_ok,
             temporal_ok=last.temporal_ok,
             reason=reason,
-            provenance=DecisionProvenance(
-                kind=kind,
-                candidates=candidates,
-                history_mode=history_mode,
-                history_len=history_len,
-                foreign_servers=foreign,
-                epoch=epoch,
-            ),
+            provenance=provenance,
         )
 
     def _effective_history(
@@ -858,7 +902,7 @@ class AccessControlEngine:
         the candidate lookup hoisted per distinct access.
         """
         keys = [
-            a if type(a) is AccessKey else AccessKey(*a) for a in accesses
+            a if type(a) is AccessKey else AccessKey.of(a) for a in accesses
         ]
         if not keys:
             return []
@@ -912,7 +956,7 @@ class AccessControlEngine:
         per-request loop instead, so decisions are identical either way.
         """
         pairs = [
-            (session, a if type(a) is AccessKey else AccessKey(*a))
+            (session, a if type(a) is AccessKey else AccessKey.of(a))
             for session, a in requests
         ]
         if times is None:
@@ -1005,7 +1049,7 @@ class AccessControlEngine:
             spatial_ok = self._spatial_ok(
                 session, permission, access, history, program
             )
-            row = _candidate_record(role, permission, spatial_ok, state)._asdict()
+            row = self._examined(role, permission, spatial_ok, state)[0]._asdict()
             row["state"] = row.pop("temporal_state")
             rows.append(row)
         return rows
@@ -1113,6 +1157,7 @@ class AccessControlEngine:
         invalidate the candidate cache automatically via the version
         counter; this is the explicit hammer for out-of-band changes."""
         self._candidates_cache.clear()
+        self._examined_memo.clear()
         self._extension_cache.clear()
         self._extension_tables.clear()
         self._owner_monitors.clear()

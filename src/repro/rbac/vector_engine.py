@@ -18,11 +18,20 @@ session most of that work is invariant:
 * provenance records depend only on the access, the candidate index
   and the vector of temporal state codes — a handful of distinct
   values per group — so whole ``Decision`` prototypes are memoised and
-  per-element decisions are cheap clones differing only in ``time``.
+  per-element decisions are slot-by-slot clones differing only in
+  ``time`` (:func:`_fill`).
   The prototypes are made by the engine's shared constructors
-  (``_candidate_record`` and ``AccessControlEngine._build_decision``),
-  the same code that makes every scalar decision, so kinds, reasons
-  and provenance cannot drift between the two paths.
+  (``AccessControlEngine._examined`` and ``_build_decision``), the
+  same code that makes every scalar decision, so kinds, reasons and
+  provenance cannot drift between the two paths.
+
+What a swept decision retains is one slotted ``Decision``; everything
+it points at is shared.  The engine interns the candidate records, the
+grant's one-record tuple and the denial reasons per policy version, and
+one call's prototypes intern their ``DecisionProvenance`` by value, so
+the session groups of one :func:`sweep_interleaved` run with equal
+outcomes (same kind, candidates, history length and epoch) hold one
+record between them.
 
 The sweep is organised **prepare → commit**:
 
@@ -56,14 +65,15 @@ count them).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import AlphabetError
 from repro.obs import OBS
+from repro.obs.provenance import DecisionProvenance
 from repro.rbac.audit import Decision
-from repro.rbac.engine import _candidate_record
 from repro.temporal.validity import (
     CODE_INACTIVE,
     CODE_VALID,
@@ -84,6 +94,14 @@ __all__ = [
 ]
 
 
+#: ``Decision``'s slots other than ``time``: their member-descriptor
+#: setters and one C-level getter of their values (see :func:`_fill`).
+_SHARED_SLOTS = tuple(name for name in Decision.__slots__ if name != "time")
+_SETTERS = tuple(getattr(Decision, name).__set__ for name in _SHARED_SLOTS)
+_SHARED_VALUES = attrgetter(*_SHARED_SLOTS)
+_SET_TIME = Decision.time.__set__
+
+
 def _fill(
     decisions: list,
     proto: Decision,
@@ -94,19 +112,35 @@ def _fill(
     """Clone ``proto`` into ``decisions`` at each position's instant.
 
     This loop *is* the vector path's per-decision cost.  ``Decision``
-    is a frozen dataclass; cloning through ``__dict__`` skips the
-    ten-field ``__init__`` and the frozen-setattr guard — the clones
-    are indistinguishable (same fields, same equality/hash) and differ
-    from the prototype only in ``time``.
+    is a frozen slotted dataclass; a clone writes its ten slots through
+    their member descriptors, skipping the keyword ``__init__`` and the
+    frozen-setattr guard.  The clones are indistinguishable from
+    constructed decisions (same fields, equality and hash), differ from
+    the prototype only in ``time``, and point at the prototype's field
+    values, so a clone adds one slotted record and nothing else.  The
+    prototype is made for this call and seen by no one else, so it
+    becomes the first position's decision instead of being cloned.
     """
     new = Decision.__new__
-    proto_dict = proto.__dict__
-    for p in positions:
+    s0, s1, s2, s3, s4, s5, s6, s7, s8 = _SETTERS
+    v0, v1, v2, v3, v4, v5, v6, v7, v8 = _SHARED_VALUES(proto)
+    set_time = _SET_TIME
+    i = idx_list[positions[0]]
+    set_time(proto, times[i])
+    decisions[i] = proto
+    for p in positions[1:]:
         d = new(Decision)
-        dd = d.__dict__
-        dd.update(proto_dict)
+        s0(d, v0)
+        s1(d, v1)
+        s2(d, v2)
+        s3(d, v3)
+        s4(d, v4)
+        s5(d, v5)
+        s6(d, v6)
+        s7(d, v7)
+        s8(d, v8)
         i = idx_list[p]
-        dd["time"] = times[i]
+        set_time(d, times[i])
         decisions[i] = d
 
 
@@ -143,14 +177,18 @@ def prepare_sweep(
     session: "Session",
     accesses: Sequence[AccessKey],
     times: Sequence[float],
+    shared: dict[DecisionProvenance, DecisionProvenance] | None = None,
 ) -> PreparedSweep | None:
     """Decide a request stream for one session without side effects.
 
     ``accesses`` must already be ``AccessKey`` instances and ``times``
     the per-request decision instants (nondecreasing — the caller built
     them by the same ``clock += dt`` accumulation the scalar loop
-    uses).  Returns ``None`` when any part of the batch needs the
-    scalar path; in that case no session state was touched.
+    uses).  ``shared`` interns the prototypes' provenance records by
+    value; :func:`sweep_interleaved` passes one per call so all its
+    session groups share them (default: one for this sweep).  Returns
+    ``None`` when any part of the batch needs the scalar path; in that
+    case no session state was touched.
     """
     n = len(accesses)
     if n == 0:
@@ -160,6 +198,8 @@ def prepare_sweep(
     if times[0] < session.start_time:
         return None
 
+    if shared is None:
+        shared = {}
     prep = PreparedSweep(engine, session)
     prep.n = n
     prep.t_last = float(times[-1])
@@ -193,7 +233,7 @@ def prepare_sweep(
         if k == 0:
             proto = engine._build_decision(
                 session, access, 0.0, (), None, "incremental", history_len,
-                epoch,
+                epoch, shared,
             )
             _fill(decisions, proto, range(m), idx_list, times)
             continue
@@ -288,12 +328,12 @@ def prepare_sweep(
         prep.granted += m - granted_list.count(-1)
         for j in sorted(set(granted_list) - {-1}):
             role, permission = candidates[j]
-            record = _candidate_record(
+            entry = engine._examined(
                 role, permission, True, PermissionState.VALID
             )
             proto = engine._build_decision(
-                session, access, 0.0, (record,), None, "incremental",
-                history_len, epoch,
+                session, access, 0.0, (entry,), None, "incremental",
+                history_len, epoch, shared,
             )
             winners = [p for p, g in enumerate(granted_list) if g == j]
             positions = range(m) if len(winners) == m else winners
@@ -312,15 +352,15 @@ def prepare_sweep(
         for p, column in zip(denied, codes_mat.T[denied].tolist()):
             by_column.setdefault(tuple(column), []).append(p)
         for column, positions in by_column.items():
-            records = [
-                _candidate_record(role, permission, spatial[j], STATE_CODES[code])
+            entries = [
+                engine._examined(role, permission, spatial[j], STATE_CODES[code])
                 for j, ((role, permission), code) in enumerate(
                     zip(candidates, column)
                 )
             ]
             proto = engine._build_decision(
-                session, access, 0.0, records, None, "incremental",
-                history_len, epoch,
+                session, access, 0.0, entries, None, "incremental",
+                history_len, epoch, shared,
             )
             _fill(decisions, proto, positions, idx_list, times)
 
@@ -348,9 +388,12 @@ def sweep_interleaved(
     returns ``None`` or raises counts one vector fallback per entry;
     a swept run counts one vector decision per entry.  The audit log
     receives the decisions in arrival order, exactly as the scalar
-    per-request loop would have recorded them.
+    per-request loop would have recorded them.  The session groups
+    share one provenance memo, so equal outcomes across sessions
+    retain one ``DecisionProvenance``.
     """
     decisions = None
+    shared: dict[DecisionProvenance, DecisionProvenance] = {}
     try:
         by_session: dict[int, tuple["Session", list[int]]] = {}
         for i, (session, _access, _t) in enumerate(entries):
@@ -367,7 +410,8 @@ def sweep_interleaved(
             if any(b < a for a, b in zip(times, times[1:])):
                 return None
             prep = prepare_sweep(
-                engine, session, [entries[i][1] for i in idx_list], times
+                engine, session, [entries[i][1] for i in idx_list], times,
+                shared,
             )
             if prep is None:
                 return None

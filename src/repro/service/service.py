@@ -114,7 +114,7 @@ class _Request:
         enqueued_at: float,
     ):
         self.session = session
-        self.access = access if type(access) is AccessKey else AccessKey(*access)
+        self.access = access if type(access) is AccessKey else AccessKey.of(access)
         self.t = t
         self.history = history
         self.program = program

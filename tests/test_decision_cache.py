@@ -247,24 +247,48 @@ class TestCacheInvalidation:
 
     def test_constraint_replacement_changes_decisions(self):
         """Replacing a permission's spatial constraint invalidates the
-        compiled/live-set entries keyed on the old constraint."""
-        engine, session = make_engine("count(0, 5, [res = rsw])")
+        compiled/live-set entries keyed on the old constraint, and the
+        engine's interned candidate records: after the replacement no
+        decision, scalar or swept, names the old constraint text."""
+        old_src, new_src = "count(0, 5, [res = rsw])", "count(0, 4, [res = rsw])"
+        engine, session = make_engine(old_src)
         access = AccessKey("exec", "rsw", "s1")
+        # A second session past the old bound fills the record memo
+        # with this permission's spatial denial (both paths) and grant.
+        full = engine.authenticate("u", 0.0)
+        engine.activate_role(full, "r", 0.0)
+        for _ in range(5):
+            engine.observe(full, access)
+        denied = engine.decide(full, access, 0.0, history=None)
+        assert denied.provenance.failing.constraint == old_src
+        [swept] = engine.decide_batch(full, [access], 0.0)
+        assert swept.provenance.failing.constraint == old_src
         for i in range(3):
-            assert engine.decide(session, access, float(i), history=None).granted
+            decision = engine.decide(session, access, float(i), history=None)
+            assert decision.granted
+            assert decision.provenance.candidates[0].constraint == old_src
             engine.observe(session, access)
         engine.policy.replace_permission(
             Permission(
                 "p",
                 op="exec",
                 resource="rsw",
-                spatial_constraint=parse_constraint("count(0, 4, [res = rsw])"),
+                spatial_constraint=parse_constraint(new_src),
             )
         )
-        assert engine.decide(session, access, 3.0, history=None).granted
+        decision = engine.decide(session, access, 3.0, history=None)
+        assert decision.granted
+        assert decision.provenance.candidates[0].constraint == new_src
         engine.observe(session, access)
         # Four observed; the tightened bound of 4 now denies the fifth.
-        assert not engine.decide(session, access, 4.0, history=None).granted
+        decision = engine.decide(session, access, 4.0, history=None)
+        assert not decision.granted
+        assert decision.provenance.failing.constraint == new_src
+        [swept] = engine.decide_batch(session, [access], 5.0)
+        assert not swept.granted
+        assert swept.provenance.failing.constraint == new_src
+        [swept] = engine.decide_batch(full, [access], 5.0)
+        assert swept.provenance.failing.constraint == new_src
 
     def test_invalidate_caches_clears_derived_state(self):
         engine, session = make_engine()

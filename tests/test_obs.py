@@ -44,11 +44,18 @@ from tests.test_service_concurrency import SERVERS, make_policy, random_workload
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    """Every test starts and ends with observability off and empty."""
+    """Every test starts and ends with observability off and empty.
+
+    ``gc.collect()`` first: engines that earlier tests left unreachable
+    but not yet collected would otherwise still feed the registry's
+    collectors, so the counts would depend on when the collector last
+    ran."""
     obs.disable()
+    gc.collect()
     obs.reset()
     yield
     obs.disable()
+    gc.collect()
     obs.reset()
 
 

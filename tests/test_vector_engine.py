@@ -15,11 +15,19 @@ Ineligible batches must *fall back*, not fail: the fallback paths are
 driven both through configuration (owner scope, uncached SRAC,
 explicit history, ``observe_granted``) and through forced
 :class:`~repro.errors.AlphabetError` interning failures.
+
+The audit log keeps every decision, so what one decision retains is
+gated too (``TestRetainedDecisions``): bytes per swept and per scalar
+decision, no per-instance ``__dict__``, and the sharing of provenance
+records between decisions.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,3 +463,140 @@ class TestStateCodes:
         codes = tracker.state_codes_at(probe)
         scalar_states = [tracker.state(float(t)) for t in probe]
         assert [STATE_CODES[c] for c in codes.tolist()] == scalar_states
+
+
+# Retained bytes per decision: the audit log keeps every decision, so
+# what one costs is what the log grows by.  Budgets in bytes, measured
+# by tracemalloc with the request stream built beforehand.
+SWEPT_BUDGET_B = 200
+SCALAR_BUDGET_B = 300
+
+
+def _hot_population(sessions: int = 64):
+    """The e2e ``hot_sessions`` shape in small: the scale policy with a
+    count bound of 3 and 64 sessions, every fourth one pre-seeded past
+    the bound (so ``exec rsw`` denies it spatially).  The alphabet also
+    holds an access no permission matches."""
+    from repro.workloads.scale import ScaleSpec, build_policy
+
+    spec = ScaleSpec(
+        sessions=sessions, users=16, servers=8, requests=1, count_bound=3
+    )
+    engine = AccessControlEngine(build_policy(spec))
+    seed = AccessKey.of("exec", "rsw", "s0")
+    handles = []
+    for i in range(sessions):
+        session = engine.authenticate(f"u{i % spec.users:05d}", 0.0)
+        engine.activate_role(session, "agent", 0.0)
+        if i % 4 == 0:
+            for _ in range(spec.count_bound + 1):
+                engine.observe(session, seed)
+        handles.append(session)
+    alphabet = [
+        AccessKey.of(op, resource, f"s{j}")
+        for op, resource in (
+            ("exec", "rsw"), ("read", "rsw"), ("write", "log"), ("read", "log")
+        )
+        for j in range(spec.servers)
+    ]
+    return engine, handles, alphabet
+
+
+def _retained_bytes_per_decision(run, n: int) -> float:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        run()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (current - base) / n
+
+
+class TestRetainedDecisions:
+    N = 8192
+
+    def _stream(self, seed: int):
+        """A warmed population and a seeded request stream over it:
+        (session, access) pairs and their instants."""
+        engine, handles, alphabet = _hot_population()
+        # Warm every candidate list, table, tracker and memo entry.
+        warm = [(s, a) for s in handles for a in alphabet]
+        engine.decide_batch_many(warm, 0.5)
+        rng = random.Random(seed)
+        pairs = [(rng.choice(handles), rng.choice(alphabet)) for _ in range(self.N)]
+        times = [1.0 + i * 1e-3 for i in range(self.N)]
+        return engine, pairs, times
+
+    def test_swept_decision_bytes_within_budget(self):
+        engine, pairs, times = self._stream(15)
+        before = len(engine.audit)
+
+        def run():
+            for lo in range(0, self.N, 256):
+                engine.decide_batch_many(
+                    pairs[lo:lo + 256], 0.0, times=times[lo:lo + 256]
+                )
+
+        per_decision = _retained_bytes_per_decision(run, self.N)
+        kept = engine.audit.decisions()[before:]
+        assert len(kept) == self.N
+        assert engine.cache_stats().vector_fallbacks == 0
+        assert {d.provenance.kind for d in kept} == {
+            "granted", "spatial", "no-candidate"
+        }
+        assert per_decision <= SWEPT_BUDGET_B, per_decision
+        assert not any(hasattr(d, "__dict__") for d in kept)
+
+    def test_scalar_decision_bytes_within_budget(self):
+        engine, pairs, times = self._stream(16)
+        before = len(engine.audit)
+
+        def run():
+            for (session, access), t in zip(pairs, times):
+                engine.decide(session, access, t, history=None)
+
+        per_decision = _retained_bytes_per_decision(run, self.N)
+        kept = engine.audit.decisions()[before:]
+        assert len(kept) == self.N
+        assert per_decision <= SCALAR_BUDGET_B, per_decision
+        assert not any(hasattr(d, "__dict__") for d in kept)
+
+    def test_sessions_of_one_sweep_share_provenance(self):
+        """Equal outcomes of different sessions in one sweep retain one
+        ``DecisionProvenance``; candidate records, grant tuples and
+        reasons are shared across calls and with the scalar path."""
+        engine, handles, _ = _hot_population()
+        fresh_a, fresh_b = handles[1], handles[2]
+        seeded_a, seeded_b = handles[0], handles[4]
+        write = AccessKey.of("write", "log", "s1")
+        exec_s2 = AccessKey.of("exec", "rsw", "s2")
+        first = engine.decide_batch_many(
+            [(fresh_a, write), (fresh_b, write),
+             (seeded_a, exec_s2), (seeded_b, exec_s2)],
+            1.0,
+        )
+        assert [d.provenance.kind for d in first] == [
+            "granted", "granted", "spatial", "spatial"
+        ]
+        assert first[0] == dataclasses.replace(
+            first[1], subject_id=first[0].subject_id
+        )
+        assert first[0].provenance is first[1].provenance
+        assert first[2].provenance is first[3].provenance
+        later = engine.decide_batch_many([(fresh_a, write), (seeded_a, exec_s2)], 2.0)
+        scalar = engine.decide(fresh_b, write, 3.0, history=None)
+        denied = engine.decide(seeded_b, exec_s2, 3.0, history=None)
+        assert later[0].provenance.candidates is first[0].provenance.candidates
+        assert scalar.provenance.candidates is first[0].provenance.candidates
+        assert denied.provenance.failing is first[2].provenance.failing
+        assert denied.reason is first[2].reason
+        assert later[1].reason is first[2].reason
+
+    def test_scalar_decide_keeps_the_callers_access_key(self):
+        engine, handles, _ = _hot_population()
+        key = AccessKey("write", "log", "s3")
+        assert engine.decide(handles[1], key, 1.0, history=None).access is key
+        from_tuple = engine.decide(handles[1], ("write", "log", "s3"), 2.0)
+        assert from_tuple.access is AccessKey.of("write", "log", "s3")
