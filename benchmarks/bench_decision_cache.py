@@ -5,16 +5,21 @@ against one policy, so per-decision compilation and BFS satisfiability
 searches are pure waste: the policy is constant.  This benchmark
 measures the repeated-decision workload three ways:
 
-* **baseline** — the pre-change hot path: explicit history replay with
-  a fresh constraint compilation and an explicit BFS per decision
-  (``use_srac_caches=False``);
-* **cold** — the cached engine's very first decision, which pays the
-  one-off compile + live-set precomputation;
-* **warm** — the cached engine in incremental mode: one monitor step
-  plus an O(1) live-set membership per decision.
+* **baseline** — the pre-cache spatial check as an explicit loop: per
+  decision, a fresh constraint compilation
+  (``compile_constraint(..., cache=False)``), a replay of the history
+  plus the request, and a BFS over the request universe
+  (``satisfiable_extension_states(..., use_cache=False)``).  It skips
+  the engine's candidate lookup, decision building and audit, so it
+  is a lower bound on what an uncached engine would cost;
+* **cold** — the engine's very first decision, which pays the one-off
+  compile + live-set precomputation;
+* **warm** — the engine in incremental mode: one monitor step plus an
+  O(1) live-set membership per decision.
 
-Decisions are verified bit-identical between baseline and warm before
+The baseline's verdicts are verified equal to the warm engine's before
 any number is reported, and the engine's cache hit-rates are printed.
+The report is written to ``benchmarks/artifacts/BENCH_decision_cache.json``.
 
 Run:  pytest benchmarks/bench_decision_cache.py --benchmark-only
   or: python benchmarks/bench_decision_cache.py [--quick]
@@ -22,12 +27,17 @@ Run:  pytest benchmarks/bench_decision_cache.py --benchmark-only
 
 from __future__ import annotations
 
+import json
+import pathlib
 import time
 
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
 from repro.srac import reachability
+from repro.srac.ast import constraint_alphabet
+from repro.srac.checker import satisfiable_extension_states
+from repro.srac.monitors import compile_constraint
 from repro.srac.parser import parse_constraint
 from repro.traces.trace import AccessKey
 
@@ -38,6 +48,7 @@ from repro.traces.trace import AccessKey
 CONSTRAINT_SRC = (
     "count(0, 1000, [res = rsw]) & (exec rsw @ s0 >> exec rsw @ s1)"
 )
+CONSTRAINT = parse_constraint(CONSTRAINT_SRC)
 
 SERVERS = 5
 HISTORY_LEN = 200
@@ -45,8 +56,13 @@ HISTORY = tuple(
     AccessKey("exec", "rsw", f"s{i % SERVERS}") for i in range(HISTORY_LEN)
 )
 
+ARTIFACT = (
+    pathlib.Path(__file__).resolve().parent / "artifacts"
+    / "BENCH_decision_cache.json"
+)
 
-def _engine(use_srac_caches: bool):
+
+def _engine():
     policy = Policy()
     policy.add_user("u")
     policy.add_role("r")
@@ -55,12 +71,12 @@ def _engine(use_srac_caches: bool):
             "p",
             op="exec",
             resource="rsw",
-            spatial_constraint=parse_constraint(CONSTRAINT_SRC),
+            spatial_constraint=CONSTRAINT,
         )
     )
     policy.assign_user("u", "r")
     policy.assign_permission("r", "p")
-    engine = AccessControlEngine(policy, use_srac_caches=use_srac_caches)
+    engine = AccessControlEngine(policy)
     session = engine.authenticate("u", 0.0)
     engine.activate_role(session, "r", 0.0)
     return engine, session
@@ -70,17 +86,23 @@ def _request(i: int) -> tuple[str, str, str]:
     return ("exec", "rsw", f"s{i % SERVERS}")
 
 
-def decide_baseline(engine, session, n: int) -> list[bool]:
-    """Pre-change hot path: explicit history replay, fresh compile and
-    BFS per decision."""
-    clock = getattr(engine, "_bench_clock", 0.0)
+def decide_baseline(n: int) -> list[bool]:
+    """Pre-cache spatial check: fresh compile, explicit history replay
+    and BFS per decision, over the universe the engine uses (the
+    constraint's accesses plus the request)."""
     verdicts = []
     for i in range(n):
-        clock += 1.0
-        verdicts.append(
-            engine.decide(session, _request(i), clock, HISTORY).granted
+        access = AccessKey(*_request(i))
+        compiled = compile_constraint(CONSTRAINT, cache=False)
+        states = compiled.run(HISTORY + (access,))
+        universe = tuple(
+            dict.fromkeys((*constraint_alphabet(CONSTRAINT), access))
         )
-    engine._bench_clock = clock
+        verdicts.append(
+            satisfiable_extension_states(
+                compiled, states, universe, use_cache=False
+            )
+        )
     return verdicts
 
 
@@ -97,31 +119,31 @@ def decide_warm(engine, session, n: int) -> list[bool]:
     return verdicts
 
 
-def verify_identical(n: int = 50) -> None:
-    """Warm cached decisions must equal the uncached baseline's."""
-    baseline_engine, baseline_session = _engine(use_srac_caches=False)
-    warm_engine, warm_session = _engine(use_srac_caches=True)
+def verify_identical(n: int = 50) -> int:
+    """Warm engine verdicts must equal the baseline loop's.  Returns the
+    number of verdicts compared."""
+    warm_engine, warm_session = _engine()
     warm_session.observed = HISTORY
-    expected = decide_baseline(baseline_engine, baseline_session, n)
+    expected = decide_baseline(n)
     actual = decide_warm(warm_engine, warm_session, n)
     if expected != actual:
         raise AssertionError(
-            f"cached decisions diverge from the uncached path: "
+            f"cached decisions diverge from the uncached baseline: "
             f"{expected} != {actual}"
         )
+    return n
 
 
 def measure(n: int = 2000) -> dict:
     """Cold/warm/baseline timings plus hit-rates, as one report dict."""
-    verify_identical()
+    verified = verify_identical()
     reachability.clear_caches()
 
-    engine, session = _engine(use_srac_caches=False)
     start = time.perf_counter()
-    decide_baseline(engine, session, n)
+    decide_baseline(n)
     baseline_wall = time.perf_counter() - start
 
-    engine, session = _engine(use_srac_caches=True)
+    engine, session = _engine()
     session.observed = HISTORY
     start = time.perf_counter()
     decide_warm(engine, session, 1)
@@ -137,6 +159,9 @@ def measure(n: int = 2000) -> dict:
     spatial_checks = stats.live_hits + stats.live_fallbacks
     return {
         "n": n,
+        "history_len": HISTORY_LEN,
+        "servers": SERVERS,
+        "verified_identical": verified,
         "baseline_rate": n / baseline_wall,
         "cold_first_ms": cold_wall * 1e3,
         "warm_rate": n / warm_wall,
@@ -165,12 +190,11 @@ def print_report(report: dict) -> None:
 
 
 def bench_decision_baseline(benchmark):
-    engine, session = _engine(use_srac_caches=False)
-    benchmark(decide_baseline, engine, session, 100)
+    benchmark(decide_baseline, 100)
 
 
 def bench_decision_cached_warm(benchmark):
-    engine, session = _engine(use_srac_caches=True)
+    engine, session = _engine()
     session.observed = HISTORY
     decide_warm(engine, session, 1)  # warm the caches once
     benchmark(decide_warm, engine, session, 100)
@@ -189,6 +213,9 @@ def main() -> None:
     n = 300 if args.quick else 2000
     report = measure(n)
     print_report(report)
+    ARTIFACT.parent.mkdir(exist_ok=True)
+    ARTIFACT.write_text(json.dumps(report, indent=2, sort_keys=True))
+    print(f"wrote {ARTIFACT}")
     if args.quick:
         assert report["speedup"] > 1.5, (
             f"cached path should beat the baseline, got {report['speedup']:.2f}x"

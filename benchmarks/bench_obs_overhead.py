@@ -47,7 +47,7 @@ MAX_OVERHEAD = 0.05
 
 
 def _warm_engine():
-    engine, session = _engine(use_srac_caches=True)
+    engine, session = _engine()
     session.observed = HISTORY
     decide_warm(engine, session, 1)
     engine.prewarm([_request(i) for i in range(5)])

@@ -158,19 +158,14 @@ class AccessControlEngine:
         (Section 1).  Owner scope applies to incremental decisions
         (``history=None``), where the engine is the history's source of
         truth; explicit histories are always taken as given.
-    use_srac_caches:
-        Enable the shared compile cache and precomputed live sets on
-        the spatial hot path (the default).  ``False`` forces a fresh
-        compilation and explicit BFS per decision — the pre-cache
-        behaviour, kept for equivalence testing and as the baseline of
-        ``benchmarks/bench_decision_cache.py``.  Decisions are
-        bit-identical either way (property-tested).
-    record_timelines:
-        Record the per-tracker ``valid``/``active`` timeline events (the
-        default).  A bulk-opened row stores no events — its open-time
-        activation is implied — so recording costs :meth:`open_sessions`
-        nothing per row.  ``False`` drops the event arenas and makes
-        ``valid_timeline()`` raise.
+
+    The spatial check always runs through the shared compile cache and
+    precomputed live sets; only a monitor product over the
+    reachability budget falls back to the per-decision BFS (counted
+    as ``live_fallbacks``).  Every validity tracker records its
+    ``valid``/``active`` timeline events for the audit; a bulk-opened
+    row stores none — its open-time activation is implied — so
+    recording costs :meth:`open_sessions` nothing per row.
 
     Resident session state lives in the columnar
     :class:`~repro.rbac.session_store.SessionStore`: sessions returned
@@ -186,8 +181,6 @@ class AccessControlEngine:
         extension_alphabet: Iterable[AccessKey | tuple[str, str, str]] = (),
         classifier: PermissionClassifier | None = None,
         coordination_scope: str = "subject",
-        use_srac_caches: bool = True,
-        record_timelines: bool = True,
     ):
         if coordination_scope not in ("subject", "owner"):
             raise RbacError(
@@ -200,12 +193,11 @@ class AccessControlEngine:
         )
         self.classifier = classifier
         self.coordination_scope = coordination_scope
-        self.use_srac_caches = use_srac_caches
         self.audit = AuditLog()
         # Handles are views — the columns are the state — so dropping
         # every reference to a session does not lose it (the store
         # caches live handles per row; materialize() finds one by id).
-        self._store = SessionStore(scheme, record_timelines=record_timelines)
+        self._store = SessionStore(scheme)
         # Set by ShardedEngine so freshly minted handles carry their
         # routing stamp (routing is two attribute reads, with no
         # per-session route dict to grow beside the store).
@@ -369,15 +361,13 @@ class AccessControlEngine:
         """Authenticate ``user_name`` and establish a session (the
         paper's subject creation after certificate validation)."""
         user = self.policy.user(user_name)
-        subject = Subject(user, frozenset(principals) | {f"user:{user_name}"})
-        sid = subject.subject_id
-        seq: int | None = None
-        if sid.startswith("subject-"):
-            try:
-                seq = int(sid[8:])
-            except ValueError:  # pragma: no cover - exotic ids
-                seq = None
-        row = self._store.open(subject, t, next(_session_counter), subj_seq=seq)
+        seq = next(rbac_model._subject_counter)
+        subject = Subject(
+            user,
+            frozenset(principals) | {f"user:{user_name}"},
+            subject_id=f"subject-{seq}",
+        )
+        row = self._store.open(subject, t, next(_session_counter), seq)
         return self._handle(row, subject=subject)
 
     def _handle(self, row: int, subject: Subject | None = None) -> Session:
@@ -614,15 +604,13 @@ class AccessControlEngine:
             key = (owner, constraint)
             entry = self._owner_monitors.get(key)
             if entry is None:
-                compiled = compile_constraint(
-                    constraint, cache=self.use_srac_caches
-                )
+                compiled = compile_constraint(constraint)
                 entry = (compiled, compiled.run(self._owner_observed.get(owner, ())))
                 self._owner_monitors[key] = entry
             return entry
         entry = session.monitor_entry(constraint)
         if entry is None:
-            compiled = compile_constraint(constraint, cache=self.use_srac_caches)
+            compiled = compile_constraint(constraint)
             entry = session.init_monitor(constraint, compiled)
         return entry
 
@@ -1078,31 +1066,27 @@ class AccessControlEngine:
             if not targets:
                 # No request alphabet: still intern the compilation and
                 # the constraint's own-universe live set and table.
-                compiled = compile_constraint(
-                    constraint, cache=self.use_srac_caches
-                )
-                if self.use_srac_caches:
-                    universe = tuple(
-                        dict.fromkeys(
-                            (
-                                *constraint_alphabet(constraint),
-                                *self.extension_alphabet,
-                            )
+                compiled = compile_constraint(constraint)
+                universe = tuple(
+                    dict.fromkeys(
+                        (
+                            *constraint_alphabet(constraint),
+                            *self.extension_alphabet,
                         )
                     )
-                    live_set(compiled, universe)
-                    compile_table(constraint, universe)
+                )
+                live_set(compiled, universe)
+                compile_table(constraint, universe)
                 warmed += 1
                 continue
             for access in targets:
                 _compiled, universe, _live = self._extension_entry(
                     constraint, access
                 )
-                if self.use_srac_caches:
-                    # The vector sweep keys its table on exactly this
-                    # entry's universe — warming it here is what makes
-                    # the first batch table-cache-miss-free.
-                    self._extension_table(constraint, access, universe)
+                # The vector sweep keys its table on exactly this
+                # entry's universe — warming it here is what makes the
+                # first batch table-cache-miss-free.
+                self._extension_table(constraint, access, universe)
                 warmed += 1
         return warmed
 
@@ -1204,13 +1188,11 @@ class AccessControlEngine:
         """Compiled constraint, canonical request universe and
         precomputed live set for one (constraint, access) pair —
         computed once per engine, so a warm decision reduces the
-        spatial check to a set-membership lookup.  With
-        ``use_srac_caches=False`` the entry is rebuilt on every call —
-        the pre-cache behaviour the benchmarks use as their baseline."""
+        spatial check to a set-membership lookup."""
         key = (constraint, access)
         entry = self._extension_cache.get(key)
         if entry is None:
-            compiled = compile_constraint(constraint, cache=self.use_srac_caches)
+            compiled = compile_constraint(constraint)
             universe = tuple(
                 dict.fromkeys(
                     (
@@ -1220,12 +1202,8 @@ class AccessControlEngine:
                     )
                 )
             )
-            live = (
-                live_set(compiled, universe) if self.use_srac_caches else None
-            )
-            entry = (compiled, universe, live)
-            if self.use_srac_caches:
-                self._extension_cache[key] = entry
+            entry = (compiled, universe, live_set(compiled, universe))
+            self._extension_cache[key] = entry
         return entry
 
     def _extension_table(
@@ -1244,8 +1222,7 @@ class AccessControlEngine:
             return self._extension_tables[key]
         except KeyError:
             table = compile_table(constraint, universe)
-            if self.use_srac_caches:
-                self._extension_tables[key] = table
+            self._extension_tables[key] = table
             return table
 
     def _extendable(
@@ -1258,12 +1235,11 @@ class AccessControlEngine:
         """Can any word over ``universe`` drive ``states`` to
         acceptance?  Fast path: membership in the precomputed live set
         (O(1)); falls back to the bounded BFS when the monitor product
-        exceeds the reachability state budget or caching is disabled."""
+        exceeds the reachability state budget."""
         if live is not None:
             self._live_hits += 1
             return states in live
-        if self.use_srac_caches:
-            self._live_fallbacks += 1
+        self._live_fallbacks += 1
         return satisfiable_extension_states(
             compiled, states, universe, use_cache=False
         )

@@ -24,7 +24,8 @@ session down to a fixed set of scalar cells:
       alloc: 0 free, 1 allocated, 2 activated when the row was opened
       (its active-on / valid-on events at start_time are implied)
 
-    per compiled constraint (lazily created, one cell per row)
+    per compiled constraint (lazily created, one cell per row; none
+    for a product over MAX_MONITOR_PRODUCT)
       state i64  — the mixed-radix monitor-product encoding of
       :class:`repro.srac.compiled.TransitionTable` (same strides), so
       the vectorized sweep reads a ready-made table state id
@@ -52,9 +53,7 @@ when a timeline is actually requested.  A cell activated by a bulk
 open (:meth:`SessionStore.open_block`) stores no events: its
 active-on / valid-on pair at the row's start time is implied by
 ``alloc == 2`` and replayed ahead of the stored events, so recording
-timelines costs a bulk-opened row nothing.  Stores built with
-``record_timelines=False`` skip the arena entirely, at the price of
-``valid_timeline()`` raising :class:`~repro.errors.TemporalError`.
+timelines costs a bulk-opened row nothing.
 """
 
 from __future__ import annotations
@@ -97,6 +96,11 @@ _EV_VALID_ON = 3
 _CELL_FREE = 0
 _CELL_ALLOCATED = 1
 _CELL_OPEN_ACTIVE = 2  # activated at open; its first two events are implied
+
+#: Widest monitor product a store column encodes: every state id must
+#: fit the int64 cell.  A wider product keeps no column; its states are
+#: refolded from the row's observations whenever they are read.
+MAX_MONITOR_PRODUCT = 2**62
 
 
 def _check_duration(duration: float) -> None:
@@ -165,14 +169,13 @@ class _TrackerColumns:
         "dur",
         "durations",
         "_dur_codes",
-        "record_events",
         "ev_row",
         "ev_gen",
         "ev_time",
         "ev_kind",
     )
 
-    def __init__(self, capacity: int, record_events: bool):
+    def __init__(self, capacity: int):
         self.alloc = _Column(capacity, np.uint8)
         self.active = _Column(capacity, np.uint8)
         self.anchor = _Column(capacity, np.float64)
@@ -182,14 +185,10 @@ class _TrackerColumns:
         self.dur = _Column(capacity, np.int16, fill=-1)
         self.durations: list[float] = []
         self._dur_codes: dict[float, int] = {}
-        self.record_events = record_events
-        if record_events:
-            self.ev_row = _Arena(np.int32)
-            self.ev_gen = _Arena(np.int32)
-            self.ev_time = _Arena(np.float64)
-            self.ev_kind = _Arena(np.int8)
-        else:
-            self.ev_row = self.ev_gen = self.ev_time = self.ev_kind = None
+        self.ev_row = _Arena(np.int32)
+        self.ev_gen = _Arena(np.int32)
+        self.ev_time = _Arena(np.float64)
+        self.ev_kind = _Arena(np.int8)
 
     def columns(self) -> tuple[_Column, ...]:
         return (
@@ -216,11 +215,10 @@ class _TrackerColumns:
         return code
 
     def record(self, row: int, gen: int, kind: int, t: float) -> None:
-        if self.record_events:
-            self.ev_row.append(row)
-            self.ev_gen.append(gen)
-            self.ev_time.append(t)
-            self.ev_kind.append(kind)
+        self.ev_row.append(row)
+        self.ev_gen.append(gen)
+        self.ev_time.append(t)
+        self.ev_kind.append(kind)
 
     def replay(
         self, row: int, gen: int, start: float
@@ -230,11 +228,6 @@ class _TrackerColumns:
         the frozen timelines are identical.  A cell activated at open
         first replays the active-on / valid-on pair at the row's
         ``start`` time, in :meth:`ColumnTracker.activate`'s order."""
-        if not self.record_events:
-            raise TemporalError(
-                "timeline recording is disabled for this session store "
-                "(record_timelines=False)"
-            )
         valid = TimelineRecorder(initial=False)
         active = TimelineRecorder(initial=False)
         if self.alloc.data[row] == _CELL_OPEN_ACTIVE:
@@ -711,9 +704,8 @@ class SessionStore:
     observations, and compaction would invalidate live row links.
     """
 
-    def __init__(self, scheme: Scheme, record_timelines: bool = True):
+    def __init__(self, scheme: Scheme):
         self.scheme = scheme
-        self.record_timelines = record_timelines
         capacity = _INITIAL_ROWS
         self._start_time = _Column(capacity, np.float64)
         self._last_seen = _Column(capacity, np.float64, fill=-math.inf)
@@ -753,18 +745,12 @@ class SessionStore:
         self._role_set_codes: dict[frozenset, int] = {frozenset(): 0}
         self._symbols: list[AccessKey] = []
         self._symbol_codes: dict[AccessKey, int] = {}
-        # Rows whose subject was constructed with a non-sequential id
-        # (tests build exotic subjects); plain dict fallback.
-        self._odd_subjects: dict[int, Subject] = {}
         # Observation arena: linked list of interned symbol ids.
         self._obs_sym = _Arena(np.int32, fill=-1)
         self._obs_next = _Arena(np.int32, fill=-1)
         # Lazy column families.
         self._trackers: dict[str, _TrackerColumns] = {}
         self._monitors: dict[object, _MonitorColumn] = {}
-        # Monitor products too wide for an int64 encoding (astronomic;
-        # falls back to per-row state tuples).
-        self._odd_monitors: dict[int, dict[object, tuple]] = {}
         self._handles: "weakref.WeakValueDictionary[int, Session]" = (
             weakref.WeakValueDictionary()
         )
@@ -800,13 +786,12 @@ class SessionStore:
         total = sum(c.data.nbytes for c in self._row_columns)
         for tc in self._trackers.values():
             total += sum(c.data.nbytes for c in tc.columns())
-            if tc.record_events:
-                total += (
-                    tc.ev_row.data.nbytes
-                    + tc.ev_gen.data.nbytes
-                    + tc.ev_time.data.nbytes
-                    + tc.ev_kind.data.nbytes
-                )
+            total += (
+                tc.ev_row.data.nbytes
+                + tc.ev_gen.data.nbytes
+                + tc.ev_time.data.nbytes
+                + tc.ev_kind.data.nbytes
+            )
         for mc in self._monitors.values():
             total += mc.col.data.nbytes
         total += self._obs_sym.data.nbytes + self._obs_next.data.nbytes
@@ -874,9 +859,11 @@ class SessionStore:
         subject: Subject,
         t: float,
         sid_seq: int,
-        subj_seq: int | None = None,
+        subj_seq: int,
     ) -> int:
-        """Open a session row for ``subject`` at ``t``; returns the row."""
+        """Open a session row for ``subject`` at ``t``; returns the row.
+        ``subject.subject_id`` must be ``f"subject-{subj_seq}"``: the row
+        keeps only the number, and :meth:`subject_of` rebuilds the id."""
         row = self._alloc_row()
         self._start_time.data[row] = t
         self._last_seen.data[row] = t
@@ -891,11 +878,7 @@ class SessionStore:
         self._obs_tail.data[row] = -1
         self._obs_len.data[row] = 0
         self._obs_ver.data[row] = 0
-        if subj_seq is not None and subject.subject_id == f"subject-{subj_seq}":
-            self._subj_seq.data[row] = subj_seq
-        else:
-            self._subj_seq.data[row] = -1
-            self._odd_subjects[row] = subject
+        self._subj_seq.data[row] = subj_seq
         self._resident += 1
         return row
 
@@ -985,8 +968,6 @@ class SessionStore:
         self._obs_tail.data[row] = -1
         self._obs_len.data[row] = 0
         self._obs_ver.data[row] = 0
-        self._odd_subjects.pop(row, None)
-        self._odd_monitors.pop(row, None)
         for tc in self._trackers.values():
             tc.alloc.data[row] = _CELL_FREE
         for mc in self._monitors.values():
@@ -1001,9 +982,6 @@ class SessionStore:
         return self._handles.get(row)
 
     def subject_of(self, row: int) -> Subject:
-        odd = self._odd_subjects.get(row)
-        if odd is not None:
-            return odd
         return Subject(
             self._users[int(self._user_id.data[row])],
             self._principal_sets[int(self._principals_id.data[row])],
@@ -1127,29 +1105,19 @@ class SessionStore:
             value = int(mc.col.data[row])
             if value >= 0:
                 return (mc.compiled, mc.decode(value))
-        odd = self._odd_monitors.get(row)
-        if odd is not None:
-            return odd.get(constraint)
         return None
 
     def init_monitor(self, row: int, constraint, compiled) -> tuple:
         """Initialise a row's monitor cell by folding its observed
-        history."""
+        history.  A product over :data:`MAX_MONITOR_PRODUCT` gets no
+        column: the folded states are returned without being stored."""
         states = compiled.run(self.observed_list(row))
         mc = self._monitors.get(constraint)
         if mc is None:
-            product = 1
-            for monitor in compiled.monitors:
-                product *= monitor.size()
-            if product <= 2**62:
-                mc = _MonitorColumn(compiled, self.capacity)
-                self._monitors[constraint] = mc
-            else:  # pragma: no cover - astronomically wide products
-                self._odd_monitors.setdefault(row, {})[constraint] = (
-                    compiled,
-                    states,
-                )
+            if compiled.state_space() > MAX_MONITOR_PRODUCT:
                 return (compiled, states)
+            mc = _MonitorColumn(compiled, self.capacity)
+            self._monitors[constraint] = mc
         mc.col.data[row] = mc.encode(states)
         return (mc.compiled, states)
 
@@ -1173,27 +1141,21 @@ class SessionStore:
                 mc.col.data[row] = mc.encode(
                     mc.compiled.step(mc.decode(value), access)
                 )
-        odd = self._odd_monitors.get(row)
-        if odd is not None:
-            for constraint, (compiled, states) in list(odd.items()):
-                odd[constraint] = (compiled, compiled.step(states, access))
 
     def clear_monitor_row(self, row: int) -> None:
         for mc in self._monitors.values():
             mc.col.data[row] = -1
-        self._odd_monitors.pop(row, None)
 
     def clear_all_monitor_states(self) -> None:
         for mc in self._monitors.values():
             mc.col.data[:] = -1
-        self._odd_monitors.clear()
 
     # -- trackers ------------------------------------------------------------
 
     def _tracker_columns(self, key: str) -> _TrackerColumns:
         tc = self._trackers.get(key)
         if tc is None:
-            tc = _TrackerColumns(self.capacity, self.record_timelines)
+            tc = _TrackerColumns(self.capacity)
             self._trackers[key] = tc
         return tc
 

@@ -42,9 +42,9 @@ eligible for the vector path.  The caller then falls back to the
 scalar loop, which reproduces the exact scalar behaviour *including*
 mid-batch exceptions.  Ineligible batches: explicit histories,
 disclosed programs, ``observe_granted``, owner coordination scope,
-disabled SRAC caches, non-monotone time steps, query times behind a
-tracker's clock, monitor products over the table budgets, or an access
-outside a compiled alphabet (:class:`~repro.errors.AlphabetError`).
+non-monotone time steps, query times behind a tracker's clock, monitor
+products over the table budgets, or an access outside a compiled
+alphabet (:class:`~repro.errors.AlphabetError`).
 
 :func:`commit_sweep` applies the side effects: validity trackers of
 every examined candidate are created/advanced exactly as the scalar
@@ -193,7 +193,7 @@ def prepare_sweep(
     n = len(accesses)
     if n == 0:
         return PreparedSweep(engine, session)
-    if engine.coordination_scope != "subject" or not engine.use_srac_caches:
+    if engine.coordination_scope != "subject":
         return None
     if times[0] < session.start_time:
         return None

@@ -1,7 +1,8 @@
 """The compiled-constraint cache and coreachability precomputation:
-cached / precomputed decisions must be bit-identical to the uncached
-BFS path, caches must invalidate when the policy changes, and the
-counters must account for the hot path."""
+live-set verdicts must equal the uncached BFS path, engine decisions
+must agree with the definitions-level oracle (``tests/spec_oracle.py``),
+caches must invalidate when the policy changes, and the counters must
+account for the hot path."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from repro.srac.checker import (
 from repro.srac.monitors import compile_constraint
 from repro.srac.parser import parse_constraint
 from repro.traces.trace import AccessKey
+from tests.spec_oracle import spatial_ok
 
 ALPHABET = tuple(
     AccessKey(op, res, srv)
@@ -168,31 +170,27 @@ class TestEngineEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_cached_engine_matches_uncached(self, stream, constraint):
         """Decisions of the cached engine (live sets + interned
-        compilations) are bit-identical to the cache-free engine on
+        compilations) agree with the definitions-level spatial check
+        (``tests.spec_oracle.spatial_ok``, a DFA built without the
+        engine's monitors or caches) over the observed history, on
         random constraints and access streams."""
-
-        def engine_with(use_srac_caches):
-            policy = Policy()
-            policy.add_user("u")
-            policy.add_role("r")
-            policy.add_permission(Permission("p", spatial_constraint=constraint))
-            policy.assign_user("u", "r")
-            policy.assign_permission("r", "p")
-            engine = AccessControlEngine(policy, use_srac_caches=use_srac_caches)
-            session = engine.authenticate("u", 0.0)
-            engine.activate_role(session, "r", 0.0)
-            return engine, session
-
-        engine_a, session_a = engine_with(False)
-        engine_b, session_b = engine_with(True)
+        policy = Policy()
+        policy.add_user("u")
+        policy.add_role("r")
+        policy.add_permission(Permission("p", spatial_constraint=constraint))
+        policy.assign_user("u", "r")
+        policy.assign_permission("r", "p")
+        engine = AccessControlEngine(policy)
+        session = engine.authenticate("u", 0.0)
+        engine.activate_role(session, "r", 0.0)
+        observed: list[AccessKey] = []
         for i, triple in enumerate(stream):
             access = AccessKey(*triple)
-            plain = engine_a.decide(session_a, access, float(i), history=None)
-            cached = engine_b.decide(session_b, access, float(i), history=None)
-            assert plain.granted == cached.granted
-            if plain.granted:
-                engine_a.observe(session_a, access)
-                engine_b.observe(session_b, access)
+            decision = engine.decide(session, access, float(i), history=None)
+            assert decision.granted == spatial_ok(constraint, observed, access)
+            if decision.granted:
+                engine.observe(session, access)
+                observed.append(access)
 
     def test_decide_batch_matches_sequential(self):
         engine_a, session_a = make_engine()
@@ -355,8 +353,18 @@ class TestStatsAndPrewarm:
         assert engine.cache_stats().live_hits == 1
 
     def test_uncached_engine_reports_no_live_hits(self):
-        engine, session = make_engine(use_srac_caches=False)
-        engine.decide(session, ("exec", "rsw", "s1"), 0.0, history=None)
+        """A monitor product over the reachability budget has no live
+        set — the engine's only way into the per-decision BFS — and
+        every spatial check on it counts as a fallback, not a hit."""
+        engine, session = make_engine(
+            "count(50000, 100000, [res = rsw]) & ~(exec rsw @ s2)"
+        )
+        assert engine.decide(
+            session, ("exec", "rsw", "s1"), 0.0, history=None
+        ).granted
+        assert not engine.decide(
+            session, ("exec", "rsw", "s2"), 1.0, history=None
+        ).granted
         stats = engine.cache_stats()
         assert stats.live_hits == 0
-        assert stats.live_fallbacks == 0
+        assert stats.live_fallbacks == 2

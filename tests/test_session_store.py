@@ -31,7 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests.strategies as strategies
-from repro.errors import RbacError, TemporalError
+from repro.errors import RbacError
+from repro.rbac import session_store
 from repro.rbac.audit import Decision
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
@@ -40,7 +41,7 @@ from repro.service import DecisionService, ShardedEngine
 from repro.srac.parser import parse_constraint
 from repro.temporal.validity import Scheme, ValidityTracker
 from repro.traces.trace import AccessKey
-from tests.spec_oracle import SpecOracle, verdict
+from tests.spec_oracle import SpecOracle, spatial_ok, verdict
 
 COUNT_SRC = "count(0, 3, [res = r1])"
 
@@ -556,9 +557,9 @@ class TestAccessKeyInterning:
 
 
 class TestStoreMechanics:
-    def _engine(self, **kwargs):
+    def _engine(self):
         return AccessControlEngine(
-            _policy([parse_constraint(COUNT_SRC)], [4.0]), **kwargs
+            _policy([parse_constraint(COUNT_SRC)], [4.0])
         )
 
     def test_handles_are_cached_and_materializable(self):
@@ -621,18 +622,6 @@ class TestStoreMechanics:
         assert decision.provenance.kind == "no-candidate"
         assert engine.resident_sessions() == 0
 
-    def test_record_timelines_off_drops_event_arenas(self):
-        engine = self._engine(record_timelines=False)
-        session = engine.authenticate("u", 0.0)
-        engine.activate_role(session, "r", 0.0)
-        access = AccessKey.of("exec", "r1", "s1")
-        decision = engine.decide(session, access, 1.0, history=None)
-        assert decision.granted
-        (tracker,) = session.trackers.values()
-        assert tracker.is_valid(1.0)
-        with pytest.raises(TemporalError):
-            tracker.valid_timeline()
-
     def test_store_invalidation_on_policy_change(self):
         engine = self._engine()
         session = engine.authenticate("u", 0.0)
@@ -646,37 +635,58 @@ class TestStoreMechanics:
         decision = engine.decide(session, access, 3.0, history=None)
         assert decision.granted
 
+    def test_wide_monitor_product_stays_uncached(self, monkeypatch):
+        """A monitor product too wide for the int64 cell gets no store
+        column; its states are refolded from the row's observations on
+        every read.  With the limit at 1 every constraint takes that
+        path, and decide, observe and both batch calls still agree with
+        the oracle's spatial check — the sweep included."""
+        monkeypatch.setattr(session_store, "MAX_MONITOR_PRODUCT", 1)
+        constraints = [
+            parse_constraint("count(0, 1, [res = r1])"),
+            parse_constraint("~(exec r1 @ s2)"),
+        ]
+        engine = AccessControlEngine(_policy(constraints, [None, None]))
+        sessions = []
+        for _ in range(2):
+            session = engine.authenticate("u", 0.0)
+            engine.activate_role(session, "r", 0.0)
+            sessions.append(session)
+        histories: list[list[AccessKey]] = [[], []]
+
+        def expected(k, access):
+            return any(spatial_ok(c, histories[k], access) for c in constraints)
+
+        accesses = [AccessKey.of("exec", "r1", f"s{i % 3}") for i in range(6)]
+        for i, access in enumerate(accesses):
+            decision = engine.decide(sessions[0], access, 1.0 + i, history=None)
+            assert decision.granted == expected(0, access)
+            if decision.granted:
+                engine.observe(sessions[0], access)
+                histories[0].append(access)
+        batch = engine.decide_batch(sessions[0], accesses, 7.0, dt=1.0)
+        requests = [(sessions[i % 2], a) for i, a in enumerate(accesses)]
+        many = engine.decide_batch_many(requests, 13.0, dt=1.0)
+        assert [d.granted for d in batch] == [expected(0, a) for a in accesses]
+        assert [d.granted for d in many] == [
+            expected(i % 2, a) for i, a in enumerate(accesses)
+        ]
+        assert {d.granted for d in batch} == {True, False}
+        assert not engine._store._monitors
+        stats = engine.cache_stats()
+        assert (stats.vector_decisions, stats.vector_fallbacks) == (12, 0)
+
 
 class TestMemoryBudget:
-    def test_bytes_per_session_within_budget(self):
-        """The store gate, in miniature: marginal store overhead for a
-        bulk-opened population (timelines off, capacity reserved so
-        doubling slack is excluded) must stay within 200 B/session."""
+    N = 20_000
+
+    def _bulk_open(self):
+        """Bulk-open ``N`` sessions into a reserved store under
+        tracemalloc; return the engine, the rows and the marginal
+        traced / column bytes per session."""
         from repro.workloads.scale import ScaleSpec, build_policy
 
-        n = 20_000
-        spec = ScaleSpec(sessions=n, users=100, servers=8, requests=1)
-        engine = AccessControlEngine(build_policy(spec), record_timelines=False)
-        names = [f"u{i % spec.users:05d}" for i in range(n)]
-        engine._store.reserve(n)
-        gc.collect()
-        tracemalloc.start()
-        base, _ = tracemalloc.get_traced_memory()
-        rows = engine.open_sessions(names, 0.0, roles=("agent",))
-        current, _ = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert engine.resident_sessions() == n
-        traced = (current - base - rows.nbytes) / n
-        columns = engine._store.nbytes() / n
-        assert max(traced, columns) <= 200.0, (traced, columns)
-
-    def test_bytes_per_session_within_budget_with_timelines(self):
-        """The same gate on a default engine (timelines recorded): a
-        bulk-opened row's open-time timeline events are implied by the
-        row, not stored, so recording them costs it nothing."""
-        from repro.workloads.scale import ScaleSpec, build_policy
-
-        n = 20_000
+        n = self.N
         spec = ScaleSpec(sessions=n, users=100, servers=8, requests=1)
         engine = AccessControlEngine(build_policy(spec))
         names = [f"u{i % spec.users:05d}" for i in range(n)]
@@ -690,4 +700,29 @@ class TestMemoryBudget:
         assert engine.resident_sessions() == n
         traced = (current - base - rows.nbytes) / n
         columns = engine._store.nbytes() / n
+        return engine, rows, traced, columns
+
+    def test_bytes_per_session_within_budget(self):
+        """The store gate, in miniature: marginal store overhead for a
+        bulk-opened population (capacity reserved so doubling slack is
+        excluded) must stay within 200 B/session."""
+        _engine, _rows, traced, columns = self._bulk_open()
         assert max(traced, columns) <= 200.0, (traced, columns)
+
+    def test_bytes_per_session_within_budget_with_timelines(self):
+        """The same gate, with the timelines it pays for checked: a
+        bulk-opened row's open-time timeline events are implied by the
+        row, not stored, so the event arenas stay empty and the rows
+        still replay their open-time switches."""
+        engine, rows, traced, columns = self._bulk_open()
+        assert max(traced, columns) <= 200.0, (traced, columns)
+        arenas = list(engine._store._trackers.values())
+        assert arenas
+        assert all(tc.ev_row.count == 0 for tc in arenas)
+        for row in (rows[0], rows[-1]):
+            session = engine.session_at(row)
+            assert session.trackers
+            for tracker in session.trackers.values():
+                assert tracker.valid_timeline().switches.tolist() == [0.0]
+                assert tracker.active_timeline().switches.tolist() == [0.0]
+                assert tracker.valid_timeline().value_at(0.0)

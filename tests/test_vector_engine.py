@@ -12,9 +12,10 @@ decisions are *right* is checked against the definitions-level oracle
 in ``tests/test_spec_oracle.py``.)
 
 Ineligible batches must *fall back*, not fail: the fallback paths are
-driven both through configuration (owner scope, uncached SRAC,
-explicit history, ``observe_granted``) and through forced
-:class:`~repro.errors.AlphabetError` interning failures.
+driven both through configuration (owner scope, a product over the
+reachability budget, explicit history, ``observe_granted``) and
+through forced :class:`~repro.errors.AlphabetError` interning
+failures.
 
 The audit log keeps every decision, so what one decision retains is
 gated too (``TestRetainedDecisions``): bytes per swept and per scalar
@@ -54,7 +55,7 @@ def _norm(decision: Decision) -> Decision:
     return dataclasses.replace(decision, subject_id="")
 
 
-def _build_engines(permissions, durations, use_srac_caches=True):
+def _build_engines(permissions, durations):
     """One policy, two engines: the first takes batch calls, its twin
     replays the same requests through :func:`_decide_loop`."""
     policy = Policy()
@@ -75,7 +76,7 @@ def _build_engines(permissions, durations, use_srac_caches=True):
     policy.assign_user("u", "r")
     out = []
     for _ in range(2):
-        engine = AccessControlEngine(policy, use_srac_caches=use_srac_caches)
+        engine = AccessControlEngine(policy)
         session = engine.authenticate("u", 0.0)
         engine.activate_role(session, "r", 0.0)
         out.append((engine, session))
@@ -227,10 +228,11 @@ class TestFallbacks:
         assert stats.vector_decisions == 0
 
     def test_uncached_srac_falls_back_identically(self):
-        constraint = parse_constraint(COUNT_SRC)
-        vec, sc = _build_engines(
-            [constraint], [None], use_srac_caches=False
-        )
+        """A monitor product over the reachability budget has no live
+        set, so the sweep cannot take it: the batch falls back to the
+        scalar loop, whose spatial checks run the BFS."""
+        constraint = parse_constraint("count(0, 100000, [res = r1])")
+        vec, sc = _build_engines([constraint], [None])
         got = vec[0].decide_batch(vec[1], self._grant_batch(), t=1.0, dt=1.0)
         want = _decide_loop(sc[0], sc[1], self._grant_batch(), t=1.0, dt=1.0)
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
