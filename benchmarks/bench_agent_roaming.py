@@ -18,6 +18,15 @@ from repro.sral.ast import seq
 from repro.workloads.digraphs import coalition_topology
 
 
+def _run_closed(sim: Simulation):
+    """Run ``sim``, then close it and its coalition."""
+    try:
+        return sim.run()
+    finally:
+        sim.close()
+        sim.coalition.close()
+
+
 def _roamer(n_accesses: int, n_servers: int, name: str) -> Naplet:
     program = seq(
         *(
@@ -36,7 +45,7 @@ def bench_agents_scaling(benchmark, n_agents):
         sim = Simulation(coalition_topology(8))
         for i in range(n_agents):
             sim.add_naplet(_roamer(20, 8, f"agent{i}"), "s1")
-        return sim.run()
+        return _run_closed(sim)
 
     report = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert report.all_finished()
@@ -49,7 +58,7 @@ def bench_migration_churn(benchmark, n_servers):
     def run():
         sim = Simulation(coalition_topology(n_servers))
         sim.add_naplet(_roamer(3 * n_servers, n_servers, "hopper"), "s1")
-        return sim.run()
+        return _run_closed(sim)
 
     report = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert report.all_finished()
@@ -72,7 +81,7 @@ def bench_cloned_fanout(benchmark, k):
     def run():
         sim = Simulation(coalition_topology(n))
         sim.add_naplet(Naplet("owner", pattern, name="fan"), "s1")
-        return sim.run()
+        return _run_closed(sim)
 
     report = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     benchmark.extra_info["makespan"] = report.end_time
@@ -100,7 +109,7 @@ def bench_channel_pingpong(benchmark):
         sim = Simulation(coalition_topology(2))
         sim.add_naplet(ping_fresh(), "s1")
         sim.add_naplet(pong_fresh(), "s2")
-        return sim.run()
+        return _run_closed(sim)
 
     def ping_fresh():
         return Naplet("owner", ping.program, name="ping")

@@ -38,6 +38,7 @@ import json
 import pathlib
 import threading
 import time
+from contextlib import closing
 
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
@@ -149,18 +150,21 @@ def run_baseline(n: int, latency_s: float) -> float:
     access — the pre-service hot path.  Returns decisions/sec."""
     engine, sessions = _single_engine(_policy(), SESSIONS)
     clocks = [0.0] * len(sessions)
-    # Warm every session's monitor cache off the clock.
-    for k, session in enumerate(sessions):
-        clocks[k] += 1.0
-        engine.decide(session, _request(0), clocks[k], history=None)
-    start = time.perf_counter()
-    for i in range(n):
-        k = i % len(sessions)
-        clocks[k] += 1.0
-        engine.decide(sessions[k], _request(i), clocks[k], history=None)
-        if latency_s > 0:
-            time.sleep(latency_s)
-    return n / (time.perf_counter() - start)
+    try:
+        # Warm every session's monitor cache off the clock.
+        for k, session in enumerate(sessions):
+            clocks[k] += 1.0
+            engine.decide(session, _request(0), clocks[k], history=None)
+        start = time.perf_counter()
+        for i in range(n):
+            k = i % len(sessions)
+            clocks[k] += 1.0
+            engine.decide(sessions[k], _request(i), clocks[k], history=None)
+            if latency_s > 0:
+                time.sleep(latency_s)
+        return n / (time.perf_counter() - start)
+    finally:
+        engine.close()
 
 
 def run_service(
@@ -333,10 +337,11 @@ def verify_batched_identical(per_session: int = 30) -> None:
         max_batch=BATCH_MAX
     )
     engine, sessions = fresh()
-    direct_decisions = [
-        engine.decide(session, access, t, history=None)
-        for session, access, t in requests_for(sessions)
-    ]
+    with closing(engine):
+        direct_decisions = [
+            engine.decide(session, access, t, history=None)
+            for session, access, t in requests_for(sessions)
+        ]
     direct_audit = [list(shard.engine.audit) for shard in engine._shards]
 
     if not (batched_decisions == scalar_decisions == direct_decisions):
@@ -407,14 +412,15 @@ def verify_identical_outcomes(per_session: int = 40) -> None:
     sharded, sharded_sessions = _sharded_engine(_policy(constraint), 8)
 
     expected: dict[int, list[bool]] = {k: [] for k in range(len(single_sessions))}
-    for k, session in enumerate(single_sessions):
-        for i in range(per_session):
-            decision = single_engine.decide(
-                session, _request(i), float(i + 1), history=None
-            )
-            if decision.granted:
-                single_engine.observe(session, _request(i))
-            expected[k].append(decision.granted)
+    with closing(single_engine):
+        for k, session in enumerate(single_sessions):
+            for i in range(per_session):
+                decision = single_engine.decide(
+                    session, _request(i), float(i + 1), history=None
+                )
+                if decision.granted:
+                    single_engine.observe(session, _request(i))
+                expected[k].append(decision.granted)
 
     futures: dict[int, list] = {k: [] for k in range(len(sharded_sessions))}
     with DecisionService(sharded, workers=4, queue_depth=512) as service:

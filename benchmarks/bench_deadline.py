@@ -53,8 +53,13 @@ def _run(scheme: Scheme, n_edits: int, duration: float):
         on_denied="skip",
     )
     naplet = Naplet("editor", program, roles=("night-editor",))
-    sim.add_naplet(naplet, "b1")
-    sim.run()
+    try:
+        sim.add_naplet(naplet, "b1")
+        sim.run()
+    finally:
+        sim.close()
+        engine.close()
+        coalition.close()
     return naplet
 
 

@@ -123,9 +123,12 @@ def verify_identical(n: int = 50) -> int:
     """Warm engine verdicts must equal the baseline loop's.  Returns the
     number of verdicts compared."""
     warm_engine, warm_session = _engine()
-    warm_session.observed = HISTORY
-    expected = decide_baseline(n)
-    actual = decide_warm(warm_engine, warm_session, n)
+    try:
+        warm_session.observed = HISTORY
+        expected = decide_baseline(n)
+        actual = decide_warm(warm_engine, warm_session, n)
+    finally:
+        warm_engine.close()
     if expected != actual:
         raise AssertionError(
             f"cached decisions diverge from the uncached baseline: "
@@ -144,16 +147,19 @@ def measure(n: int = 2000) -> dict:
     baseline_wall = time.perf_counter() - start
 
     engine, session = _engine()
-    session.observed = HISTORY
-    start = time.perf_counter()
-    decide_warm(engine, session, 1)
-    cold_wall = time.perf_counter() - start
-    # Warm the remaining (constraint, access) entries the way a real
-    # server would: from its request alphabet, before traffic arrives.
-    engine.prewarm([_request(i) for i in range(SERVERS)])
-    start = time.perf_counter()
-    decide_warm(engine, session, n)
-    warm_wall = time.perf_counter() - start
+    try:
+        session.observed = HISTORY
+        start = time.perf_counter()
+        decide_warm(engine, session, 1)
+        cold_wall = time.perf_counter() - start
+        # Warm the remaining (constraint, access) entries the way a real
+        # server would: from its request alphabet, before traffic arrives.
+        engine.prewarm([_request(i) for i in range(SERVERS)])
+        start = time.perf_counter()
+        decide_warm(engine, session, n)
+        warm_wall = time.perf_counter() - start
+    finally:
+        engine.close()
 
     stats = engine.cache_stats()
     spatial_checks = stats.live_hits + stats.live_fallbacks
@@ -195,9 +201,12 @@ def bench_decision_baseline(benchmark):
 
 def bench_decision_cached_warm(benchmark):
     engine, session = _engine()
-    session.observed = HISTORY
-    decide_warm(engine, session, 1)  # warm the caches once
-    benchmark(decide_warm, engine, session, 100)
+    try:
+        session.observed = HISTORY
+        decide_warm(engine, session, 1)  # warm the caches once
+        benchmark(decide_warm, engine, session, 100)
+    finally:
+        engine.close()
 
 
 def main() -> None:

@@ -106,21 +106,26 @@ def _run(workload, drop: float, seed: int):
         faults=faults,
     )
     naplets = []
-    for owner, text, start in workload:
-        naplet = Naplet(owner, parse_program(text), roles=("member",))
-        naplets.append(naplet)
-        sim.add_naplet(naplet, start)
-    report = sim.run()
-    drained_at = sim.drain_propagation()
-    parked = len(sim.proof_batch.parked_destinations())
-    if sim.proof_batch.pending_count():
-        # Retry-exhausted batches: heal and drain explicitly (the
-        # operator's recovery path); convergence then happens at the
-        # drain time.
-        faults.heal(drained_at)
-        sim.proof_batch.flush(now=drained_at)
-    assert sim.proof_batch.pending_count() == 0
-    _assert_ledgers_complete(sim, naplets)
+    try:
+        for owner, text, start in workload:
+            naplet = Naplet(owner, parse_program(text), roles=("member",))
+            naplets.append(naplet)
+            sim.add_naplet(naplet, start)
+        report = sim.run()
+        drained_at = sim.drain_propagation()
+        parked = len(sim.proof_batch.parked_destinations())
+        if sim.proof_batch.pending_count():
+            # Retry-exhausted batches: heal and drain explicitly (the
+            # operator's recovery path); convergence then happens at the
+            # drain time.
+            faults.heal(drained_at)
+            sim.proof_batch.flush(now=drained_at)
+        assert sim.proof_batch.pending_count() == 0
+        _assert_ledgers_complete(sim, naplets)
+    finally:
+        sim.close()
+        engine.close()
+        coalition.close()
     lag = max(0.0, drained_at - report.end_time)
     return report, naplets, lag, parked, sim.proof_batch.stats()
 

@@ -162,6 +162,7 @@ def run_throughput(
     if stats.errors:
         raise AssertionError(f"service reported {stats.errors} errors")
     expected_epoch = max(0, 2 * joined - 1)
+    coalition.close()
     if coalition.membership_epoch != expected_epoch:
         raise AssertionError(
             f"expected epoch {expected_epoch} after {joined} join/leave "
@@ -278,6 +279,8 @@ def measure_convergence(
             f"bootstrap learned {bootstrap_learned} proofs but the peer "
             f"ledger held {peer_ledger}"
         )
+    batch.close()
+    coalition.close()
     lags.sort()
     return {
         "n_pre": n_pre,
@@ -400,6 +403,7 @@ def verify_no_overgrant(group: int = 8) -> dict:
             f"OVERGRANT: {post_grants}/{group} gated accesses were granted "
             "after the hub's eviction rescinded their justification"
         )
+    coalition.close()
     return {
         "group": group,
         "pre_eviction_gated_grants": pre_grants,

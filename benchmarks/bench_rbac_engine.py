@@ -16,6 +16,7 @@ Run:  pytest benchmarks/bench_rbac_engine.py --benchmark-only
 """
 
 import math
+from contextlib import closing
 
 import pytest
 
@@ -84,7 +85,10 @@ def _decide_many(engine, session, n=100):
 )
 def bench_decision_ablation(benchmark, label, spatial, temporal):
     engine, session = _engine(spatial, temporal)
-    granted = benchmark(_decide_many, engine, session)
+    try:
+        granted = benchmark(_decide_many, engine, session)
+    finally:
+        engine.close()
     assert granted == 100
     benchmark.extra_info["config"] = label
 
@@ -93,7 +97,10 @@ def bench_decision_ablation(benchmark, label, spatial, temporal):
 def bench_hierarchy_depth(benchmark, depth):
     """Permission lookup through a role chain of growing depth."""
     engine, session = _engine(spatial=False, temporal=False, hierarchy_depth=depth)
-    granted = benchmark(_decide_many, engine, session, 50)
+    try:
+        granted = benchmark(_decide_many, engine, session, 50)
+    finally:
+        engine.close()
     assert granted == 50
 
 
@@ -105,14 +112,14 @@ def bench_session_setup(benchmark):
     policy.add_permission(Permission("p"))
     policy.assign_user("u", "r")
     policy.assign_permission("r", "p")
-    engine = AccessControlEngine(policy)
+    with closing(AccessControlEngine(policy)) as engine:
 
-    def setup():
-        session = engine.authenticate("u", 0.0)
-        engine.activate_role(session, "r", 0.0)
-        engine.close_session(session, 0.0)
+        def setup():
+            session = engine.authenticate("u", 0.0)
+            engine.activate_role(session, "r", 0.0)
+            engine.close_session(session, 0.0)
 
-    benchmark(setup)
+        benchmark(setup)
 
 
 def _decide_many_incremental(engine, session, n=100):
@@ -135,5 +142,8 @@ def bench_decision_incremental(benchmark):
     """The session-monitor optimisation: spatial checking without
     replaying the proof chain (compare bench_decision_ablation[spatial])."""
     engine, session = _engine(spatial=True, temporal=False)
-    session.observed = HISTORY
-    benchmark(_decide_many_incremental, engine, session)
+    try:
+        session.observed = HISTORY
+        benchmark(_decide_many_incremental, engine, session)
+    finally:
+        engine.close()

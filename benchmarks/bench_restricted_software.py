@@ -8,6 +8,8 @@ growing histories.
 Run:  pytest benchmarks/bench_restricted_software.py --benchmark-only
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro.agent.naplet import Naplet, NapletStatus
@@ -63,7 +65,12 @@ def bench_full_scenario(benchmark):
 
     def run():
         sim, naplet = _scenario()
-        sim.run()
+        try:
+            sim.run()
+        finally:
+            sim.close()
+            sim.security.engine.close()
+            sim.coalition.close()
         return naplet
 
     naplet = benchmark(run)
@@ -75,25 +82,25 @@ def bench_full_scenario(benchmark):
 def bench_decision_vs_history_length(benchmark, history_len):
     """Per-decision cost as the carried history grows (the engine
     re-runs monitors over the proved trace)."""
-    engine = _engine()
-    session = engine.authenticate("trial-user", 0.0)
-    engine.activate_role(session, "trial", 0.0)
-    filler = tuple(
-        AccessKey("read", f"other{i % 7}", "s1") for i in range(history_len)
-    )
-    decision = benchmark(
-        engine.decide, session, ("exec", "rsw", "s2"), 1.0, filler
-    )
+    with closing(_engine()) as engine:
+        session = engine.authenticate("trial-user", 0.0)
+        engine.activate_role(session, "trial", 0.0)
+        filler = tuple(
+            AccessKey("read", f"other{i % 7}", "s1") for i in range(history_len)
+        )
+        decision = benchmark(
+            engine.decide, session, ("exec", "rsw", "s2"), 1.0, filler
+        )
     assert decision.granted  # no rsw accesses in the filler history
 
 
 def bench_denied_decision(benchmark):
     """Cost of the (permanent) denial decision itself."""
-    engine = _engine()
-    session = engine.authenticate("trial-user", 0.0)
-    engine.activate_role(session, "trial", 0.0)
-    history = (AccessKey("exec", "rsw", "s1"),) * 5
-    decision = benchmark(
-        engine.decide, session, ("exec", "rsw", "s2"), 1.0, history
-    )
+    with closing(_engine()) as engine:
+        session = engine.authenticate("trial-user", 0.0)
+        engine.activate_role(session, "trial", 0.0)
+        history = (AccessKey("exec", "rsw", "s1"),) * 5
+        decision = benchmark(
+            engine.decide, session, ("exec", "rsw", "s2"), 1.0, history
+        )
     assert not decision.granted

@@ -45,6 +45,7 @@ import pathlib
 import random
 import time
 import tracemalloc
+from contextlib import closing
 
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
@@ -130,13 +131,14 @@ def verify_identical(n: int = 300) -> int:
     ):
         vec_engine, vec_session = _engine(duration, src)
         sc_engine, sc_session = _engine(duration, src)
-        got = vec_engine.decide_batch(vec_session, accesses, t=1.0, dt=dt)
-        want, clock = [], 1.0
-        for access in accesses:
-            want.append(
-                sc_engine.decide(sc_session, access, clock, history=None)
-            )
-            clock += dt
+        with closing(vec_engine), closing(sc_engine):
+            got = vec_engine.decide_batch(vec_session, accesses, t=1.0, dt=dt)
+            want, clock = [], 1.0
+            for access in accesses:
+                want.append(
+                    sc_engine.decide(sc_session, access, clock, history=None)
+                )
+                clock += dt
         for a, b in zip(got, want):
             if _norm(a) != _norm(b):
                 raise AssertionError(
@@ -200,17 +202,19 @@ def rate_naive(n: int) -> float:
             engine.decide(session, _request(i), clock, history=None)
             clock += 0.001
 
-    return _best_rate(run, n)
+    with closing(engine):
+        return _best_rate(run, n)
 
 
 def rate_batch(n: int) -> float:
     engine, session = _engine()
     accesses = [_request(i) for i in range(n)]
     engine.decide_batch(session, accesses[:100], t=1.0)  # warm
-    return _best_rate(
-        lambda t0: engine.decide_batch(session, accesses, t=t0, dt=0.001),
-        n,
-    )
+    with closing(engine):
+        return _best_rate(
+            lambda t0: engine.decide_batch(session, accesses, t=t0, dt=0.001),
+            n,
+        )
 
 
 def rate_many(n: int, sessions: int = 8) -> float:
@@ -225,10 +229,11 @@ def rate_many(n: int, sessions: int = 8) -> float:
         (session_pool[i % sessions], _request(i)) for i in range(n)
     ]
     engine.decide_batch_many(requests[:100], t=1.0)  # warm
-    return _best_rate(
-        lambda t0: engine.decide_batch_many(requests, t=t0, dt=0.001),
-        n,
-    )
+    with closing(engine):
+        return _best_rate(
+            lambda t0: engine.decide_batch_many(requests, t=t0, dt=0.001),
+            n,
+        )
 
 
 #: Retained-bytes budgets per decision (the test suite's gates).
@@ -285,14 +290,16 @@ def retained_bytes_per_decision(n: int) -> dict[str, float]:
                 requests[lo:lo + 256], 0.0, times=times[lo:lo + 256]
             )
 
-    swept_b = _traced_bytes(swept, n)
+    with closing(engine):
+        swept_b = _traced_bytes(swept, n)
     engine, requests, times = _retention_stream(n)
 
     def scalar():
         for (session, access), t in zip(requests, times):
             engine.decide(session, access, t, history=None)
 
-    return {"swept": swept_b, "scalar": _traced_bytes(scalar, n)}
+    with closing(engine):
+        return {"swept": swept_b, "scalar": _traced_bytes(scalar, n)}
 
 
 def cold_compile_ms() -> float:
@@ -300,9 +307,10 @@ def cold_compile_ms() -> float:
     live-set precomputation + sweep of a tiny batch."""
     reachability.clear_caches()
     engine, session = _engine()
-    start = time.perf_counter()
-    engine.decide_batch(session, [_request(0)], t=1.0)
-    return (time.perf_counter() - start) * 1e3
+    with closing(engine):
+        start = time.perf_counter()
+        engine.decide_batch(session, [_request(0)], t=1.0)
+        return (time.perf_counter() - start) * 1e3
 
 
 def measure(n: int = 50_000) -> dict:

@@ -56,7 +56,12 @@ ARTIFACTS = pathlib.Path(__file__).resolve().parent / "artifacts"
 def run_with_metrics(name: str, fn) -> None:
     """Run one experiment with observability on and write its metrics
     sidecar (``METRICS_<name>.json``) when it finishes — even on
-    failure, so a crashed experiment still leaves its counters."""
+    failure, so a crashed experiment still leaves its counters.  Then
+    unregister every metrics collector the experiment registered, so
+    the components it left open neither count into the next sidecar
+    nor stay resident."""
+    before = obs.REGISTRY.collectors()  # held, so no id below is reused
+    kept = {id(collector) for collector in before}
     obs.reset()
     obs.enable()
     try:
@@ -67,6 +72,9 @@ def run_with_metrics(name: str, fn) -> None:
         sidecar = ARTIFACTS / f"METRICS_{name}.json"
         sidecar.write_text(json.dumps(obs.export(), indent=2, sort_keys=True))
         print(f"[obs] wrote {sidecar}")
+        for collector in obs.REGISTRY.collectors():
+            if id(collector) not in kept:
+                obs.REGISTRY.unregister_collector(collector)
 
 
 def timed(fn, *args, repeats=3, **kwargs):

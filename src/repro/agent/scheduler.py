@@ -217,11 +217,15 @@ class Simulation:
         self.unavailable_retries = 0
         REGISTRY.register_collector(self._collect_obs)
 
-    def __del__(self):
-        try:
-            REGISTRY.absorb(self._collect_obs())
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
+    def close(self) -> None:
+        """Leave the metrics registry and close what the simulation
+        built: its proof batcher and, under a fault plan, the batcher's
+        transport (not the caller's coalition).  Idempotent."""
+        REGISTRY.unregister_collector(self._collect_obs)
+        if self.proof_batch is not None:
+            self.proof_batch.close()
+            if self.faults is not None:
+                self.proof_batch.transport.close()
 
     def _collect_obs(self) -> dict[str, float]:
         """Pull-time metrics source (the scheduler is single-threaded;
@@ -474,6 +478,7 @@ class Simulation:
             other = event.make_coalition()
             servers = tuple(sorted(other.server_names()))
             self.coalition.merge(other, now=event.at)
+            other.close()  # built here; an absorbed shell from now on
             if lifecycle is not None:
                 for name in servers:
                     self.coalition.server(name).lifecycle = lifecycle

@@ -336,7 +336,11 @@ def run_audit(
         on_denied="skip",  # deadline expiry skips remaining modules
     )
     sim.add_naplet(naplet, graph.module((order or graph.locality_order())[0]).server)
-    report = sim.run()
+    try:
+        report = sim.run()
+    finally:
+        for component in (sim, engine, coalition):
+            component.close()
 
     # -- evaluate the audit ---------------------------------------------
     expected = {m.name: m.digest() for m in graph.modules()}

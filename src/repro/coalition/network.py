@@ -14,15 +14,15 @@ in force when they were issued, and an eviction records the epoch at
 which the departed server's proofs stop being admissible — decisions
 never consume proofs originating from a server evicted before the
 current epoch.  Components that cache topology (the proof-propagation
-batcher, the decision service) subscribe to membership events instead
-of freezing the coalition; :meth:`Coalition.freeze` remains available
-as an explicit permanent pin for static deployments.
+batcher, the decision service) subscribe to membership events, and
+unsubscribe when they are closed, instead of freezing the coalition;
+:meth:`Coalition.freeze` remains available as an explicit permanent
+pin for static deployments.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -114,10 +114,8 @@ class Coalition:
         self._evicted: dict[str, int] = {}
         #: names that departed gracefully (drained + handed off).
         self._departed: set[str] = set()
-        #: weak refs to membership listeners — the coalition outlives
-        #: most subscribers (batchers, services, simulations) and must
-        #: not pin them (or form __del__-hostile reference cycles).
-        self._listeners: list[weakref.ref] = []
+        #: membership listeners, held until they unsubscribe.
+        self._listeners: list[Callable[[MembershipEvent], None]] = []
         self._membership_lock = threading.RLock()
         self.joins = 0
         self.leaves = 0
@@ -130,11 +128,13 @@ class Coalition:
         self.signals = SignalTable()
         REGISTRY.register_collector(self._collect_obs)
 
-    def __del__(self):
-        try:
-            REGISTRY.absorb(self._collect_obs())
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
+    def close(self) -> None:
+        """Leave the metrics registry, with every member server (their
+        counters fold into its totals; the epoch gauge ends).
+        Idempotent."""
+        REGISTRY.unregister_collector(self._collect_obs)
+        for server in self._servers.values():
+            server.close()
 
     def _collect_obs(self) -> dict[str, float]:
         return {
@@ -161,7 +161,7 @@ class Coalition:
             raise CoalitionError(
                 f"coalition membership is frozen; cannot add {server.name!r}"
             )
-        if self._epoch > 0 or any(ref() is not None for ref in self._listeners):
+        if self._epoch > 0 or self._listeners:
             raise CoalitionError(
                 f"coalition membership is live; use join() to add {server.name!r}"
             )
@@ -173,25 +173,21 @@ class Coalition:
     def subscribe(self, listener: Callable[[MembershipEvent], None]) -> None:
         """Register a membership listener.  Listeners are called in
         subscription order, synchronously, while the membership lock is
-        held — they must not call back into membership mutation.  Only a
-        weak reference is kept (a ``WeakMethod`` for bound methods), so
-        subscribing never extends a component's lifetime; ``listener``
-        must otherwise be owned by its subscriber."""
-        make_ref = (
-            weakref.WeakMethod if hasattr(listener, "__self__") else weakref.ref
-        )
+        held — they must not call back into membership mutation.  The
+        coalition holds ``listener`` until :meth:`unsubscribe`."""
         with self._membership_lock:
-            self._listeners.append(make_ref(listener))
+            self._listeners.append(listener)
+
+    def unsubscribe(self, listener: Callable[[MembershipEvent], None]) -> None:
+        """Remove a listener added by :meth:`subscribe`; one that is
+        not subscribed is ignored."""
+        with self._membership_lock:
+            if listener in self._listeners:
+                self._listeners.remove(listener)
 
     def _notify(self, event: MembershipEvent) -> None:
-        live = []
-        for ref in self._listeners:
-            listener = ref()
-            if listener is None:
-                continue
-            live.append(ref)
+        for listener in list(self._listeners):
             listener(event)
-        self._listeners[:] = live
 
     def _check_mutable(self, action: str) -> None:
         if self._frozen:

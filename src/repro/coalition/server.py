@@ -78,11 +78,10 @@ class CoalitionServer:
         self.bootstrap_syncs = 0
         REGISTRY.register_collector(self._collect_obs)
 
-    def __del__(self):
-        try:
-            REGISTRY.absorb(self._collect_obs())
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
+    def close(self) -> None:
+        """Leave the metrics registry (the server's counters fold into
+        its totals).  Idempotent."""
+        REGISTRY.unregister_collector(self._collect_obs)
 
     def _collect_obs(self) -> dict[str, float]:
         """Pull-time metrics source (all counters below are mutated

@@ -69,11 +69,10 @@ class FaultyTransport:
         self.duplicates = 0
         REGISTRY.register_collector(self._collect_obs)
 
-    def __del__(self):
-        try:
-            REGISTRY.absorb(self._collect_obs())
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
+    def close(self) -> None:
+        """Leave the metrics registry (the transport's counters fold
+        into its totals).  Idempotent."""
+        REGISTRY.unregister_collector(self._collect_obs)
 
     def _collect_obs(self) -> dict[str, float]:
         """Pull-time metrics source (fault draws are single-threaded by

@@ -20,18 +20,19 @@ Components whose counters are already mutated under an exclusive lock
 of their own (the access-control engine runs under its shard lock) can
 avoid even that by registering a **collector** — a zero-argument
 callable returning ``{metric_name: value}`` that the registry invokes
-at :meth:`~MetricsRegistry.snapshot` time.  Collectors are held by
-weak reference so short-lived engines (tests, benchmarks) never leak.
+at :meth:`~MetricsRegistry.snapshot` time.  The registry holds each
+collector, and so its owner, until the owner's ``close()`` calls
+:meth:`~MetricsRegistry.unregister_collector`, which folds the final
+values in: counters keep counting in later snapshots, while the names
+in :data:`COLLECTED_GAUGES` (current values) end with their owner.
 Collected values of one name are summed across collectors, except the
-names in :data:`COLLECTED_GAUGES` (current values: a dead owner's are
-not kept) and :data:`COLLECTED_MAXIMA` (combined by ``max``).
+names in :data:`COLLECTED_MAXIMA` (combined by ``max``).
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-import weakref
 from typing import Callable, Iterable, Mapping
 
 from repro.concurrency import LockStripe
@@ -45,15 +46,15 @@ DEFAULT_BUCKETS = (
 
 
 #: Collected names that are current values of their owner (resident
-#: sessions, queued proofs, the membership epoch): summed over live
-#: collectors only, never absorbed from a dead one.
+#: sessions, queued proofs, the membership epoch): combined over
+#: registered collectors only, never kept from an unregistered one.
 COLLECTED_GAUGES = frozenset({
     "engine.sessions.resident", "engine.sessions.store_bytes",
     "proofbatch.pending", "proofbatch.parked", "coalition.membership_epoch",
 })
 
 #: Collected names combined by ``max`` rather than summed.
-COLLECTED_MAXIMA = frozenset({"engine.decide.max_s"})
+COLLECTED_MAXIMA = frozenset({"engine.decide.max_s", "coalition.membership_epoch"})
 
 
 def _combine(into: dict[str, float], name: str, value: float) -> None:
@@ -197,15 +198,11 @@ class MetricsRegistry:
 
     def __init__(self, stripes: int = 16):
         self._stripe = LockStripe(stripes)
-        # Reentrant: a garbage-collection pass triggered by an
-        # allocation *inside* a registry method can run component
-        # __del__s that call absorb() on this same thread.
-        self._table_lock = threading.RLock()
+        self._table_lock = threading.Lock()
         self._instruments: dict[tuple[str, str, tuple], object] = {}
-        self._collectors: list[weakref.ref] = []
-        # Final values of collectors whose owners have died (folded in
-        # via absorb()), so snapshots stay monotone across short-lived
-        # engines/batchers/simulations.
+        self._collectors: list[Callable[[], Mapping[str, float]]] = []
+        # Final values of unregistered collectors, so snapshots stay
+        # monotone across short-lived engines/batchers/simulations.
         self._absorbed: dict[str, float] = {}
 
     # -- instrument factories ----------------------------------------------
@@ -241,37 +238,31 @@ class MetricsRegistry:
     # -- collectors ---------------------------------------------------------
 
     def register_collector(self, fn: Callable[[], Mapping[str, float]]) -> None:
-        """Register a pull-time metrics source (weakly referenced, so
-        short-lived engines never leak).  Bound methods get a
-        ``WeakMethod`` — a plain ``ref`` to a bound method dies
-        immediately, since each attribute access creates a fresh method
-        object.  ``fn`` must otherwise be a long-lived callable — the
-        registry keeps no strong reference, so a local lambda would be
-        collected right away."""
-        make_ref = (
-            weakref.WeakMethod
-            if hasattr(fn, "__self__")
-            else weakref.ref
-        )
+        """Register a pull-time metrics source.  The registry holds
+        ``fn`` (and a bound method's owner) until
+        :meth:`unregister_collector`."""
         with self._table_lock:
-            self._collectors.append(make_ref(fn))
+            self._collectors.append(fn)
 
-    def unregister_collector(self, fn) -> None:
+    def unregister_collector(self, fn: Callable[[], Mapping[str, float]]) -> None:
+        """Stop pulling ``fn`` and fold its final values into the
+        registry's totals, so the counters it contributed survive it;
+        its gauges (:data:`COLLECTED_GAUGES`) end with it.  A collector
+        that is not registered is ignored, so an owner's ``close()``
+        may run twice."""
+        final = fn()
         with self._table_lock:
-            self._collectors = [
-                ref for ref in self._collectors
-                if ref() is not None and ref() != fn
-            ]
-
-    def absorb(self, values: Mapping[str, float]) -> None:
-        """Fold a dying collector's final values into the registry
-        (called from component ``__del__``s) so the totals it
-        contributed survive its garbage collection.  Its gauges
-        (:data:`COLLECTED_GAUGES`) die with it."""
-        with self._table_lock:
-            for k, v in values.items():
+            if fn not in self._collectors:
+                return
+            self._collectors.remove(fn)
+            for k, v in final.items():
                 if k not in COLLECTED_GAUGES:
                     _combine(self._absorbed, k, v)
+
+    def collectors(self) -> list[Callable[[], Mapping[str, float]]]:
+        """The registered collectors, oldest first (a copy)."""
+        with self._table_lock:
+            return list(self._collectors)
 
     # -- snapshot / reset -----------------------------------------------------
 
@@ -281,8 +272,7 @@ class MetricsRegistry:
         values under ``collected``."""
         with self._table_lock:
             items = list(self._instruments.items())
-            self._collectors = [r for r in self._collectors if r() is not None]
-            collectors = [r() for r in self._collectors]
+            collectors = list(self._collectors)
             collected: dict[str, float] = dict(self._absorbed)
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
         for (kind, name, labels), instrument in sorted(
@@ -290,8 +280,6 @@ class MetricsRegistry:
         ):
             out[kind + "s"][_render(name, labels)] = instrument._export()
         for fn in collectors:
-            if fn is None:
-                continue
             try:
                 pulled = fn()
             except Exception:  # pragma: no cover - defensive
@@ -306,9 +294,9 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Zero every instrument (instances stay bound at call sites)
-        and drop absorbed totals; collectors are pull-time views and
-        are left registered (their owners' counters are theirs to
-        reset)."""
+        and drop the totals of unregistered collectors; registered
+        collectors are pull-time views and stay registered (their
+        owners' counters are theirs to reset)."""
         with self._table_lock:
             items = list(self._instruments.values())
             self._absorbed.clear()

@@ -264,11 +264,11 @@ class AccessControlEngine:
         self._obs_denied_base = 0
         REGISTRY.register_collector(self._collect_obs)
 
-    def __del__(self):
-        try:
-            REGISTRY.absorb(self._collect_obs())
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
+    def close(self) -> None:
+        """Leave the metrics registry: the engine's counters fold into
+        its totals and its gauges end.  Idempotent.  The engine still
+        decides afterwards, but those decisions go uncounted."""
+        REGISTRY.unregister_collector(self._collect_obs)
 
     def _collect_obs(self) -> dict[str, float]:
         """Pull-time metrics source (summed across engines by the
@@ -404,7 +404,8 @@ class AccessControlEngine:
         return self._store.resident
 
     def close_session(self, session: Session, t: float) -> None:
-        """End a session: deactivate everything and release its row."""
+        """End a session: deactivate everything and free its row at
+        once; ``session`` then reads as a closed session."""
         for role in list(session.active_roles):
             self.deactivate_role(session, role.name, t)
         if session._store is self._store:
@@ -582,7 +583,6 @@ class AccessControlEngine:
         O(1) in history length.  Under owner scope the observation also
         counts against every companion session of the same user.
         Raises :class:`RbacError` on a closed session."""
-        session.require_open()
         access = AccessKey.of(access)
         session.record_observation(access)
         session.advance_monitors(access)

@@ -41,10 +41,15 @@ Scalar callers never see the columns: a :class:`Session` is a lazy
 against ``ValidityTracker`` in ``tests/test_session_store.py``, and
 decisions against the definitions-level oracle in
 ``tests/test_spec_oracle.py``).  Handles are cached per row in a
-``WeakValueDictionary``; when the last handle of a *closed* row dies, a
-``weakref.finalize`` hook returns the row to the free list (rows are
-generation-stamped so stale finalizers and stale handles can never
-free or mutate a recycled row).
+``WeakValueDictionary`` — a cache only: dropping every handle loses
+nothing.  Closing a session frees its row at once: the row's
+generation is bumped and its cached handle evicted, and the next open
+may reuse the row.  A handle or tracker view keeps the generation it
+was made for, and each accessor compares it with the row's once: a
+handle of an earlier generation reads as a closed session (no roles,
+trackers or history) and raises :class:`~repro.errors.RbacError` on
+every write, and a tracker view of an earlier generation raises on
+every method.
 
 Timeline recording (the audit ``valid``/``active`` state functions) is
 columnar too: events append to a per-tracker-key arena and are replayed
@@ -59,7 +64,6 @@ timelines costs a bulk-opened row nothing.
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, MutableSet
 
@@ -285,28 +289,33 @@ class ColumnTracker:
     view over one tracker cell.  Every method is a line-for-line port
     of ``ValidityTracker``'s closed-form accrual — the same float
     expressions in the same order — so states and recorded timelines
-    agree bit for bit.  The view pins its session handle (``_session``)
-    so the row cannot be recycled while the view is reachable, and
-    timeline replay reads the session's start time."""
+    agree bit for bit.  The view holds its store, not its session
+    handle, so it pins nothing; once the session is closed, every
+    method raises :class:`~repro.errors.RbacError`."""
 
-    __slots__ = ("_tc", "_row", "_gen", "_session", "scheme")
+    __slots__ = ("_tc", "_store", "_row", "_gen", "scheme")
 
     def __init__(
-        self,
-        tc: _TrackerColumns,
-        row: int,
-        gen: int,
-        scheme: Scheme,
-        session: "Session",
+        self, tc: _TrackerColumns, store: "SessionStore", row: int, gen: int
     ):
         self._tc = tc
+        self._store = store
         self._row = row
         self._gen = gen
-        self._session = session
-        self.scheme = scheme
+        self.scheme = store.scheme
+
+    def _cell(self) -> tuple[_TrackerColumns, int]:
+        """The view's columns and row, while its session is open."""
+        if self._store._gen.data.item(self._row) != self._gen:
+            raise RbacError("tracker of a closed session")
+        return self._tc, self._row
 
     @property
     def duration(self) -> float:
+        self._cell()
+        return self._duration()
+
+    def _duration(self) -> float:
         tc = self._tc
         return tc.durations[int(tc.dur.data[self._row])]
 
@@ -314,7 +323,7 @@ class ColumnTracker:
 
     def _pending_expiry(self) -> float:
         tc, row = self._tc, self._row
-        duration = self.duration
+        duration = self._duration()
         consumed0 = float(tc.consumed0.data[row])
         if math.isinf(duration) or consumed0 >= duration:
             return math.inf
@@ -322,7 +331,7 @@ class ColumnTracker:
 
     def _consumed_at(self, t: float) -> float:
         tc, row = self._tc, self._row
-        duration = self.duration
+        duration = self._duration()
         consumed0 = float(tc.consumed0.data[row])
         if not tc.active.data[row] or consumed0 >= duration:
             return consumed0
@@ -338,7 +347,7 @@ class ColumnTracker:
         if tc.active.data[row] and t >= float(tc.expiry.data[row]):
             expiry = float(tc.expiry.data[row])
             tc.record(row, self._gen, _EV_VALID_OFF, expiry)
-            tc.consumed0.data[row] = self.duration
+            tc.consumed0.data[row] = self._duration()
             tc.anchor.data[row] = expiry
             tc.expiry.data[row] = math.inf
         tc.now.data[row] = t
@@ -351,19 +360,19 @@ class ColumnTracker:
     # -- events ----------------------------------------------------------
 
     def activate(self, t: float) -> None:
-        tc, row = self._tc, self._row
+        tc, row = self._cell()
         self._advance(t)
         if tc.active.data[row]:
             return
         tc.active.data[row] = 1
         tc.record(row, self._gen, _EV_ACTIVE_ON, t)
         tc.anchor.data[row] = t
-        if float(tc.consumed0.data[row]) < self.duration:
+        if float(tc.consumed0.data[row]) < self._duration():
             tc.record(row, self._gen, _EV_VALID_ON, t)
         tc.expiry.data[row] = self._pending_expiry()
 
     def deactivate(self, t: float) -> None:
-        tc, row = self._tc, self._row
+        tc, row = self._cell()
         self._advance(t)
         if not tc.active.data[row]:
             return
@@ -374,7 +383,7 @@ class ColumnTracker:
         tc.record(row, self._gen, _EV_VALID_OFF, t)
 
     def migrate(self, t: float) -> None:
-        tc, row = self._tc, self._row
+        tc, row = self._cell()
         self._advance(t)
         if self.scheme is Scheme.PER_SERVER:
             tc.consumed0.data[row] = 0.0
@@ -386,12 +395,12 @@ class ColumnTracker:
     # -- queries ---------------------------------------------------------
 
     def state(self, t: float | None = None) -> PermissionState:
-        tc, row = self._tc, self._row
+        tc, row = self._cell()
         if t is not None:
             self._advance(t)
         if not tc.active.data[row]:
             return PermissionState.INACTIVE
-        if float(tc.consumed0.data[row]) >= self.duration:
+        if float(tc.consumed0.data[row]) >= self._duration():
             return PermissionState.ACTIVE_INVALID
         return PermissionState.VALID
 
@@ -399,17 +408,17 @@ class ColumnTracker:
         return self.state(t) is PermissionState.VALID
 
     def remaining_budget(self, t: float | None = None) -> float:
-        tc, row = self._tc, self._row
+        tc, row = self._cell()
         if t is not None:
             self._advance(t)
-        duration = self.duration
+        duration = self._duration()
         if math.isinf(duration):
             return math.inf
         return max(0.0, duration - self._consumed_at(float(tc.now.data[row])))
 
     def expiry_time(self) -> float | None:
-        tc, row = self._tc, self._row
-        duration = self.duration
+        tc, row = self._cell()
+        duration = self._duration()
         if not tc.active.data[row] or float(tc.consumed0.data[row]) >= duration:
             return None
         if math.isinf(duration):
@@ -419,10 +428,10 @@ class ColumnTracker:
     # -- compiled views (batched sweeps) ---------------------------------
 
     def profile(self) -> tuple[bool, float]:
-        tc, row = self._tc, self._row
+        tc, row = self._cell()
         if not tc.active.data[row]:
             return (False, math.inf)
-        if float(tc.consumed0.data[row]) >= self.duration:
+        if float(tc.consumed0.data[row]) >= self._duration():
             return (True, -math.inf)
         return (True, float(tc.expiry.data[row]))
 
@@ -450,21 +459,20 @@ class ColumnTracker:
 
     # -- audit -----------------------------------------------------------
 
+    def _replay(self) -> tuple[TimelineRecorder, TimelineRecorder]:
+        tc, row = self._cell()
+        return tc.replay(row, self._gen, float(self._store._start_time.data[row]))
+
     def valid_timeline(self) -> BooleanTimeline:
-        valid, _active = self._tc.replay(
-            self._row, self._gen, self._session.start_time
-        )
-        return valid.freeze()
+        return self._replay()[0].freeze()
 
     def active_timeline(self) -> BooleanTimeline:
-        _valid, active = self._tc.replay(
-            self._row, self._gen, self._session.start_time
-        )
-        return active.freeze()
+        return self._replay()[1].freeze()
 
     @property
     def now(self) -> float:
-        return float(self._tc.now.data[self._row])
+        tc, row = self._cell()
+        return float(tc.now.data[row])
 
 
 class _RoleSetView(MutableSet):
@@ -483,8 +491,7 @@ class _RoleSetView(MutableSet):
         return set(it)
 
     def _current(self) -> frozenset:
-        session = self._session
-        return session._store.role_set(session._row)
+        return self._session.role_set()
 
     def __contains__(self, role: object) -> bool:
         return role in self._current()
@@ -499,13 +506,13 @@ class _RoleSetView(MutableSet):
         current = self._current()
         if role not in current:
             session = self._session
-            session._store.set_role_set(session._row, current | {role})
+            session._store.set_role_set(session.require_open(), current | {role})
 
     def discard(self, role: Role) -> None:
         current = self._current()
         if role in current:
             session = self._session
-            session._store.set_role_set(session._row, current - {role})
+            session._store.set_role_set(session.require_open(), current - {role})
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{set(self._current())!r}"
@@ -513,7 +520,8 @@ class _RoleSetView(MutableSet):
 
 class _TrackerMap(Mapping):
     """``session.trackers``: tracker keys allocated for this row,
-    yielding cached :class:`ColumnTracker` views."""
+    yielding cached :class:`ColumnTracker` views (none once the session
+    is closed)."""
 
     __slots__ = ("_session", "_views")
 
@@ -521,22 +529,17 @@ class _TrackerMap(Mapping):
         self._session = session
         self._views: dict[str, ColumnTracker] = {}
 
-    def _view(self, key: str, tc: _TrackerColumns) -> ColumnTracker:
-        view = self._views.get(key)
-        if view is None:
-            session = self._session
-            view = ColumnTracker(
-                tc, session._row, session._gen, session._store.scheme, session
-            )
-            self._views[key] = view
-        return view
-
     def get(self, key: str, default=None):
         session = self._session
         tc = session._store._trackers.get(key)
-        if tc is None or not tc.alloc.data[session._row]:
+        if tc is None or not session._is_open() or not tc.alloc.data[session._row]:
             return default
-        return self._view(key, tc)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = ColumnTracker(
+                tc, session._store, session._row, session._gen
+            )
+        return view
 
     def __getitem__(self, key: str) -> ColumnTracker:
         view = self.get(key)
@@ -546,6 +549,8 @@ class _TrackerMap(Mapping):
 
     def __iter__(self) -> Iterator[str]:
         session = self._session
+        if not session._is_open():
+            return
         row = session._row
         for key, tc in session._store._trackers.items():
             if tc.alloc.data[row]:
@@ -553,11 +558,6 @@ class _TrackerMap(Mapping):
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
-
-    def __contains__(self, key: object) -> bool:
-        session = self._session
-        tc = session._store._trackers.get(key)
-        return tc is not None and bool(tc.alloc.data[session._row])
 
 
 class Session:
@@ -568,8 +568,12 @@ class Session:
     Handles are *views*: all state reads and writes go to the columns,
     so any number of materialisations of the same session observe the
     same state (the store caches one handle per row while referenced).
-    ``view_rebuilds`` counts ``observed`` tuple-view materialisations —
-    the regression meter for the memo-churn fix."""
+    Once the session is closed, the handle reads as a closed session —
+    no roles, trackers or history, and :meth:`touch` does nothing — and
+    every write raises :class:`~repro.errors.RbacError`, even after the
+    row has been reused.  ``view_rebuilds`` counts ``observed``
+    tuple-view materialisations — the regression meter for the
+    memo-churn fix."""
 
     __slots__ = (
         "_store",
@@ -605,13 +609,20 @@ class Session:
         self._shard_index: int | None = None
         self._router: object | None = None
 
-    def require_open(self) -> None:
-        """Raise :class:`~repro.errors.RbacError` once the session has
-        been closed (or its row recycled): a closed session must not be
-        re-armed with roles or fed observations."""
-        store, row = self._store, self._row
-        if not store._alive.data[row] or store._gen.data[row] != self._gen:
+    def _is_open(self) -> bool:
+        """Does the handle's generation still own its row?  Closing a
+        session bumps the row's generation.  (``item`` reads a Python
+        int, which compares faster than a numpy scalar.)"""
+        return self._store._gen.data.item(self._row) == self._gen
+
+    def require_open(self) -> int:
+        """The session's store row; raises
+        :class:`~repro.errors.RbacError` once the session has been
+        closed: a closed session must not be re-armed with roles or fed
+        observations."""
+        if not self._is_open():
             raise RbacError(f"session {self.session_id!r} is closed")
+        return self._row
 
     @property
     def active_roles(self) -> _RoleSetView:
@@ -622,7 +633,7 @@ class Session:
 
     @active_roles.setter
     def active_roles(self, roles: Iterable[Role]) -> None:
-        self._store.set_role_set(self._row, frozenset(roles))
+        self._store.set_role_set(self.require_open(), frozenset(roles))
 
     @property
     def trackers(self) -> _TrackerMap:
@@ -636,6 +647,8 @@ class Session:
         """Accesses the engine has observed for this session (fed by
         :meth:`~repro.rbac.engine.AccessControlEngine.observe`) — the
         basis of incremental spatial checking."""
+        if not self._is_open():
+            return ()
         ver = int(self._store._obs_ver.data[self._row])
         if self._observed_view is None or self._view_ver != ver:
             self._observed_view = tuple(self._store.observed_list(self._row))
@@ -645,42 +658,48 @@ class Session:
 
     @observed.setter
     def observed(self, value: Iterable[AccessKey | tuple[str, str, str]]) -> None:
-        self._store.set_observations(self._row, value)
+        self._store.set_observations(self.require_open(), value)
 
     def observed_len(self) -> int:
+        if not self._is_open():
+            return 0
         return int(self._store._obs_len.data[self._row])
 
     def record_observation(self, access: AccessKey) -> None:
-        self._store.append_observation(self._row, access)
+        self._store.append_observation(self.require_open(), access)
 
     def record_observations(self, accesses: Iterable[AccessKey]) -> None:
-        self._store.extend_observations(self._row, accesses)
+        self._store.extend_observations(self.require_open(), accesses)
 
     @property
     def last_seen(self) -> float:
+        if not self._is_open():
+            return -math.inf
         return float(self._store._last_seen.data[self._row])
 
     def touch(self, t: float) -> None:
         cells = self._store._last_seen.data
-        if t > cells[self._row]:
+        if self._is_open() and t > cells[self._row]:
             cells[self._row] = t
 
     def role_set(self) -> frozenset:
         """The interned active-role frozenset (no per-call copy)."""
+        if not self._is_open():
+            return frozenset()
         return self._store.role_set(self._row)
 
     def create_tracker(self, key: str, duration: float) -> ColumnTracker:
-        self._store.alloc_tracker(self._row, key, duration)
+        self._store.alloc_tracker(self.require_open(), key, duration)
         return self.trackers[key]
 
     def advance_monitors(self, access: AccessKey) -> None:
-        self._store.step_monitors_row(self._row, access)
+        self._store.step_monitors_row(self.require_open(), access)
 
     def monitor_entry(self, constraint):
-        return self._store.monitor_entry(self._row, constraint)
+        return self._store.monitor_entry(self.require_open(), constraint)
 
     def init_monitor(self, constraint, compiled):
-        return self._store.init_monitor(self._row, constraint, compiled)
+        return self._store.init_monitor(self.require_open(), constraint, compiled)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -694,9 +713,7 @@ class SessionStore:
 
     All mutation happens on the owning engine's thread (under the shard
     lock in sharded deployments) — the store inherits the engine's
-    threading contract.  The only cross-thread touch point is the
-    garbage collector running handle finalizers, so the free list and
-    the generation column are guarded by ``_free_lock``.
+    threading contract, and needs no lock of its own.
 
     ``set_observations`` (the ``observed`` setter / churn rescind path)
     rebuilds a row's log at the arena tail and orphans the old nodes:
@@ -755,7 +772,6 @@ class SessionStore:
             weakref.WeakValueDictionary()
         )
         self._free: list[int] = []
-        self._free_lock = threading.Lock()
         self._n = 0  # high-water row mark
         self._resident = 0
 
@@ -845,9 +861,8 @@ class SessionStore:
     # -- rows ----------------------------------------------------------------
 
     def _alloc_row(self) -> int:
-        with self._free_lock:
-            if self._free:
-                return self._free.pop()
+        if self._free:
+            return self._free.pop()
         row = self._n
         if row >= self.capacity:
             self._grow_to(max(row + 1, self.capacity * 2))
@@ -935,39 +950,19 @@ class SessionStore:
         return rows
 
     def close(self, row: int, gen: int) -> None:
-        """Mark a row closed; it is recycled once the last handle dies
-        (immediately when none exists)."""
-        with self._free_lock:
-            if int(self._gen.data[row]) != gen or not self._alive.data[row]:
-                return
-            self._alive.data[row] = 0
-            self._resident -= 1
-            if self._handles.get(row) is None:
-                self._free_row_locked(row)
-
-    def _on_handle_dead(self, row: int, gen: int) -> None:
-        """weakref.finalize hook: recycle a closed row when its last
-        handle is collected.  Generation-checked, so a handle from a
-        previous occupancy of the row is a no-op."""
-        with self._free_lock:
-            if int(self._gen.data[row]) == gen and not self._alive.data[row]:
-                self._free_row_locked(row)
-
-    def _free_row_locked(self, row: int) -> None:
-        """Reset a row and return it to the free list.  Caller holds
-        ``_free_lock``.  The generation bump invalidates every stale
-        handle, view and pending finalizer for the old occupancy."""
+        """Close the row's ``gen`` occupancy and free the row at once:
+        the generation bump turns every handle and tracker view of the
+        occupancy into a closed session's, and the cached handle is
+        evicted so the row's next occupant gets a fresh one.  The row
+        columns keep their values until :meth:`open` rewrites them all;
+        tracker and monitor cells are freed here.  A stale ``gen`` (the
+        session is already closed) is a no-op."""
+        if int(self._gen.data[row]) != gen:
+            return
+        self._handles.pop(row, None)
+        self._resident -= 1
+        self._alive.data[row] = 0
         self._gen.data[row] += 1
-        self._sid_seq.data[row] = -1
-        self._subj_seq.data[row] = -1
-        self._user_id.data[row] = -1
-        self._principals_id.data[row] = -1
-        self._role_set_id.data[row] = 0
-        self._last_seen.data[row] = -math.inf
-        self._obs_head.data[row] = -1
-        self._obs_tail.data[row] = -1
-        self._obs_len.data[row] = 0
-        self._obs_ver.data[row] = 0
         for tc in self._trackers.values():
             tc.alloc.data[row] = _CELL_FREE
         for mc in self._monitors.values():
@@ -976,7 +971,6 @@ class SessionStore:
 
     def register_handle(self, row: int, handle: Session) -> None:
         self._handles[row] = handle
-        weakref.finalize(handle, self._on_handle_dead, row, handle._gen)
 
     def handle_for(self, row: int) -> Session | None:
         return self._handles.get(row)

@@ -134,11 +134,12 @@ class ProofBatch:
         coalition.subscribe(self._on_membership)
         REGISTRY.register_collector(self._collect_obs)
 
-    def __del__(self):
-        try:
-            REGISTRY.absorb(self._collect_obs())
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
+    def close(self) -> None:
+        """Unsubscribe from the coalition's membership events and leave
+        the metrics registry (counters fold into its totals, gauges
+        end).  Idempotent.  Pending proofs are not flushed."""
+        self.coalition.unsubscribe(self._on_membership)
+        REGISTRY.unregister_collector(self._collect_obs)
 
     def _collect_obs(self) -> dict[str, float]:
         """Pull-time metrics source (the counters above are mutated

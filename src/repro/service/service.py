@@ -1084,12 +1084,19 @@ class DecisionService:
     # -- lifecycle ----------------------------------------------------------------
 
     def shutdown(self, wait: bool = True) -> None:
+        """Refuse new requests, stop the workers and unsubscribe from
+        the coalition; with ``wait``, once the workers have finished,
+        close the engine too.  Idempotent."""
         self._closed = True
+        if self.coalition is not None:
+            self.coalition.unsubscribe(self._on_membership)
         self._idle_stop.set()
         if self._idle_thread is not None and wait:
             self._idle_thread.join()
             self._idle_thread = None
         self._executor.shutdown(wait=wait)
+        if wait:
+            self.engine.close()
 
     def __enter__(self) -> "DecisionService":
         return self

@@ -87,6 +87,11 @@ class ShardedEngine:
             shard.engine.shard_index = shard.index
             shard.engine.router_token = self._token
 
+    def close(self) -> None:
+        """Close every shard engine.  Idempotent."""
+        for shard in self._shards:
+            shard.engine.close()
+
     # -- routing --------------------------------------------------------------
 
     @property

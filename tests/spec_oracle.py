@@ -282,6 +282,7 @@ class SpecOracle:
         for role in sorted(self.sessions[sid].roles):
             self.deactivate(sid, role, t)
         self.sessions[sid].closed = True
+        self.sessions[sid].history = []
 
     def rescind(self, server: str) -> None:
         for state in self.sessions.values():

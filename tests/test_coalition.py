@@ -369,7 +369,36 @@ class TestCoalition:
         # join() is the supported path, and the batcher tracks it.
         c.join(CoalitionServer("s9"))
         assert "s9" in batch._pending
-        assert batch is not None  # keep the listener alive to here
+
+    @pytest.mark.parametrize("component", ["proof-batch", "service"])
+    def test_closing_a_listener_unsubscribes_it(self, component):
+        """A listener leaves when its component closes (a proof batcher
+        by ``close()``, a decision service by ``shutdown()``), not when
+        it is collected: founder-time add_server works again at epoch 0
+        while the component is still referenced, and a later join no
+        longer reaches it."""
+        from repro.rbac.policy import Policy
+        from repro.service import DecisionService, ShardedEngine
+        from repro.service.batching import ProofBatch
+
+        c = self.make_coalition()
+        if component == "proof-batch":
+            listener = ProofBatch(c)
+            close = listener.close
+        else:
+            listener = DecisionService(
+                ShardedEngine(Policy(), shards=1), workers=1, coalition=c
+            )
+            close = listener.shutdown
+        with pytest.raises(CoalitionError, match="live.*join"):
+            c.add_server(CoalitionServer("s8"))
+        close()
+        close()
+        c.add_server(CoalitionServer("s8"))
+        assert c.membership_epoch == 0
+        c.join(CoalitionServer("s9"))
+        assert c.membership_epoch == 1
+        assert listener.membership_events == 0
 
     def test_freeze_pins_dynamic_membership(self):
         c = self.make_coalition()

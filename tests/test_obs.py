@@ -10,7 +10,6 @@ only ever counts and times.
 
 from __future__ import annotations
 
-import gc
 import threading
 
 import pytest
@@ -45,17 +44,12 @@ from tests.test_service_concurrency import SERVERS, make_policy, random_workload
 @pytest.fixture(autouse=True)
 def _obs_clean():
     """Every test starts and ends with observability off and empty.
-
-    ``gc.collect()`` first: engines that earlier tests left unreachable
-    but not yet collected would otherwise still feed the registry's
-    collectors, so the counts would depend on when the collector last
-    ran."""
+    (Components earlier tests left open were unregistered when those
+    tests ended, by ``tests/conftest.py``.)"""
     obs.disable()
-    gc.collect()
     obs.reset()
     yield
     obs.disable()
-    gc.collect()
     obs.reset()
 
 
@@ -116,18 +110,28 @@ class TestMetricsRegistry:
         assert reg.snapshot()["counters"]["c"] == 1
 
     def test_bound_method_collector_lives_with_owner(self):
+        """A collector reports until it is unregistered, whether or not
+        anything else still references its owner."""
+
         class Owner:
+            value = 42
+
             def collect(self):
-                return {"owner.value": 42}
+                return {"owner.value": self.value}
 
         reg = MetricsRegistry()
         owner = Owner()
         reg.register_collector(owner.collect)
-        # A bound method must survive registration (WeakMethod): a
-        # plain weakref to `owner.collect` would die immediately.
         assert reg.snapshot()["collected"] == {"owner.value": 42}
         del owner
-        assert "collected" not in reg.snapshot()
+        assert reg.snapshot()["collected"] == {"owner.value": 42}
+        (collect,) = reg.collectors()
+        collect.__self__.value = 50
+        assert reg.snapshot()["collected"] == {"owner.value": 50}
+        reg.unregister_collector(collect)
+        assert reg.collectors() == []
+        collect.__self__.value = 99  # no longer pulled
+        assert reg.snapshot()["collected"] == {"owner.value": 50}
 
     def test_collectors_sum_duplicate_keys(self):
         class Shard:
@@ -145,22 +149,35 @@ class TestMetricsRegistry:
 
     def test_absorb_preserves_dead_collector_totals(self):
         reg = MetricsRegistry()
-        reg.absorb({"engine.decisions": 5})
-        reg.absorb({"engine.decisions": 3})
+        for n in (5, 3):
+            reg.register_collector(lambda n=n: {"engine.decisions": n})
+        for fn in reg.collectors():
+            reg.unregister_collector(fn)
         assert reg.snapshot()["collected"]["engine.decisions"] == 8
         reg.reset()
         assert "collected" not in reg.snapshot()
 
     def test_unregister_collector(self):
+        """Unregistering keeps the final counters, ends the gauges and
+        stops pulling the collector; a second unregister is a no-op."""
+
         class Owner:
+            value = 1
+
             def collect(self):
-                return {"x": 1}
+                return {"x": self.value, "proofbatch.pending": 7}
 
         reg = MetricsRegistry()
         owner = Owner()
         reg.register_collector(owner.collect)
+        owner.value = 3
+        assert reg.snapshot()["collected"] == {"proofbatch.pending": 7, "x": 3}
         reg.unregister_collector(owner.collect)
-        assert "collected" not in reg.snapshot()
+        owner.value = 100
+        assert reg.collectors() == []
+        assert reg.snapshot()["collected"] == {"x": 3}
+        reg.unregister_collector(owner.collect)
+        assert reg.snapshot()["collected"] == {"x": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +331,9 @@ class TestEngineObservability:
 
 class TestCollectedGaugesAndMaxima:
     def test_dead_engine_gauges_are_not_absorbed(self):
-        """A garbage-collected engine's resident sessions and store
-        bytes die with it; only its counters are kept."""
-        gc.collect()
+        """A closed engine's resident sessions and store bytes end with
+        it, though the engine is still referenced; only its counters
+        are kept."""
         before = REGISTRY.snapshot().get("collected", {})
         engine, session = _fresh_engine(count_bound=5)
         engine.open_sessions(["u"] * 1000, 0.0, roles=["r"])
@@ -325,22 +342,46 @@ class TestCollectedGaugesAndMaxima:
         assert live["engine.sessions.resident"] == (
             before.get("engine.sessions.resident", 0) + 1001
         )
-        del engine, session
-        gc.collect()
+        engine.close()
         after = REGISTRY.snapshot().get("collected", {})
         for gauge in ("engine.sessions.resident", "engine.sessions.store_bytes"):
             assert after.get(gauge, 0) == before.get(gauge, 0), gauge
         assert after["engine.decisions"] == before.get("engine.decisions", 0) + 1
+        engine.close()
+        assert REGISTRY.snapshot().get("collected", {}) == after
 
     def test_decide_max_combines_by_max_not_sum(self):
         engine = ShardedEngine(make_policy(), shards=2)
         for shard, max_s in zip(engine._shards, (0.5, 2.0)):
             shard.engine._obs_decide_max_s = max_s
         assert REGISTRY.snapshot()["collected"]["engine.decide.max_s"] == 2.0
-        # A dead engine's maximum still counts, combined by max too.
-        REGISTRY.absorb({"engine.decide.max_s": 3.0})
-        REGISTRY.absorb({"engine.decide.max_s": 1.0})
+        # A closed engine's maximum still counts, combined by max too.
+        for max_s in (3.0, 1.0):
+            closed = AccessControlEngine(make_policy())
+            closed._obs_decide_max_s = max_s
+            closed.close()
         assert REGISTRY.snapshot()["collected"]["engine.decide.max_s"] == 3.0
+
+    def test_membership_epoch_combines_by_max(self):
+        """The epoch gauge of several open coalitions is the highest
+        one; a closed coalition's epoch ends with it."""
+        from repro.coalition import Coalition, CoalitionServer
+
+        coalitions = []
+        for joins in (2, 5):
+            coalition = Coalition([CoalitionServer("s0")])
+            for i in range(joins):
+                coalition.join(CoalitionServer(f"s{i + 1}"))
+            coalitions.append(coalition)
+        collected = REGISTRY.snapshot()["collected"]
+        assert collected["coalition.membership_epoch"] == 5
+        assert collected["coalition.joins"] == 7
+        coalitions[1].close()
+        collected = REGISTRY.snapshot()["collected"]
+        assert collected["coalition.membership_epoch"] == 2
+        assert collected["coalition.joins"] == 7
+        coalitions[0].close()
+        assert "coalition.membership_epoch" not in REGISTRY.snapshot()["collected"]
 
 
 class TestProvenance:

@@ -26,6 +26,7 @@ import gc
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -388,8 +389,6 @@ class TestBulkOpen:
         closed = bulk_engine.session_at(rows[1])
         row, gen = closed._row, closed._gen
         bulk_engine.close_session(closed, 2.0)
-        del closed
-        gc.collect()
         recycled = bulk_engine.authenticate("u", 3.0)
         assert (recycled._row, recycled._gen) == (row, gen + 1)
         twin = scalar_engine.authenticate("u", 3.0)
@@ -582,15 +581,13 @@ class TestStoreMechanics:
         row, gen = first._row, first._gen
         sid = first.session_id
         engine.close_session(first, 1.0)
-        # Freeing is deferred while a handle is live (views pin it);
-        # dropping the last reference recycles the row.
-        del first
-        gc.collect()
+        # Closing frees the row at once, though ``first`` is still held.
         second = engine.authenticate("u", 2.0)
         assert second._row == row
         assert second._gen == gen + 1
         assert second.start_time == 2.0
         assert second.observed == ()
+        assert first.observed == ()
         with pytest.raises(RbacError):
             engine.materialize(sid)
 
@@ -621,6 +618,110 @@ class TestStoreMechanics:
         assert not decision.granted
         assert decision.provenance.kind == "no-candidate"
         assert engine.resident_sessions() == 0
+
+    def test_stale_handle_reads_closed_and_cannot_write(self):
+        """A closed session's handle and tracker view, held while its
+        row is reused: the handle reads as a closed session, each of its
+        writes and each method of the view raises, and every decide path
+        denies it with no candidate over an empty history — leaving the
+        row's new occupant exactly as its twin in a second engine."""
+        engine, twin_engine = self._engine(), self._engine()
+        access = AccessKey.of("exec", "r1", "s1")
+        a = engine.authenticate("u", 0.0)
+        engine.activate_role(a, "r", 0.0)
+        engine.observe(a, access)
+        (key,) = a.trackers
+        view = a.trackers[key]
+        row, gen = a._row, a._gen
+        engine.close_session(a, 1.0)
+        b = engine.authenticate("u", 2.0)
+        assert (b._row, b._gen) == (row, gen + 1)
+        twin = twin_engine.authenticate("u", 2.0)
+        for eng, session in ((engine, b), (twin_engine, twin)):
+            eng.activate_role(session, "r", 2.0)
+            eng.observe(session, access)
+
+        def state(session):
+            return (
+                session.observed,
+                session.role_set(),
+                session.last_seen,
+                {
+                    k: (
+                        tracker.state(),
+                        tracker.now,
+                        tracker.valid_timeline(),
+                        tracker.active_timeline(),
+                    )
+                    for k, tracker in session.trackers.items()
+                },
+            )
+
+        assert state(b) == state(twin)
+        role = engine.policy.role("r")
+        writes = [
+            lambda: engine.activate_role(a, "r", 3.0),
+            lambda: engine.observe(a, access),
+            lambda: a.record_observation(access),
+            lambda: a.record_observations([access]),
+            lambda: setattr(a, "observed", [access]),
+            lambda: a.active_roles.add(role),
+            lambda: setattr(a, "active_roles", {role}),
+            lambda: a.create_tracker(key, 4.0),
+        ]
+        for write in writes:
+            with pytest.raises(RbacError):
+                write()
+        view_calls = {
+            "duration": lambda: view.duration,
+            "activate": lambda: view.activate(3.0),
+            "deactivate": lambda: view.deactivate(3.0),
+            "migrate": lambda: view.migrate(3.0),
+            "state": lambda: view.state(3.0),
+            "is_valid": lambda: view.is_valid(),
+            "remaining_budget": lambda: view.remaining_budget(),
+            "expiry_time": lambda: view.expiry_time(),
+            "profile": lambda: view.profile(),
+            "breakpoints": lambda: view.breakpoints(),
+            "state_codes_at": lambda: view.state_codes_at(np.array([3.0])),
+            "valid_timeline": lambda: view.valid_timeline(),
+            "active_timeline": lambda: view.active_timeline(),
+            "now": lambda: view.now,
+        }
+        public = {n for n in dir(view) if not n.startswith("_")} - {"scheme"}
+        assert public == set(view_calls)
+        for name, call in view_calls.items():
+            with pytest.raises(RbacError):
+                call()
+        assert a.observed == () and a.observed_len() == 0
+        assert a.role_set() == frozenset() and not a.active_roles
+        assert dict(a.trackers) == {} and key not in a.trackers
+        a.touch(50.0)
+        engine.close_session(a, 3.0)
+        assert engine.resident_sessions() == 1
+        assert state(b) == state(twin)
+
+        def assert_closed(decisions):
+            for decision in decisions:
+                assert not decision.granted
+                assert decision.provenance.kind == "no-candidate"
+                assert decision.provenance.history_len == 0
+
+        assert_closed([engine.decide(a, access, 3.0, history=None)])
+        assert_closed(engine.decide_batch(a, [access] * 3, 3.0, dt=0.5))
+        many = engine.decide_batch_many(
+            [(a, access), (b, access), (a, access), (b, access)], 4.0, dt=0.5
+        )
+        assert_closed(many[0::2])
+        expected = twin_engine.decide_batch_many(
+            [(twin, access), (twin, access)], 0.0, times=[4.5, 5.5]
+        )
+        assert [_norm(d) for d in many[1::2]] == [_norm(d) for d in expected]
+        assert [d.granted for d in expected] == [True, True]
+        assert [_norm(engine.decide(b, access, 6.5, history=None))] == [
+            _norm(twin_engine.decide(twin, access, 6.5, history=None))
+        ]
+        assert state(b) == state(twin)
 
     def test_store_invalidation_on_policy_change(self):
         engine = self._engine()
