@@ -5,14 +5,14 @@ fixed policy: the same (access, candidate) spatial verdicts, the same
 piecewise-constant validity functions, evaluated one interpreted
 Python decision at a time.  The vectorized sweep
 (:mod:`repro.rbac.vector_engine` over :mod:`repro.srac.compiled`)
-lowers that loop onto dense transition tables and breakpoint arrays:
+lowers that loop onto dense transition tables and validity cells:
 
 * **naive** — the pre-batch hot path: one :meth:`decide` call per
   request (warm caches, incremental mode);
 * **vector batch** — :meth:`decide_batch` on the compiled tables:
-  one gather per (access, candidate), one ``searchsorted`` per
-  (candidate, group), memoised ``Decision`` prototypes, per-request
-  cost = one clone;
+  one gather per (access, candidate), one ``ts >= expiry`` compare
+  per (candidate, group), memoised ``Decision`` prototypes,
+  per-request cost = one clone;
 * **multi-session sweep** — :meth:`decide_batch_many` over an
   interleaved stream from many sessions (the sharded drain shape).
 

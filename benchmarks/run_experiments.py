@@ -313,7 +313,7 @@ def exp_service() -> None:
         print_report,
     )
 
-    report = measure(n=1000, baseline_n=200, latency_ms=2.0)
+    report = measure(n=1000, baseline_n=200, latency_ms=2.0, batched_n=56_000)
     print_report(report)
     ARTIFACT.parent.mkdir(exist_ok=True)
     import json as _json

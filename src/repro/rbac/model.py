@@ -82,7 +82,7 @@ class Permission:
     def __post_init__(self) -> None:
         if not self.name:
             raise RbacError("permission name must be non-empty")
-        if self.validity_duration <= 0:
+        if not self.validity_duration > 0:  # NaN is refused too
             raise RbacError(
                 f"permission {self.name!r}: validity duration must be positive"
             )

@@ -17,7 +17,8 @@ session down to a fixed set of scalar cells:
       user_id      i32   principals_id i32  role_set_id i32
       obs_head/obs_tail/obs_len/obs_ver     i32 (observation list)
 
-    per tracker key (lazily created, one cell per row)
+    per tracker key (lazily created, one cell per row; a
+    repro.temporal.validity.TrackerCells)
       alloc u8  active u8  anchor f64  consumed0 f64  expiry f64
       now f64   dur i16 (index into the key's distinct durations)
       + an append-only timeline event arena (row, gen, time, kind)
@@ -35,12 +36,12 @@ session down to a fixed set of scalar cells:
 
 Scalar callers never see the columns: a :class:`Session` is a lazy
 **handle** over one row — its ``trackers`` mapping yields
-:class:`ColumnTracker` views that replay
-:class:`repro.temporal.validity.ValidityTracker`'s closed-form accrual
-*expression for expression* against the columns (checked step by step
-against ``ValidityTracker`` in ``tests/test_session_store.py``, and
-decisions against the definitions-level oracle in
-``tests/test_spec_oracle.py``).  Handles are cached per row in a
+:class:`ColumnTracker` views, which are
+:class:`repro.temporal.validity.ValidityTracker` itself over the row's
+tracker cells (checked step by step against the definitions-level
+oracle's Eq. 4.1 integral in ``tests/test_session_store.py``, and
+decisions against the same oracle in ``tests/test_spec_oracle.py``).
+Handles are cached per row in a
 ``WeakValueDictionary`` — a cache only: dropping every handle loses
 nothing.  Closing a session frees its row at once: the row's
 generation is bumped and its cached handle evicted, and the next open
@@ -57,8 +58,8 @@ through a real :class:`~repro.temporal.timeline.TimelineRecorder` only
 when a timeline is actually requested.  A cell activated by a bulk
 open (:meth:`SessionStore.open_block`) stores no events: its
 active-on / valid-on pair at the row's start time is implied by
-``alloc == 2`` and replayed ahead of the stored events, so recording
-timelines costs a bulk-opened row nothing.
+``alloc == TrackerCells.OPEN_ACTIVE`` and replayed ahead of the stored
+events, so recording timelines costs a bulk-opened row nothing.
 """
 
 from __future__ import annotations
@@ -69,15 +70,16 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, MutableSet
 
 import numpy as np
 
-from repro.errors import RbacError, TemporalError
+from repro.errors import RbacError
 from repro.rbac.model import Role, Subject, User
-from repro.temporal.timeline import BooleanTimeline, TimelineRecorder
+from repro.temporal.timeline import TimelineRecorder
 from repro.temporal.validity import (
-    CODE_ACTIVE_INVALID,
-    CODE_INACTIVE,
-    CODE_VALID,
-    PermissionState,
+    Arena,
+    Column,
     Scheme,
+    TrackerCells,
+    ValidityTracker,
+    check_duration,
 )
 from repro.traces.trace import AccessKey
 
@@ -88,171 +90,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SessionStore", "Session", "ColumnTracker"]
 
 _INITIAL_ROWS = 64
-_INITIAL_ARENA = 256
-
-# Timeline event kinds (per tracker-key event arena).
-_EV_ACTIVE_OFF = 0
-_EV_ACTIVE_ON = 1
-_EV_VALID_OFF = 2
-_EV_VALID_ON = 3
-
-# Tracker cell ``alloc`` values.
-_CELL_FREE = 0
-_CELL_ALLOCATED = 1
-_CELL_OPEN_ACTIVE = 2  # activated at open; its first two events are implied
 
 #: Widest monitor product a store column encodes: every state id must
 #: fit the int64 cell.  A wider product keeps no column; its states are
 #: refolded from the row's observations whenever they are read.
 MAX_MONITOR_PRODUCT = 2**62
-
-
-def _check_duration(duration: float) -> None:
-    if duration <= 0:
-        raise TemporalError(f"validity duration must be positive, got {duration}")
-
-
-class _Column:
-    """One growable numpy column (capacity doubling, stable dtype)."""
-
-    __slots__ = ("data", "fill")
-
-    def __init__(self, capacity: int, dtype, fill=0):
-        self.fill = fill
-        self.data = np.full(capacity, fill, dtype=dtype)
-
-    def grow(self, capacity: int) -> None:
-        old = self.data
-        if capacity <= old.size:
-            return
-        new = np.full(capacity, self.fill, dtype=old.dtype)
-        new[: old.size] = old
-        self.data = new
-
-
-class _Arena:
-    """An append-only growable numpy array with an element count."""
-
-    __slots__ = ("data", "count", "fill")
-
-    def __init__(self, dtype, fill=0, capacity: int = _INITIAL_ARENA):
-        self.data = np.full(capacity, fill, dtype=dtype)
-        self.count = 0
-        self.fill = fill
-
-    def _ensure(self, extra: int) -> None:
-        need = self.count + extra
-        if need > self.data.size:
-            capacity = max(need, self.data.size * 2)
-            new = np.full(capacity, self.fill, dtype=self.data.dtype)
-            new[: self.count] = self.data[: self.count]
-            self.data = new
-
-    def append(self, value) -> int:
-        self._ensure(1)
-        index = self.count
-        self.data[index] = value
-        self.count = index + 1
-        return index
-
-
-class _TrackerColumns:
-    """Column set for one tracker key: closed-form accrual cells plus
-    the timeline event arena.  The cell fields mirror
-    :class:`~repro.temporal.validity.ValidityTracker`'s slots one for
-    one (``dur`` indirects through the key's distinct durations so the
-    cell stays 2 bytes instead of a float column)."""
-
-    __slots__ = (
-        "alloc",
-        "active",
-        "anchor",
-        "consumed0",
-        "expiry",
-        "now",
-        "dur",
-        "durations",
-        "_dur_codes",
-        "ev_row",
-        "ev_gen",
-        "ev_time",
-        "ev_kind",
-    )
-
-    def __init__(self, capacity: int):
-        self.alloc = _Column(capacity, np.uint8)
-        self.active = _Column(capacity, np.uint8)
-        self.anchor = _Column(capacity, np.float64)
-        self.consumed0 = _Column(capacity, np.float64)
-        self.expiry = _Column(capacity, np.float64, fill=math.inf)
-        self.now = _Column(capacity, np.float64)
-        self.dur = _Column(capacity, np.int16, fill=-1)
-        self.durations: list[float] = []
-        self._dur_codes: dict[float, int] = {}
-        self.ev_row = _Arena(np.int32)
-        self.ev_gen = _Arena(np.int32)
-        self.ev_time = _Arena(np.float64)
-        self.ev_kind = _Arena(np.int8)
-
-    def columns(self) -> tuple[_Column, ...]:
-        return (
-            self.alloc,
-            self.active,
-            self.anchor,
-            self.consumed0,
-            self.expiry,
-            self.now,
-            self.dur,
-        )
-
-    def dur_code(self, duration: float) -> int:
-        duration = float(duration)
-        code = self._dur_codes.get(duration)
-        if code is None:
-            code = len(self.durations)
-            if code > 32000:  # pragma: no cover - pathological policies
-                raise RbacError(
-                    "too many distinct validity durations for one tracker key"
-                )
-            self.durations.append(duration)
-            self._dur_codes[duration] = code
-        return code
-
-    def record(self, row: int, gen: int, kind: int, t: float) -> None:
-        self.ev_row.append(row)
-        self.ev_gen.append(gen)
-        self.ev_time.append(t)
-        self.ev_kind.append(kind)
-
-    def replay(
-        self, row: int, gen: int, start: float
-    ) -> tuple[TimelineRecorder, TimelineRecorder]:
-        """Re-run this row's recorded events through fresh recorders —
-        the exact ``set`` call sequence a ``ValidityTracker`` makes, so
-        the frozen timelines are identical.  A cell activated at open
-        first replays the active-on / valid-on pair at the row's
-        ``start`` time, in :meth:`ColumnTracker.activate`'s order."""
-        valid = TimelineRecorder(initial=False)
-        active = TimelineRecorder(initial=False)
-        if self.alloc.data[row] == _CELL_OPEN_ACTIVE:
-            active.set(start, True)
-            valid.set(start, True)
-        n = self.ev_row.count
-        rows = self.ev_row.data[:n]
-        gens = self.ev_gen.data[:n]
-        mask = (rows == row) & (gens == gen)
-        for i in np.nonzero(mask)[0].tolist():
-            kind = int(self.ev_kind.data[i])
-            t = float(self.ev_time.data[i])
-            if kind == _EV_VALID_ON:
-                valid.set(t, True)
-            elif kind == _EV_VALID_OFF:
-                valid.set(t, False)
-            elif kind == _EV_ACTIVE_ON:
-                active.set(t, True)
-            else:
-                active.set(t, False)
-        return valid, active
 
 
 class _MonitorColumn:
@@ -272,7 +114,7 @@ class _MonitorColumn:
         for i in range(len(self.sizes) - 2, -1, -1):
             strides[i] = strides[i + 1] * self.sizes[i + 1]
         self.strides = tuple(strides)
-        self.col = _Column(capacity, np.int64, fill=-1)
+        self.col = Column(capacity, np.int64, fill=-1)
 
     def encode(self, states: tuple[int, ...]) -> int:
         return int(sum(s * stride for s, stride in zip(states, self.strides)))
@@ -284,19 +126,18 @@ class _MonitorColumn:
         )
 
 
-class ColumnTracker:
-    """A :class:`~repro.temporal.validity.ValidityTracker`-compatible
-    view over one tracker cell.  Every method is a line-for-line port
-    of ``ValidityTracker``'s closed-form accrual — the same float
-    expressions in the same order — so states and recorded timelines
-    agree bit for bit.  The view holds its store, not its session
-    handle, so it pins nothing; once the session is closed, every
-    method raises :class:`~repro.errors.RbacError`."""
+class ColumnTracker(ValidityTracker):
+    """The :class:`~repro.temporal.validity.ValidityTracker` of one
+    store row: the same accrual code, over the row's cell in the
+    store's :class:`~repro.temporal.validity.TrackerCells` for its
+    tracker key.  The view holds its store, not its session handle, so
+    it pins nothing; once the session is closed, every method raises
+    :class:`~repro.errors.RbacError`."""
 
-    __slots__ = ("_tc", "_store", "_row", "_gen", "scheme")
+    __slots__ = ("_store",)
 
     def __init__(
-        self, tc: _TrackerColumns, store: "SessionStore", row: int, gen: int
+        self, tc: TrackerCells, store: "SessionStore", row: int, gen: int
     ):
         self._tc = tc
         self._store = store
@@ -304,175 +145,22 @@ class ColumnTracker:
         self._gen = gen
         self.scheme = store.scheme
 
-    def _cell(self) -> tuple[_TrackerColumns, int]:
-        """The view's columns and row, while its session is open."""
+    def _cell(self) -> tuple[TrackerCells, int]:
+        """The view's cells and row, while its session is open."""
         if self._store._gen.data.item(self._row) != self._gen:
             raise RbacError("tracker of a closed session")
         return self._tc, self._row
 
-    @property
-    def duration(self) -> float:
-        self._cell()
-        return self._duration()
-
-    def _duration(self) -> float:
-        tc = self._tc
-        return tc.durations[int(tc.dur.data[self._row])]
-
-    # -- internal clock (ports of ValidityTracker) -----------------------
-
-    def _pending_expiry(self) -> float:
-        tc, row = self._tc, self._row
-        duration = self._duration()
-        consumed0 = float(tc.consumed0.data[row])
-        if math.isinf(duration) or consumed0 >= duration:
-            return math.inf
-        return float(tc.anchor.data[row]) + (duration - consumed0)
-
-    def _consumed_at(self, t: float) -> float:
-        tc, row = self._tc, self._row
-        duration = self._duration()
-        consumed0 = float(tc.consumed0.data[row])
-        if not tc.active.data[row] or consumed0 >= duration:
-            return consumed0
-        if t >= float(tc.expiry.data[row]):
-            return duration
-        return consumed0 + (t - float(tc.anchor.data[row]))
-
-    def _advance(self, t: float) -> None:
-        tc, row = self._tc, self._row
-        now = float(tc.now.data[row])
-        if t < now:
-            raise TemporalError(f"event at {t} is before current time {now}")
-        if tc.active.data[row] and t >= float(tc.expiry.data[row]):
-            expiry = float(tc.expiry.data[row])
-            tc.record(row, self._gen, _EV_VALID_OFF, expiry)
-            tc.consumed0.data[row] = self._duration()
-            tc.anchor.data[row] = expiry
-            tc.expiry.data[row] = math.inf
-        tc.now.data[row] = t
-
-    def _consolidate(self, t: float) -> None:
-        tc, row = self._tc, self._row
-        tc.consumed0.data[row] = self._consumed_at(t)
-        tc.anchor.data[row] = t
-
-    # -- events ----------------------------------------------------------
-
-    def activate(self, t: float) -> None:
-        tc, row = self._cell()
-        self._advance(t)
-        if tc.active.data[row]:
-            return
-        tc.active.data[row] = 1
-        tc.record(row, self._gen, _EV_ACTIVE_ON, t)
-        tc.anchor.data[row] = t
-        if float(tc.consumed0.data[row]) < self._duration():
-            tc.record(row, self._gen, _EV_VALID_ON, t)
-        tc.expiry.data[row] = self._pending_expiry()
-
-    def deactivate(self, t: float) -> None:
-        tc, row = self._cell()
-        self._advance(t)
-        if not tc.active.data[row]:
-            return
-        self._consolidate(t)
-        tc.active.data[row] = 0
-        tc.expiry.data[row] = math.inf
-        tc.record(row, self._gen, _EV_ACTIVE_OFF, t)
-        tc.record(row, self._gen, _EV_VALID_OFF, t)
-
-    def migrate(self, t: float) -> None:
-        tc, row = self._cell()
-        self._advance(t)
-        if self.scheme is Scheme.PER_SERVER:
-            tc.consumed0.data[row] = 0.0
-            tc.anchor.data[row] = t
-            if tc.active.data[row]:
-                tc.record(row, self._gen, _EV_VALID_ON, t)
-                tc.expiry.data[row] = self._pending_expiry()
-
-    # -- queries ---------------------------------------------------------
-
-    def state(self, t: float | None = None) -> PermissionState:
-        tc, row = self._cell()
-        if t is not None:
-            self._advance(t)
-        if not tc.active.data[row]:
-            return PermissionState.INACTIVE
-        if float(tc.consumed0.data[row]) >= self._duration():
-            return PermissionState.ACTIVE_INVALID
-        return PermissionState.VALID
-
-    def is_valid(self, t: float | None = None) -> bool:
-        return self.state(t) is PermissionState.VALID
-
-    def remaining_budget(self, t: float | None = None) -> float:
-        tc, row = self._cell()
-        if t is not None:
-            self._advance(t)
-        duration = self._duration()
-        if math.isinf(duration):
-            return math.inf
-        return max(0.0, duration - self._consumed_at(float(tc.now.data[row])))
-
-    def expiry_time(self) -> float | None:
-        tc, row = self._cell()
-        duration = self._duration()
-        if not tc.active.data[row] or float(tc.consumed0.data[row]) >= duration:
-            return None
-        if math.isinf(duration):
-            return None
-        return float(tc.expiry.data[row])
-
-    # -- compiled views (batched sweeps) ---------------------------------
-
-    def profile(self) -> tuple[bool, float]:
-        tc, row = self._cell()
-        if not tc.active.data[row]:
-            return (False, math.inf)
-        if float(tc.consumed0.data[row]) >= self._duration():
-            return (True, -math.inf)
-        return (True, float(tc.expiry.data[row]))
-
-    def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        active, expiry = self.profile()
-        if not active:
-            return (
-                np.empty(0, dtype=np.float64),
-                np.array([CODE_INACTIVE], dtype=np.uint8),
-            )
-        if math.isinf(expiry):
-            code = CODE_ACTIVE_INVALID if expiry < 0 else CODE_VALID
-            return (
-                np.empty(0, dtype=np.float64),
-                np.array([code], dtype=np.uint8),
-            )
-        return (
-            np.array([expiry], dtype=np.float64),
-            np.array([CODE_VALID, CODE_ACTIVE_INVALID], dtype=np.uint8),
-        )
-
-    def state_codes_at(self, ts: np.ndarray) -> np.ndarray:
-        times, codes = self.breakpoints()
-        return codes[np.searchsorted(times, ts, side="right")]
-
-    # -- audit -----------------------------------------------------------
-
     def _replay(self) -> tuple[TimelineRecorder, TimelineRecorder]:
+        """A row opened in bulk replays its implied open events first."""
         tc, row = self._cell()
         return tc.replay(row, self._gen, float(self._store._start_time.data[row]))
 
-    def valid_timeline(self) -> BooleanTimeline:
-        return self._replay()[0].freeze()
-
-    def active_timeline(self) -> BooleanTimeline:
-        return self._replay()[1].freeze()
-
-    @property
-    def now(self) -> float:
-        tc, row = self._cell()
-        return float(tc.now.data[row])
+    # Bound here too: the ``benchmarks/e2e`` layer tracer wraps each
+    # class's own entries, and an override calling ``super()`` would
+    # count each call twice.
+    state = ValidityTracker.state
+    state_codes_at = ValidityTracker.state_codes_at
 
 
 class _RoleSetView(MutableSet):
@@ -724,20 +412,20 @@ class SessionStore:
     def __init__(self, scheme: Scheme):
         self.scheme = scheme
         capacity = _INITIAL_ROWS
-        self._start_time = _Column(capacity, np.float64)
-        self._last_seen = _Column(capacity, np.float64, fill=-math.inf)
-        self._alive = _Column(capacity, np.uint8)
-        self._gen = _Column(capacity, np.int32)
-        self._sid_seq = _Column(capacity, np.int64, fill=-1)
-        self._subj_seq = _Column(capacity, np.int64, fill=-1)
-        self._user_id = _Column(capacity, np.int32, fill=-1)
-        self._principals_id = _Column(capacity, np.int32, fill=-1)
-        self._role_set_id = _Column(capacity, np.int32)
-        self._obs_head = _Column(capacity, np.int32, fill=-1)
-        self._obs_tail = _Column(capacity, np.int32, fill=-1)
-        self._obs_len = _Column(capacity, np.int32)
-        self._obs_ver = _Column(capacity, np.int32)
-        self._row_columns: list[_Column] = [
+        self._start_time = Column(capacity, np.float64)
+        self._last_seen = Column(capacity, np.float64, fill=-math.inf)
+        self._alive = Column(capacity, np.uint8)
+        self._gen = Column(capacity, np.int32)
+        self._sid_seq = Column(capacity, np.int64, fill=-1)
+        self._subj_seq = Column(capacity, np.int64, fill=-1)
+        self._user_id = Column(capacity, np.int32, fill=-1)
+        self._principals_id = Column(capacity, np.int32, fill=-1)
+        self._role_set_id = Column(capacity, np.int32)
+        self._obs_head = Column(capacity, np.int32, fill=-1)
+        self._obs_tail = Column(capacity, np.int32, fill=-1)
+        self._obs_len = Column(capacity, np.int32)
+        self._obs_ver = Column(capacity, np.int32)
+        self._row_columns: list[Column] = [
             self._start_time,
             self._last_seen,
             self._alive,
@@ -763,10 +451,10 @@ class SessionStore:
         self._symbols: list[AccessKey] = []
         self._symbol_codes: dict[AccessKey, int] = {}
         # Observation arena: linked list of interned symbol ids.
-        self._obs_sym = _Arena(np.int32, fill=-1)
-        self._obs_next = _Arena(np.int32, fill=-1)
+        self._obs_sym = Arena(np.int32, fill=-1)
+        self._obs_next = Arena(np.int32, fill=-1)
         # Lazy column families.
-        self._trackers: dict[str, _TrackerColumns] = {}
+        self._trackers: dict[str, TrackerCells] = {}
         self._monitors: dict[object, _MonitorColumn] = {}
         self._handles: "weakref.WeakValueDictionary[int, Session]" = (
             weakref.WeakValueDictionary()
@@ -911,11 +599,11 @@ class SessionStore:
         vectorized column fills (the bulk load path), each with the
         ``trackers`` cells (key → duration) allocated and activated at
         ``t`` — what ``create_tracker`` + ``activate(t)`` leaves, minus
-        the two timeline events, which ``alloc == 2`` implies.  All
+        the two timeline events, which ``OPEN_ACTIVE`` implies.  All
         other inputs are parallel integer sequences; interning codes
         come from the scalar helpers.  Returns the opened row indices."""
         for duration in trackers.values():
-            _check_duration(duration)
+            check_duration(duration)
         n = len(sid_seqs)
         if n == 0:
             return np.empty(0, dtype=np.int64)
@@ -939,7 +627,7 @@ class SessionStore:
         self._obs_ver.data[sl] = 0
         for key, duration in trackers.items():
             tc = self._tracker_columns(key)
-            tc.alloc.data[sl] = _CELL_OPEN_ACTIVE
+            tc.alloc.data[sl] = TrackerCells.OPEN_ACTIVE
             tc.active.data[sl] = 1
             tc.anchor.data[sl] = t
             tc.consumed0.data[sl] = 0.0
@@ -964,7 +652,7 @@ class SessionStore:
         self._alive.data[row] = 0
         self._gen.data[row] += 1
         for tc in self._trackers.values():
-            tc.alloc.data[row] = _CELL_FREE
+            tc.alloc.data[row] = TrackerCells.FREE
         for mc in self._monitors.values():
             mc.col.data[row] = -1
         self._free.append(row)
@@ -1146,23 +834,16 @@ class SessionStore:
 
     # -- trackers ------------------------------------------------------------
 
-    def _tracker_columns(self, key: str) -> _TrackerColumns:
+    def _tracker_columns(self, key: str) -> TrackerCells:
         tc = self._trackers.get(key)
         if tc is None:
-            tc = _TrackerColumns(self.capacity)
+            tc = TrackerCells(self.capacity)
             self._trackers[key] = tc
         return tc
 
     def alloc_tracker(self, row: int, key: str, duration: float) -> None:
-        """Allocate one tracker cell in the fresh (inactive) state the
-        object tracker's constructor produces."""
-        _check_duration(duration)
-        tc = self._tracker_columns(key)
-        start = float(self._start_time.data[row])
-        tc.alloc.data[row] = _CELL_ALLOCATED
-        tc.active.data[row] = 0
-        tc.anchor.data[row] = start
-        tc.consumed0.data[row] = 0.0
-        tc.expiry.data[row] = math.inf
-        tc.now.data[row] = start
-        tc.dur.data[row] = tc.dur_code(duration)
+        """Allocate one tracker cell in the fresh (inactive) state a
+        standalone tracker's constructor produces."""
+        self._tracker_columns(key).allocate(
+            row, duration, float(self._start_time.data[row])
+        )

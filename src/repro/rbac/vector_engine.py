@@ -1,4 +1,4 @@
-"""Batched decision sweeps over compiled tables and breakpoint arrays.
+"""Batched decision sweeps over compiled tables and validity cells.
 
 The scalar :meth:`~repro.rbac.engine.AccessControlEngine.decide` is
 O(1) warm but pays interpreted-Python cost per decision: a candidate
@@ -12,9 +12,11 @@ session most of that work is invariant:
   one gather into the :class:`~repro.srac.compiled.TransitionTable`
   plus one live-mask read;
 * each validity tracker's state function is piecewise constant with at
-  most one breakpoint (:meth:`~repro.temporal.validity.ValidityTracker.breakpoints`),
-  so the **temporal verdicts for a whole time vector** are one
-  ``np.searchsorted`` per (candidate, access-group);
+  most one switch, at its cell's precomputed expiry instant, so the
+  **temporal verdicts for a whole time vector** are one ``ts >=
+  expiry`` compare per (candidate, access-group)
+  (:meth:`~repro.temporal.validity.ValidityTracker.state_codes_at`,
+  the compare the scalar query makes);
 * provenance records depend only on the access, the candidate index
   and the vector of temporal state codes — a handful of distinct
   values per group — so whole ``Decision`` prototypes are memoised and
@@ -42,9 +44,9 @@ eligible for the vector path.  The caller then falls back to the
 scalar loop, which reproduces the exact scalar behaviour *including*
 mid-batch exceptions.  Ineligible batches: explicit histories,
 disclosed programs, ``observe_granted``, owner coordination scope,
-non-monotone time steps, query times behind a tracker's clock, monitor
-products over the table budgets, or an access outside a compiled
-alphabet (:class:`~repro.errors.AlphabetError`).
+non-monotone or NaN instants, query times behind a tracker's clock,
+monitor products over the table budgets, or an access outside a
+compiled alphabet (:class:`~repro.errors.AlphabetError`).
 
 :func:`commit_sweep` applies the side effects: validity trackers of
 every examined candidate are created/advanced exactly as the scalar
@@ -195,7 +197,7 @@ def prepare_sweep(
         return PreparedSweep(engine, session)
     if engine.coordination_scope != "subject":
         return None
-    if times[0] < session.start_time:
+    if not times[0] >= session.start_time:  # a NaN instant too
         return None
 
     if shared is None:
@@ -267,8 +269,7 @@ def prepare_sweep(
             spatial.append(bool(table.live[successor]))
 
         # Temporal state codes per candidate over the group's time
-        # vector: one searchsorted against the tracker's breakpoints.
-        # side="right" evaluates exactly the scalar `t >= expiry`.
+        # vector: one `ts >= expiry` compare, the scalar query's own.
         codes_mat = np.empty((k, m), dtype=np.uint8)
         tracker_keys: list[str] = []
         for j, (_role, permission) in enumerate(candidates):
@@ -407,7 +408,8 @@ def sweep_interleaved(
             times = [entries[i][2] for i in idx_list]
             # Per-session monotonicity is all a sweep needs (trackers
             # are per session); the global stream may interleave clocks.
-            if any(b < a for a, b in zip(times, times[1:])):
+            # `not b >= a` sends a NaN instant to the scalar path too.
+            if any(not b >= a for a, b in zip(times, times[1:])):
                 return None
             prep = prepare_sweep(
                 engine, session, [entries[i][1] for i in idx_list], times,

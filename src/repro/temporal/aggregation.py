@@ -61,7 +61,7 @@ class PermissionClass:
             raise TemporalError("permission class name must be non-empty")
         if not self.members:
             raise TemporalError(f"class {self.name!r} has no members")
-        if self.duration is not None and self.duration <= 0:
+        if self.duration is not None and not self.duration > 0:  # NaN too
             raise TemporalError(f"class {self.name!r}: duration must be positive")
 
     def aggregate(self, durations: Mapping[str, float]) -> float:

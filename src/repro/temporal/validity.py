@@ -24,17 +24,17 @@ and records the ``valid`` state function as a
 :class:`~repro.temporal.timeline.BooleanTimeline` for audit and for
 cross-checking against the declarative integral (tests do both).
 
-Between two events the tracker's state function is **piecewise
-constant with at most one breakpoint** (the expiry instant), so it can
-be *compiled* for batched decision sweeps: :meth:`ValidityTracker.profile`
-exposes the closed form and :meth:`ValidityTracker.breakpoints` the
-sorted-breakpoint-array view that
-:mod:`repro.rbac.vector_engine` resolves with ``np.searchsorted``.
-Accrual is itself closed-form — ``consumed(t) = consumed₀ + (t −
-anchor)`` against a precomputed expiry instant — so the scalar
-per-query path and the vectorized batched path evaluate the *same*
-floating-point expression and agree bit-for-bit, including exactly at
-the expiry boundary.
+A tracker is a view of one row of :class:`TrackerCells` (numpy columns
+of accrual state plus an arena of timeline events): a private one-row
+set when it stands alone, the session store's set for its tracker key
+as a :class:`~repro.rbac.session_store.ColumnTracker`.  Accrual is
+closed-form — ``consumed(t) = consumed₀ + (t − anchor)`` against an
+expiry instant precomputed at the last event — and every query answers
+``t >= expiry``: :meth:`ValidityTracker.state` one instant at a time,
+:meth:`ValidityTracker.state_codes_at` a vector of instants in one
+numpy compare, so the scalar path and the batched sweep of
+:mod:`repro.rbac.vector_engine` agree bit-for-bit, exactly at the
+expiry instant too.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ __all__ = [
     "PermissionState",
     "Scheme",
     "ValidityTracker",
+    "TrackerCells",
+    "Column",
+    "Arena",
+    "check_duration",
     "STATE_CODES",
     "CODE_INACTIVE",
     "CODE_ACTIVE_INVALID",
@@ -85,6 +89,182 @@ class Scheme(enum.Enum):
     WHOLE_EXECUTION = "whole-execution"  # t_b = start of execution
 
 
+_INITIAL_ARENA = 256
+
+# Timeline event kinds (a TrackerCells event arena).
+_EV_ACTIVE_OFF = 0
+_EV_ACTIVE_ON = 1
+_EV_VALID_OFF = 2
+_EV_VALID_ON = 3
+
+
+def check_duration(duration: float) -> None:
+    """Refuse a validity budget that is not positive (NaN included)."""
+    if not duration > 0:
+        raise TemporalError(f"validity duration must be positive, got {duration}")
+
+
+class Column:
+    """One growable numpy column (capacity doubling, stable dtype)."""
+
+    __slots__ = ("data", "fill")
+
+    def __init__(self, capacity: int, dtype, fill=0):
+        self.fill = fill
+        self.data = np.full(capacity, fill, dtype=dtype)
+
+    def grow(self, capacity: int) -> None:
+        old = self.data
+        if capacity <= old.size:
+            return
+        new = np.full(capacity, self.fill, dtype=old.dtype)
+        new[: old.size] = old
+        self.data = new
+
+
+class Arena:
+    """An append-only growable numpy array with an element count."""
+
+    __slots__ = ("data", "count", "fill")
+
+    def __init__(self, dtype, fill=0, capacity: int = _INITIAL_ARENA):
+        self.data = np.full(capacity, fill, dtype=dtype)
+        self.count = 0
+        self.fill = fill
+
+    def _ensure(self, extra: int) -> None:
+        need = self.count + extra
+        if need > self.data.size:
+            capacity = max(need, self.data.size * 2)
+            new = np.full(capacity, self.fill, dtype=self.data.dtype)
+            new[: self.count] = self.data[: self.count]
+            self.data = new
+
+    def append(self, value) -> int:
+        self._ensure(1)
+        index = self.count
+        self.data[index] = value
+        self.count = index + 1
+        return index
+
+
+class TrackerCells:
+    """Tracker cells for one tracker key, one per row: the closed-form
+    accrual columns plus the timeline event arena.  ``dur`` indirects
+    through the key's distinct durations so a cell stays 2 bytes
+    instead of a float column.  ``alloc`` is :attr:`FREE`,
+    :attr:`ALLOCATED` or :attr:`OPEN_ACTIVE` — activated when its row
+    was opened in bulk, with the active-on / valid-on pair at the row's
+    start time implied instead of stored."""
+
+    FREE = 0
+    ALLOCATED = 1
+    OPEN_ACTIVE = 2
+
+    __slots__ = (
+        "alloc",
+        "active",
+        "anchor",
+        "consumed0",
+        "expiry",
+        "now",
+        "dur",
+        "durations",
+        "_dur_codes",
+        "ev_row",
+        "ev_gen",
+        "ev_time",
+        "ev_kind",
+    )
+
+    def __init__(self, capacity: int):
+        self.alloc = Column(capacity, np.uint8)
+        self.active = Column(capacity, np.uint8)
+        self.anchor = Column(capacity, np.float64)
+        self.consumed0 = Column(capacity, np.float64)
+        self.expiry = Column(capacity, np.float64, fill=math.inf)
+        self.now = Column(capacity, np.float64)
+        self.dur = Column(capacity, np.int16, fill=-1)
+        self.durations: list[float] = []
+        self._dur_codes: dict[float, int] = {}
+        self.ev_row = Arena(np.int32)
+        self.ev_gen = Arena(np.int32)
+        self.ev_time = Arena(np.float64)
+        self.ev_kind = Arena(np.int8)
+
+    def columns(self) -> tuple[Column, ...]:
+        return (
+            self.alloc,
+            self.active,
+            self.anchor,
+            self.consumed0,
+            self.expiry,
+            self.now,
+            self.dur,
+        )
+
+    def dur_code(self, duration: float) -> int:
+        duration = float(duration)
+        code = self._dur_codes.get(duration)
+        if code is None:
+            code = len(self.durations)
+            if code > 32000:  # pragma: no cover - pathological policies
+                raise TemporalError(
+                    "too many distinct validity durations for one tracker key"
+                )
+            self.durations.append(duration)
+            self._dur_codes[duration] = code
+        return code
+
+    def allocate(self, row: int, duration: float, start: float) -> None:
+        """Set ``row``'s cell to a fresh, inactive tracker of budget
+        ``duration`` with its clock at ``start``."""
+        check_duration(duration)
+        self.alloc.data[row] = self.ALLOCATED
+        self.active.data[row] = 0
+        self.anchor.data[row] = start
+        self.consumed0.data[row] = 0.0
+        self.expiry.data[row] = math.inf
+        self.now.data[row] = start
+        self.dur.data[row] = self.dur_code(duration)
+
+    def record(self, row: int, gen: int, kind: int, t: float) -> None:
+        self.ev_row.append(row)
+        self.ev_gen.append(gen)
+        self.ev_time.append(t)
+        self.ev_kind.append(kind)
+
+    def replay(
+        self, row: int, gen: int, start: float = 0.0
+    ) -> tuple[TimelineRecorder, TimelineRecorder]:
+        """Re-run ``row``'s recorded events of generation ``gen``
+        through fresh ``(valid, active)`` recorders.  An
+        :attr:`OPEN_ACTIVE` cell first replays the active-on / valid-on
+        pair at its row's ``start`` time, in
+        :meth:`ValidityTracker.activate`'s order."""
+        valid = TimelineRecorder(initial=False)
+        active = TimelineRecorder(initial=False)
+        if self.alloc.data[row] == self.OPEN_ACTIVE:
+            active.set(start, True)
+            valid.set(start, True)
+        n = self.ev_row.count
+        rows = self.ev_row.data[:n]
+        gens = self.ev_gen.data[:n]
+        mask = (rows == row) & (gens == gen)
+        for i in np.nonzero(mask)[0].tolist():
+            kind = int(self.ev_kind.data[i])
+            t = float(self.ev_time.data[i])
+            if kind == _EV_VALID_ON:
+                valid.set(t, True)
+            elif kind == _EV_VALID_OFF:
+                valid.set(t, False)
+            elif kind == _EV_ACTIVE_ON:
+                active.set(t, True)
+            else:
+                active.set(t, False)
+        return valid, active
+
+
 class ValidityTracker:
     """Event-driven tracker of one permission's validity for one
     mobile object.
@@ -100,26 +280,16 @@ class ValidityTracker:
         ``t_1``, the start of the object's execution (arrival at the
         first server).
 
-    Internally the accrued budget is kept in *closed form*: while the
-    permission is active and unexpired, ``consumed(t) = _consumed0 +
-    (t - _anchor)`` and the expiry instant ``_expiry = _anchor +
-    (duration - _consumed0)`` is precomputed at the last event.  Every
-    query — scalar or vectorized — answers ``t >= _expiry``; there is
+    The tracker reads and writes one :class:`TrackerCells` row — here
+    row 0 of a private one-row set.  While the permission is active
+    and unexpired, ``consumed(t) = consumed0 + (t - anchor)`` and the
+    cell's ``expiry = anchor + (duration - consumed0)`` is precomputed
+    at the last event.  Every query answers ``t >= expiry``; there is
     no per-query accumulation, so query *order* cannot drift the
     floating-point state.
     """
 
-    __slots__ = (
-        "duration",
-        "scheme",
-        "_now",
-        "_active",
-        "_anchor",
-        "_consumed0",
-        "_expiry",
-        "_valid_recorder",
-        "_active_recorder",
-    )
+    __slots__ = ("_tc", "_row", "_gen", "scheme")
 
     def __init__(
         self,
@@ -127,81 +297,96 @@ class ValidityTracker:
         scheme: Scheme = Scheme.WHOLE_EXECUTION,
         start_time: float = 0.0,
     ):
-        if duration <= 0:
-            raise TemporalError(f"validity duration must be positive, got {duration}")
-        self.duration = float(duration)
+        self._tc = TrackerCells(1)
+        self._tc.allocate(0, duration, float(start_time))
+        self._row = self._gen = 0
         self.scheme = scheme
-        self._now = float(start_time)
-        self._active = False
-        # Closed-form accrual state: consumed(t) = _consumed0 while
-        # inactive (or expired); _consumed0 + (t - _anchor) while
-        # actively accruing.  _expiry is +inf when no expiry is pending
-        # (inactive, time-insensitive, or already expired).
-        self._anchor = self._now
-        self._consumed0 = 0.0
-        self._expiry = math.inf
-        self._valid_recorder = TimelineRecorder(initial=False)
-        self._active_recorder = TimelineRecorder(initial=False)
+
+    def _cell(self) -> tuple[TrackerCells, int]:
+        """The cells and row; every public method's one entry check."""
+        return self._tc, self._row
+
+    @property
+    def duration(self) -> float:
+        self._cell()
+        return self._duration()
+
+    def _duration(self) -> float:
+        tc = self._tc
+        return tc.durations[int(tc.dur.data[self._row])]
 
     # -- internal clock ----------------------------------------------------
 
     def _pending_expiry(self) -> float:
         """The expiry instant assuming the permission stays active from
         the current accrual anchor; ``inf`` when it cannot expire."""
-        if math.isinf(self.duration) or self._consumed0 >= self.duration:
+        tc, row = self._tc, self._row
+        duration = self._duration()
+        consumed0 = float(tc.consumed0.data[row])
+        if math.isinf(duration) or consumed0 >= duration:
             return math.inf
-        return self._anchor + (self.duration - self._consumed0)
+        return float(tc.anchor.data[row]) + (duration - consumed0)
 
     def _consumed_at(self, t: float) -> float:
         """``∫ valid du`` accrued by time ``t`` (t >= last event)."""
-        if not self._active or self._consumed0 >= self.duration:
-            return self._consumed0
-        if t >= self._expiry:
-            return self.duration
-        return self._consumed0 + (t - self._anchor)
+        tc, row = self._tc, self._row
+        duration = self._duration()
+        consumed0 = float(tc.consumed0.data[row])
+        if not tc.active.data[row] or consumed0 >= duration:
+            return consumed0
+        if t >= float(tc.expiry.data[row]):
+            return duration
+        return consumed0 + (t - float(tc.anchor.data[row]))
 
     def _advance(self, t: float) -> None:
-        if t < self._now:
-            raise TemporalError(f"event at {t} is before current time {self._now}")
-        if self._active and t >= self._expiry:
+        tc, row = self._tc, self._row
+        now = float(tc.now.data[row])
+        # Written so that a NaN instant is refused too.
+        if not t >= now:
+            raise TemporalError(f"event at {t} is not at or after current time {now}")
+        if tc.active.data[row] and t >= float(tc.expiry.data[row]):
             # The budget ran out before t: emit the expiry switch at
             # the precomputed instant and consolidate.
-            self._valid_recorder.set(self._expiry, False)
-            self._consumed0 = self.duration
-            self._anchor = self._expiry
-            self._expiry = math.inf
-        self._now = t
+            expiry = float(tc.expiry.data[row])
+            tc.record(row, self._gen, _EV_VALID_OFF, expiry)
+            tc.consumed0.data[row] = self._duration()
+            tc.anchor.data[row] = expiry
+            tc.expiry.data[row] = math.inf
+        tc.now.data[row] = t
 
     def _consolidate(self, t: float) -> None:
-        """Fold the accrual run into ``_consumed0`` at instant ``t``
+        """Fold the accrual run into ``consumed0`` at instant ``t``
         (called on events that stop or restart accrual)."""
-        self._consumed0 = self._consumed_at(t)
-        self._anchor = t
+        tc, row = self._tc, self._row
+        tc.consumed0.data[row] = self._consumed_at(t)
+        tc.anchor.data[row] = t
 
     # -- events ------------------------------------------------------------
 
     def activate(self, t: float) -> None:
         """The permission's role was activated for the subject at ``t``."""
+        tc, row = self._cell()
         self._advance(t)
-        if self._active:
+        if tc.active.data[row]:
             return
-        self._active = True
-        self._active_recorder.set(t, True)
-        self._anchor = t
-        if self._consumed0 < self.duration:
-            self._valid_recorder.set(t, True)
-        self._expiry = self._pending_expiry()
+        tc.active.data[row] = 1
+        tc.record(row, self._gen, _EV_ACTIVE_ON, t)
+        tc.anchor.data[row] = t
+        if float(tc.consumed0.data[row]) < self._duration():
+            tc.record(row, self._gen, _EV_VALID_ON, t)
+        tc.expiry.data[row] = self._pending_expiry()
 
     def deactivate(self, t: float) -> None:
         """The role was deactivated (session ended) at ``t``."""
+        tc, row = self._cell()
         self._advance(t)
-        if not self._active:
+        if not tc.active.data[row]:
             return
         self._consolidate(t)
-        self._active = False
-        self._expiry = math.inf
-        self._active_recorder.set(t, False)
-        self._valid_recorder.set(t, False)
+        tc.active.data[row] = 0
+        tc.expiry.data[row] = math.inf
+        tc.record(row, self._gen, _EV_ACTIVE_OFF, t)
+        tc.record(row, self._gen, _EV_VALID_OFF, t)
 
     def migrate(self, t: float) -> None:
         """The mobile object arrived at a new server at ``t``.
@@ -210,24 +395,26 @@ class ValidityTracker:
         the consumed budget resets; under
         :data:`Scheme.WHOLE_EXECUTION` migration is irrelevant to the
         budget."""
+        tc, row = self._cell()
         self._advance(t)
         if self.scheme is Scheme.PER_SERVER:
-            self._consumed0 = 0.0
-            self._anchor = t
-            if self._active:
-                self._valid_recorder.set(t, True)
-                self._expiry = self._pending_expiry()
+            tc.consumed0.data[row] = 0.0
+            tc.anchor.data[row] = t
+            if tc.active.data[row]:
+                tc.record(row, self._gen, _EV_VALID_ON, t)
+                tc.expiry.data[row] = self._pending_expiry()
 
     # -- queries ------------------------------------------------------------
 
     def state(self, t: float | None = None) -> PermissionState:
         """The permission state at ``t`` (default: the current time).
         Querying advances the internal clock."""
+        tc, row = self._cell()
         if t is not None:
             self._advance(t)
-        if not self._active:
+        if not tc.active.data[row]:
             return PermissionState.INACTIVE
-        if self._consumed0 >= self.duration:
+        if float(tc.consumed0.data[row]) >= self._duration():
             return PermissionState.ACTIVE_INVALID
         return PermissionState.VALID
 
@@ -238,89 +425,59 @@ class ValidityTracker:
     def remaining_budget(self, t: float | None = None) -> float:
         """Validity time left before expiry (``inf`` for time-insensitive
         permissions)."""
+        tc, row = self._cell()
         if t is not None:
             self._advance(t)
-        if math.isinf(self.duration):
+        duration = self._duration()
+        if math.isinf(duration):
             return math.inf
-        return max(0.0, self.duration - self._consumed_at(self._now))
+        return max(0.0, duration - self._consumed_at(float(tc.now.data[row])))
 
     def expiry_time(self) -> float | None:
         """If the permission is currently valid, the instant its budget
         will be exhausted (assuming it stays active); ``None`` when
         inactive, already expired, or time-insensitive."""
-        if not self._active or self._consumed0 >= self.duration:
+        tc, row = self._cell()
+        duration = self._duration()
+        if not tc.active.data[row] or float(tc.consumed0.data[row]) >= duration:
             return None
-        if math.isinf(self.duration):
+        if math.isinf(duration):
             return None
-        return self._expiry
-
-    # -- compiled views (batched sweeps) -------------------------------------
-
-    def profile(self) -> tuple[bool, float]:
-        """The closed-form state function from now on, assuming no
-        further events: ``(active, expiry)``.
-
-        For query instants ``u >= now`` the state is ``INACTIVE`` when
-        not active, otherwise ``VALID`` for ``u < expiry`` and
-        ``ACTIVE_INVALID`` for ``u >= expiry`` — the *same* comparison
-        :meth:`state` performs, so a vectorized ``u >= expiry`` over a
-        float64 array is bit-identical to querying one instant at a
-        time.  Already-expired trackers report ``expiry = -inf``
-        (every query lands on ``ACTIVE_INVALID``); time-insensitive
-        ones report ``+inf``.  Read-only: does not advance the clock.
-        """
-        if not self._active:
-            return (False, math.inf)
-        if self._consumed0 >= self.duration:
-            return (True, -math.inf)
-        return (True, self._expiry)
-
-    def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """The state function from now on as sorted breakpoint arrays
-        ``(times, codes)``: the state at instant ``u`` is
-        ``codes[np.searchsorted(times, u, side="right")]`` (codes are
-        :data:`CODE_INACTIVE` / :data:`CODE_ACTIVE_INVALID` /
-        :data:`CODE_VALID`).  ``side="right"`` makes the lookup
-        equivalent to ``u >= expiry``, matching :meth:`state` exactly
-        at the boundary instant.  Read-only.
-        """
-        active, expiry = self.profile()
-        if not active:
-            return (
-                np.empty(0, dtype=np.float64),
-                np.array([CODE_INACTIVE], dtype=np.uint8),
-            )
-        if math.isinf(expiry):
-            code = CODE_ACTIVE_INVALID if expiry < 0 else CODE_VALID
-            return (
-                np.empty(0, dtype=np.float64),
-                np.array([code], dtype=np.uint8),
-            )
-        return (
-            np.array([expiry], dtype=np.float64),
-            np.array([CODE_VALID, CODE_ACTIVE_INVALID], dtype=np.uint8),
-        )
+        return float(tc.expiry.data[row])
 
     def state_codes_at(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`state` for a sorted batch of query instants
-        (all ``>= now``): returns a ``uint8`` array of state codes.
-        Read-only — callers advance the clock once afterwards with
-        ``state(ts[-1])``, which leaves the tracker exactly as a
-        per-instant query sequence would have (property-tested)."""
-        times, codes = self.breakpoints()
-        return codes[np.searchsorted(times, ts, side="right")]
+        (all ``>= now``): a ``uint8`` array of state codes, from the
+        same ``ts >= expiry`` compare :meth:`state` makes one instant
+        at a time.  Read-only — callers advance the clock once
+        afterwards with ``state(ts[-1])``, which leaves the tracker
+        exactly as a per-instant query sequence would have
+        (property-tested)."""
+        tc, row = self._cell()
+        if not tc.active.data[row]:
+            return np.full(len(ts), CODE_INACTIVE, dtype=np.uint8)
+        if float(tc.consumed0.data[row]) >= self._duration():
+            return np.full(len(ts), CODE_ACTIVE_INVALID, dtype=np.uint8)
+        codes = np.full(len(ts), CODE_VALID, dtype=np.uint8)
+        codes[ts >= float(tc.expiry.data[row])] = CODE_ACTIVE_INVALID
+        return codes
 
     # -- audit ---------------------------------------------------------------
+
+    def _replay(self) -> tuple[TimelineRecorder, TimelineRecorder]:
+        tc, row = self._cell()
+        return tc.replay(row, self._gen)
 
     def valid_timeline(self) -> BooleanTimeline:
         """The recorded ``valid(perm, ·)`` state function up to the
         current time."""
-        return self._valid_recorder.freeze()
+        return self._replay()[0].freeze()
 
     def active_timeline(self) -> BooleanTimeline:
         """The recorded ``active(perm, ·)`` state function."""
-        return self._active_recorder.freeze()
+        return self._replay()[1].freeze()
 
     @property
     def now(self) -> float:
-        return self._now
+        tc, row = self._cell()
+        return float(tc.now.data[row])

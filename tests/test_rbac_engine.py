@@ -1,15 +1,18 @@
 """Tests for the coordinated access-control engine (Eq. 3.1 + Eq. 4.1)."""
 
+import math
+
 import pytest
 
-from repro.errors import AccessDenied, RbacError
+from repro.errors import AccessDenied, RbacError, TemporalError
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
 from repro.rbac.separation import DSDConstraint
 from repro.sral.parser import parse_program
 from repro.srac.parser import parse_constraint
-from repro.temporal.validity import Scheme
+from repro.temporal.aggregation import PermissionClass
+from repro.temporal.validity import Scheme, ValidityTracker
 from repro.traces.trace import AccessKey
 
 RSW_S1 = AccessKey("exec", "rsw", "s1")
@@ -219,6 +222,50 @@ class TestTemporalDecisions:
         access = ("write", "doc", "s1")
         assert engine.decide(session, access, 105.0).granted  # 4+5 < 10
         assert not engine.decide(session, access, 107.0).granted  # 4+7 > 10
+
+
+class TestNaNNeverGrants:
+    """A NaN budget or decision instant is refused, never read as a
+    grant (every compare with NaN is false)."""
+
+    DOC = AccessKey("write", "doc", "s1")
+
+    def test_nan_duration_is_refused(self):
+        spec = {"permissions": [{"name": "p", "op": "write", "duration": "nan"}]}
+        with pytest.raises(RbacError):
+            Policy.from_dict(spec)
+        with pytest.raises(RbacError):
+            Policy.from_text("permission p write doc @ * duration nan")
+        with pytest.raises(TemporalError):
+            ValidityTracker(math.nan)
+        with pytest.raises(TemporalError):
+            PermissionClass("c", frozenset({"p"}), duration=math.nan)
+
+    @staticmethod
+    def _session():
+        engine = make_engine()
+        session = engine.authenticate("alice", 0.0)
+        engine.activate_role(session, "auditor", 0.0)
+        return engine, session
+
+    def test_nan_instant_raises_on_decide(self):
+        engine, session = self._session()
+        with pytest.raises(TemporalError):
+            engine.decide(session, self.DOC, math.nan, history=None)
+        assert not engine.audit.grants()
+
+    def test_nan_instant_raises_in_a_batch_as_in_the_scalar_loop(self):
+        times = [1.0, math.nan, 2.0]
+        engine, session = self._session()
+        with pytest.raises(TemporalError):
+            engine.decide_batch_many([(session, self.DOC)] * 3, 0.0, times=times)
+        loop_engine, loop_session = self._session()
+        with pytest.raises(TemporalError):
+            for t in times:
+                loop_engine.decide(loop_session, self.DOC, t, history=None)
+        swept = [(d.time, d.granted) for d in engine.audit]
+        assert swept == [(d.time, d.granted) for d in loop_engine.audit]
+        assert swept == [(1.0, True)]
 
 
 class TestAudit:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import os
 import random
 import sys
@@ -31,7 +32,7 @@ import pytest
 
 import repro.rbac.engine as rbac_engine
 import repro.rbac.model as rbac_model
-from repro.errors import ServiceError
+from repro.errors import ServiceError, TemporalError
 from repro.rbac.audit import Decision
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
@@ -307,6 +308,24 @@ class TestScalarFallbacks:
             if i != 4
         ]
         assert [f.result() for f in healthy] == expected
+
+    def test_nan_time_fails_only_its_own_request(self):
+        """A NaN decision time is refused like a time running backwards:
+        the sweep hands the run to the scalar loop, which fails that
+        request alone; its neighbours are granted."""
+        engine, sessions = build_engine()
+        times = [1.0, 2.0, math.nan, 3.0, 4.0]
+        with DecisionService(
+            engine, workers=1, queue_depth=4096,
+            max_batch=64, max_wait_s=0.0,
+        ) as service:
+            futures = service.submit_many(
+                [(sessions[0], EXEC[0], t) for t in times]
+            )
+            assert service.drain(timeout=60.0)
+        assert isinstance(futures[2].exception(), TemporalError)
+        neighbours = [f for i, f in enumerate(futures) if i != 2]
+        assert [f.result().granted for f in neighbours] == [True] * 4
 
 
 class TestCancellation:

@@ -13,8 +13,9 @@ session representation.  The reference is the definitions-level oracle
   order, and each open session's history, role set, last-seen instant
   and tracker states;
 * the tracker cells — a :class:`~repro.rbac.session_store.ColumnTracker`
-  must replay the public :class:`~repro.temporal.validity.ValidityTracker`
-  step for step (state, budget, expiry, clock and both timelines);
+  and a standalone :class:`~repro.temporal.validity.ValidityTracker`
+  must follow the oracle's Eq. 4.1 integral step for step (state,
+  budget, expiry, clock and both timelines);
 * bulk opens, the observed-view memo, idle expiry, ``AccessKey``
   interning, row recycling, closed-handle guards and the memory budget.
 """
@@ -262,7 +263,7 @@ class TestDifferentialProperty:
 
 
 class TestTrackerReference:
-    """A column tracker against the public ``ValidityTracker``."""
+    """Trackers against Eq. 4.1 as the oracle integrates it."""
 
     @given(
         scheme=st.sampled_from(list(Scheme)),
@@ -280,21 +281,50 @@ class TestTrackerReference:
     def test_column_tracker_matches_validity_tracker(
         self, scheme, duration, start, events
     ):
+        """A store row's tracker and a standalone one, after every
+        event: the oracle's state, the budget left (``dur − ∫_{t_b}^{t}
+        active``, clipped at 0) and the expiry instant it implies, the
+        clock, and the recorded timelines integrated from ``t_b``
+        (``∫ active`` for ``active``, ``min(∫ active, dur)`` for
+        ``valid``).  Every instant and budget is a multiple of 0.25, so
+        the float compares are exact."""
         engine = AccessControlEngine(_policy([None], [None]), scheme=scheme)
         session = engine.authenticate("u", start)
-        column = session.create_tracker("k", duration)
-        reference = ValidityTracker(duration, scheme=scheme, start_time=start)
+        trackers = (
+            session.create_tracker("k", duration),
+            ValidityTracker(duration, scheme=scheme, start_time=start),
+        )
+        permission = Permission("k", validity_duration=duration)
+        oracle = SpecOracle(
+            {"r": [permission]}, per_server=scheme is Scheme.PER_SERVER
+        )
+        oracle.open("s", start)
         t = start
         for kind, step in events:
             t += step
-            for tracker in (column, reference):
+            for tracker in trackers:
                 getattr(tracker, kind)(t)
-            assert column.state() is reference.state()
-            assert column.remaining_budget() == reference.remaining_budget()
-            assert column.expiry_time() == reference.expiry_time()
-            assert column.now == reference.now
-            assert column.valid_timeline() == reference.valid_timeline()
-            assert column.active_timeline() == reference.active_timeline()
+            if kind == "migrate":
+                oracle.migrate("s", t)
+            elif kind != "state":
+                getattr(oracle, kind)("s", "r", t)
+            consumed = oracle.consumed("s", "k", t)
+            t_b = oracle.sessions["s"].base
+            state = oracle.temporal_state("s", permission, t)
+            expiry = (
+                t + (duration - consumed)
+                if state == "valid" and not math.isinf(duration)
+                else None
+            )
+            for tracker in trackers:
+                assert tracker.state().value == state
+                assert tracker.remaining_budget() == max(0.0, duration - consumed)
+                assert tracker.expiry_time() == expiry
+                assert tracker.now == t
+                assert tracker.active_timeline().integrate(t_b, t) == consumed
+                assert tracker.valid_timeline().integrate(t_b, t) == min(
+                    consumed, duration
+                )
 
 
 class TestBulkOpen:
@@ -379,9 +409,10 @@ class TestBulkOpen:
     def test_recycled_bulk_row_implies_no_open_events(self):
         """A bulk-opened row closed and reused by ``authenticate`` (with
         a bumped generation) must not inherit the implied open-time
-        events: its timelines are a scalar twin's, and the public
-        ``ValidityTracker``'s (which shares no store code with either
-        twin) for the same authentication and activation instants."""
+        events: its timelines are a scalar twin's, and a standalone
+        ``ValidityTracker``'s (whose private one-row cells hold no
+        implied open events) for the same authentication and activation
+        instants."""
         policy = _policy([parse_constraint(COUNT_SRC)], [5.0])
         bulk_engine = AccessControlEngine(policy)
         scalar_engine = AccessControlEngine(policy)
@@ -681,8 +712,6 @@ class TestStoreMechanics:
             "is_valid": lambda: view.is_valid(),
             "remaining_budget": lambda: view.remaining_budget(),
             "expiry_time": lambda: view.expiry_time(),
-            "profile": lambda: view.profile(),
-            "breakpoints": lambda: view.breakpoints(),
             "state_codes_at": lambda: view.state_codes_at(np.array([3.0])),
             "valid_timeline": lambda: view.valid_timeline(),
             "active_timeline": lambda: view.active_timeline(),
