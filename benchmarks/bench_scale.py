@@ -22,6 +22,9 @@ measures what that buys:
   the default engine (timelines recorded, as deployed); the marginal
   bytes/session (and the store's own column accounting) gate the
   ≤ 200 B/session budget.
+* **touched handles** — the drive's touched sessions get handles,
+  each read through its trackers and role set under ``tracemalloc``;
+  what they retain per session gates the ≤ 520 B budget.
 * **throughput at scale** — the diurnal Zipf stream is driven through
   the micro-batched :class:`~repro.service.DecisionService`.
 
@@ -66,6 +69,9 @@ SUBMIT_CHUNK = 8192
 
 #: Store-overhead budget per resident session (ISSUE acceptance).
 BYTES_PER_SESSION_BUDGET = 200.0
+
+#: What a touched session's handle may keep beside its row.
+HANDLE_BYTES_BUDGET = 520.0
 
 
 def _reset_counters() -> None:
@@ -288,6 +294,30 @@ def build_population(spec: ScaleSpec, workload: ScaleWorkload):
     return engine, shard_ids, row_of, report
 
 
+def touch_handles(
+    engine: ShardedEngine,
+    shard_ids: np.ndarray,
+    row_of: np.ndarray,
+    touched: np.ndarray,
+) -> tuple[dict[int, object], float]:
+    """Handles for the ``touched`` sessions, each read through every
+    tracker's state and its role set, made under tracemalloc.  Returns
+    the handles and the bytes they retain per touched session."""
+    handles: dict[int, object] = dict.fromkeys(touched.tolist())
+    gc.collect()
+    tracemalloc.start()
+    base, _ = tracemalloc.get_traced_memory()
+    for i in handles:
+        handle = engine.session_at(int(shard_ids[i]), int(row_of[i]))
+        for tracker in handle.trackers.values():
+            tracker.state()
+        set(handle.active_roles)
+        handles[i] = handle
+    current, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return handles, (current - base) / len(handles)
+
+
 def drive_population(
     engine: ShardedEngine,
     shard_ids: np.ndarray,
@@ -297,10 +327,7 @@ def drive_population(
     """Drive the Zipf/diurnal stream against the resident population
     through the batched service; only touched sessions get handles."""
     touched = np.unique(workload.session_index)
-    handles: dict[int, object] = {
-        int(i): engine.session_at(int(shard_ids[i]), int(row_of[i]))
-        for i in touched
-    }
+    handles, handle_bytes = touch_handles(engine, shard_ids, row_of, touched)
     sessions = _HandleList(handles)
     engine.prewarm(workload.alphabet)
     with _service(engine) as service:
@@ -312,6 +339,7 @@ def drive_population(
     return {
         "requests": len(decisions),
         "touched_sessions": int(len(touched)),
+        "handle_bytes_per_touched_session": handle_bytes,
         "wall_s": wall,
         "throughput": len(decisions) / wall,
         "granted": granted,
@@ -394,6 +422,11 @@ def print_report(report: dict) -> None:
         f"vector {drive['vector_decisions']} / "
         f"fallback {drive['vector_fallbacks']})"
     )
+    print(
+        f"per touched session's handle: "
+        f"{drive['handle_bytes_per_touched_session']:.1f} B "
+        f"(budget {HANDLE_BYTES_BUDGET:.0f} B)"
+    )
 
 
 def check_acceptance(report: dict, smoke: bool = False) -> None:
@@ -410,6 +443,10 @@ def check_acceptance(report: dict, smoke: bool = False) -> None:
         f"exceeds the {BYTES_PER_SESSION_BUDGET:.0f} B budget"
     )
     drive = report["drive"]
+    assert drive["handle_bytes_per_touched_session"] <= HANDLE_BYTES_BUDGET, (
+        f"{drive['handle_bytes_per_touched_session']:.1f} B per touched "
+        f"session's handle exceeds the {HANDLE_BYTES_BUDGET:.0f} B budget"
+    )
     assert drive["vector_fallbacks"] == 0, drive
     assert drive["vector_decisions"] > 0, drive
     throughput_floor = 5_000.0 if smoke else 7_500.0

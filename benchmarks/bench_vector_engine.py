@@ -238,7 +238,7 @@ def rate_many(n: int, sessions: int = 8) -> float:
 
 #: Retained-bytes budgets per decision (the test suite's gates).
 SWEPT_BUDGET_B = 200
-SCALAR_BUDGET_B = 300
+SCALAR_BUDGET_B = 160
 
 
 def _retention_stream(n: int, sessions: int = 8):

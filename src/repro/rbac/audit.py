@@ -33,8 +33,8 @@ class Decision:
     The audit log keeps every decision, so its layout is the log's
     cost: one slotted record (no per-instance ``__dict__``) whose
     fields point at immutable values the engine shares between
-    decisions — the interned access key, reason string and candidate
-    records, and, within one sweep, the provenance record itself.
+    decisions — the interned access key, reason string, candidate
+    records and provenance record.
     """
 
     subject_id: str

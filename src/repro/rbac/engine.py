@@ -198,11 +198,6 @@ class AccessControlEngine:
         # every reference to a session does not lose it (the store
         # caches live handles per row; materialize() finds one by id).
         self._store = SessionStore(scheme)
-        # Set by ShardedEngine so freshly minted handles carry their
-        # routing stamp (routing is two attribute reads, with no
-        # per-session route dict to grow beside the store).
-        self.shard_index: int | None = None
-        self.router_token: object | None = None
         # Owner-scope state: combined histories (list-backed, O(1)
         # append) and monitor caches keyed by user name.
         self._owner_observed: dict[str, list[AccessKey]] = {}
@@ -236,6 +231,11 @@ class AccessControlEngine:
         # speed; the Role / Permission dataclasses or the enum would
         # cost a Python-level __hash__ per lookup.
         self._examined_memo: dict[tuple[str, str, bool, str], _Examined] = {}
+        # _build_decision's provenance records by value, emptied with
+        # the attribution memo: retained decisions of equal outcome
+        # share one record, on every path.  Like the audit log, it
+        # grows with the distinct outcomes of one policy version.
+        self._provenance_memo: dict[tuple, DecisionProvenance] = {}
         self._examined_version = policy.version
         self._candidate_hits = 0
         self._candidate_misses = 0
@@ -378,8 +378,6 @@ class AccessControlEngine:
             if not store._alive.data[row]:
                 raise RbacError(f"no live session at store row {row}")
             handle = Session(store, row, subject=subject)
-            handle._shard_index = self.shard_index
-            handle._router = self.router_token
             store.register_handle(row, handle)
         return handle
 
@@ -411,20 +409,30 @@ class AccessControlEngine:
         if session._store is self._store:
             self._store.close(session._row, session._gen)
 
+    def latest_activity(self) -> float | None:
+        """The latest instant a resident session was active at
+        (``None`` when no session is resident)."""
+        return self._store.latest_activity()
+
     def expire_sessions(
         self, now: float | None = None, idle_for: float = 0.0
     ) -> int:
         """Close every session idle for at least ``idle_for`` as of
-        ``now`` (default: the engine's latest observed activity
-        instant) — the long-run guard against unbounded session growth.
-        Each expired session is closed at the latest instant any of its
-        trackers has reached (never behind a tracker clock), exactly as
-        an explicit :meth:`close_session` there.  Returns the number of
-        sessions expired."""
-        eff_now, rows = self._store.idle_rows(now, idle_for)
+        ``now`` (default: :meth:`latest_activity`) — the long-run guard
+        against unbounded session growth.  Each expired session is
+        closed at the latest instant any of its trackers has reached
+        (never behind a tracker clock), exactly as an explicit
+        :meth:`close_session` there.  Returns the number of sessions
+        expired."""
+        if now is None:
+            now = self.latest_activity()
+            if now is None:
+                return 0
+        now = float(now)
+        rows = self._store.idle_rows(now, idle_for)
         for row in rows.tolist():
             session = self._handle(row)
-            t = eff_now
+            t = now
             for tracker in session.trackers.values():
                 t = max(t, tracker.now)
             self.close_session(session, t)
@@ -569,7 +577,7 @@ class AccessControlEngine:
 
     def _tracker(self, session: Session, permission: Permission):
         key = self._tracker_key(permission)
-        tracker = session.trackers.get(key)
+        tracker = session.tracker(key)
         if tracker is None:
             tracker = session.create_tracker(key, self._duration_for(permission))
         return tracker
@@ -711,12 +719,14 @@ class AccessControlEngine:
         permission)`` pair with these verdicts: one candidate record,
         one grant tuple and one denial reason per distinct value, so
         retained decisions share them.  Every decision path and
-        :meth:`explain` get their candidate records here.  The memo is
+        :meth:`explain` get their candidate records here.  The memo,
+        and :meth:`_build_decision`'s provenance memo with it, is
         emptied whenever :attr:`Policy.version` moves, so a replaced
         permission's old constraint text is never served."""
         version = self.policy.version
         if version != self._examined_version:
             self._examined_memo.clear()
+            self._provenance_memo.clear()
             self._examined_version = version
         key = (role.name, permission.name, spatial_ok, state._value_)
         entry = self._examined_memo.get(key)
@@ -754,7 +764,6 @@ class AccessControlEngine:
         history_mode: str,
         history_len: int,
         epoch: int | None,
-        shared: dict[DecisionProvenance, DecisionProvenance] | None = None,
     ) -> Decision:
         """The one place a ``Decision`` is made, from the candidates
         examined in order (:meth:`_examined` entries; the scalar loop's
@@ -762,8 +771,9 @@ class AccessControlEngine:
         no candidate matched.  A last record passing both checks is the
         grant.  Otherwise the last record's failing check is the
         denial's kind and reason, and only denials pay the
-        foreign-server scan.  ``shared`` interns the provenance record
-        by value across the decisions of one call."""
+        foreign-server scan.  The provenance record is interned in the
+        engine's provenance memo, keyed by the interned candidate
+        records and the other fields (the records fix the kind)."""
         foreign: tuple[str, ...] = ()
         if not examined:
             last, candidates = _NO_CANDIDATE, ()
@@ -780,16 +790,17 @@ class AccessControlEngine:
                     else tuple(entry[0] for entry in examined)
                 )
                 foreign = self._foreign_servers(session, access, history)
-        provenance = DecisionProvenance(
-            kind=kind,
-            candidates=candidates,
-            history_mode=history_mode,
-            history_len=history_len,
-            foreign_servers=foreign,
-            epoch=epoch,
-        )
-        if shared is not None:
-            provenance = shared.setdefault(provenance, provenance)
+        key = (candidates, history_mode, history_len, foreign, epoch)
+        provenance = self._provenance_memo.get(key)
+        if provenance is None:
+            provenance = self._provenance_memo[key] = DecisionProvenance(
+                kind=kind,
+                candidates=candidates,
+                history_mode=history_mode,
+                history_len=history_len,
+                foreign_servers=foreign,
+                epoch=epoch,
+            )
         return Decision(
             subject_id=session.subject.subject_id,
             access=access,
@@ -1142,6 +1153,7 @@ class AccessControlEngine:
         counter; this is the explicit hammer for out-of-band changes."""
         self._candidates_cache.clear()
         self._examined_memo.clear()
+        self._provenance_memo.clear()
         self._extension_cache.clear()
         self._extension_tables.clear()
         self._owner_monitors.clear()

@@ -104,7 +104,7 @@ class Permission:
 _subject_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subject:
     """An authenticated principal-set acting for a user (created by the
     engine at login; see the Naplet authentication flow in Section 5.1)."""

@@ -34,23 +34,29 @@ session down to a fixed set of scalar cells:
     observation arena (append-only, shared by all rows)
       sym i32 (interned AccessKey id)   nxt i32 (linked list)
 
-Scalar callers never see the columns: a :class:`Session` is a lazy
-**handle** over one row — its ``trackers`` mapping yields
-:class:`ColumnTracker` views, which are
+Scalar callers never see the columns: a :class:`Session` is a
+**handle**, a reference into one row.  It holds the store, the row and
+the generation it was made for, the session's identity as of opening
+(``session_id``, ``subject``, ``start_time``) and the ``observed``
+memo — nothing else.  Its ``trackers``, :meth:`Session.tracker` and
+``active_roles`` build their views when read, and the caller drops
+them: a :class:`ColumnTracker` is
 :class:`repro.temporal.validity.ValidityTracker` itself over the row's
 tracker cells (checked step by step against the definitions-level
 oracle's Eq. 4.1 integral in ``tests/test_session_store.py``, and
 decisions against the same oracle in ``tests/test_spec_oracle.py``).
-Handles are cached per row in a
-``WeakValueDictionary`` — a cache only: dropping every handle loses
-nothing.  Closing a session frees its row at once: the row's
+A view points at the store or the handle, and no handle points at a
+view, so no handle sits in a reference cycle.  Handles are cached per
+row in a ``WeakValueDictionary`` — a cache only: dropping every handle
+loses nothing, and a dropped handle leaves it by reference count, not
+at a collection.  Closing a session frees its row at once: the row's
 generation is bumped and its cached handle evicted, and the next open
 may reuse the row.  A handle or tracker view keeps the generation it
 was made for, and each accessor compares it with the row's once: a
 handle of an earlier generation reads as a closed session (no roles,
-trackers or history) and raises :class:`~repro.errors.RbacError` on
-every write, and a tracker view of an earlier generation raises on
-every method.
+trackers or history) under the identity it opened with, and raises
+:class:`~repro.errors.RbacError` on every write, and a tracker view of
+an earlier generation raises on every method.
 
 Timeline recording (the audit ``valid``/``active`` state functions) is
 columnar too: events append to a per-tracker-key arena and are replayed
@@ -206,62 +212,25 @@ class _RoleSetView(MutableSet):
         return f"{set(self._current())!r}"
 
 
-class _TrackerMap(Mapping):
-    """``session.trackers``: tracker keys allocated for this row,
-    yielding cached :class:`ColumnTracker` views (none once the session
-    is closed)."""
-
-    __slots__ = ("_session", "_views")
-
-    def __init__(self, session: "Session"):
-        self._session = session
-        self._views: dict[str, ColumnTracker] = {}
-
-    def get(self, key: str, default=None):
-        session = self._session
-        tc = session._store._trackers.get(key)
-        if tc is None or not session._is_open() or not tc.alloc.data[session._row]:
-            return default
-        view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = ColumnTracker(
-                tc, session._store, session._row, session._gen
-            )
-        return view
-
-    def __getitem__(self, key: str) -> ColumnTracker:
-        view = self.get(key)
-        if view is None:
-            raise KeyError(key)
-        return view
-
-    def __iter__(self) -> Iterator[str]:
-        session = self._session
-        if not session._is_open():
-            return
-        row = session._row
-        for key, tc in session._store._trackers.items():
-            if tc.alloc.data[row]:
-                yield key
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 class Session:
-    """A subject's login session: a handle to one store row, with its
-    activated roles, per-permission validity trackers and observed
+    """A subject's login session: a reference to one store row, with
+    its activated roles, per-permission validity trackers and observed
     history.
 
-    Handles are *views*: all state reads and writes go to the columns,
+    A handle holds its store, row and generation, its identity as of
+    opening (``session_id``, ``subject``, ``start_time``) and the
+    ``observed`` memo.  All state reads and writes go to the columns,
     so any number of materialisations of the same session observe the
     same state (the store caches one handle per row while referenced).
-    Once the session is closed, the handle reads as a closed session —
-    no roles, trackers or history, and :meth:`touch` does nothing — and
-    every write raises :class:`~repro.errors.RbacError`, even after the
-    row has been reused.  ``view_rebuilds`` counts ``observed``
-    tuple-view materialisations — the regression meter for the
-    memo-churn fix."""
+    ``active_roles``, ``trackers`` and :meth:`tracker`
+    build their views when read; the handle keeps none, so it sits in
+    no reference cycle.  Once the session is closed, the handle reads
+    as a closed session — no roles, trackers or history, and
+    :meth:`touch` does nothing — and every write raises
+    :class:`~repro.errors.RbacError`, even after the row has been
+    reused; its identity stays that of the session it opened.
+    ``view_rebuilds`` counts ``observed`` tuple-view materialisations —
+    the regression meter for the memo-churn fix."""
 
     __slots__ = (
         "_store",
@@ -273,10 +242,6 @@ class Session:
         "_observed_view",
         "_view_ver",
         "view_rebuilds",
-        "_tracker_map",
-        "_role_view",
-        "_shard_index",
-        "_router",
         "__weakref__",
     )
 
@@ -292,10 +257,6 @@ class Session:
         self._observed_view: tuple[AccessKey, ...] | None = None
         self._view_ver = -1
         self.view_rebuilds = 0
-        self._tracker_map: _TrackerMap | None = None
-        self._role_view: _RoleSetView | None = None
-        self._shard_index: int | None = None
-        self._router: object | None = None
 
     def _is_open(self) -> bool:
         """Does the handle's generation still own its row?  Closing a
@@ -314,21 +275,34 @@ class Session:
 
     @property
     def active_roles(self) -> _RoleSetView:
-        view = self._role_view
-        if view is None:
-            view = self._role_view = _RoleSetView(self)
-        return view
+        return _RoleSetView(self)
 
     @active_roles.setter
     def active_roles(self, roles: Iterable[Role]) -> None:
         self._store.set_role_set(self.require_open(), frozenset(roles))
 
     @property
-    def trackers(self) -> _TrackerMap:
-        view = self._tracker_map
-        if view is None:
-            view = self._tracker_map = _TrackerMap(self)
-        return view
+    def trackers(self) -> dict[str, ColumnTracker]:
+        """Views of the trackers allocated for this row, by key (none
+        once the session is closed)."""
+        if not self._is_open():
+            return {}
+        store, row, gen = self._store, self._row, self._gen
+        return {
+            key: ColumnTracker(tc, store, row, gen)
+            for key, tc in store._trackers.items()
+            if tc.alloc.data[row]
+        }
+
+    def tracker(self, key: str) -> ColumnTracker | None:
+        """A view of tracker ``key`` — the lookup's one new object — or
+        ``None`` when the row has no such cell or the session is
+        closed."""
+        store, row = self._store, self._row
+        tc = store._trackers.get(key)
+        if tc is None or not tc.alloc.data.item(row) or not self._is_open():
+            return None
+        return ColumnTracker(tc, store, row, self._gen)
 
     @property
     def observed(self) -> tuple[AccessKey, ...]:
@@ -351,7 +325,7 @@ class Session:
     def observed_len(self) -> int:
         if not self._is_open():
             return 0
-        return int(self._store._obs_len.data[self._row])
+        return self._store._obs_len.data.item(self._row)
 
     def record_observation(self, access: AccessKey) -> None:
         self._store.append_observation(self.require_open(), access)
@@ -367,7 +341,7 @@ class Session:
 
     def touch(self, t: float) -> None:
         cells = self._store._last_seen.data
-        if self._is_open() and t > cells[self._row]:
+        if self._is_open() and t > cells.item(self._row):
             cells[self._row] = t
 
     def role_set(self) -> frozenset:
@@ -378,7 +352,7 @@ class Session:
 
     def create_tracker(self, key: str, duration: float) -> ColumnTracker:
         self._store.alloc_tracker(self.require_open(), key, duration)
-        return self.trackers[key]
+        return self.tracker(key)
 
     def advance_monitors(self, access: AccessKey) -> None:
         self._store.step_monitors_row(self.require_open(), access)
@@ -541,7 +515,7 @@ class SessionStore:
         return code
 
     def role_set(self, row: int) -> frozenset:
-        return self._role_sets[int(self._role_set_id.data[row])]
+        return self._role_sets[self._role_set_id.data.item(row)]
 
     def set_role_set(self, row: int, roles: frozenset) -> None:
         self._role_set_id.data[row] = self._intern_role_set(frozenset(roles))
@@ -692,18 +666,21 @@ class SessionStore:
     def alive_rows(self) -> np.ndarray:
         return np.nonzero(self._alive.data[: self._n] == 1)[0]
 
-    def idle_rows(self, now: float | None, idle_for: float) -> tuple[float, np.ndarray]:
-        """Live rows idle for at least ``idle_for`` as of ``now``
-        (default: the store's own latest activity instant), plus the
-        effective ``now`` used."""
+    def latest_activity(self) -> float | None:
+        """The latest ``last_seen`` over live rows (``None`` when no
+        row is live)."""
         n = self._n
         alive = self._alive.data[:n] == 1
         if not alive.any():
-            return (0.0, np.empty(0, dtype=np.int64))
-        seen = self._last_seen.data[:n]
-        eff_now = float(seen[alive].max()) if now is None else float(now)
-        idle = alive & (eff_now - seen >= idle_for)
-        return (eff_now, np.nonzero(idle)[0])
+            return None
+        return float(self._last_seen.data[:n][alive].max())
+
+    def idle_rows(self, now: float, idle_for: float) -> np.ndarray:
+        """Live rows idle for at least ``idle_for`` as of ``now``."""
+        n = self._n
+        alive = self._alive.data[:n] == 1
+        idle = alive & (now - self._last_seen.data[:n] >= idle_for)
+        return np.nonzero(idle)[0]
 
     # -- observations --------------------------------------------------------
 
@@ -784,7 +761,7 @@ class SessionStore:
     def monitor_entry(self, row: int, constraint) -> tuple | None:
         mc = self._monitors.get(constraint)
         if mc is not None:
-            value = int(mc.col.data[row])
+            value = mc.col.data.item(row)
             if value >= 0:
                 return (mc.compiled, mc.decode(value))
         return None

@@ -29,11 +29,10 @@ session most of that work is invariant:
 
 What a swept decision retains is one slotted ``Decision``; everything
 it points at is shared.  The engine interns the candidate records, the
-grant's one-record tuple and the denial reasons per policy version, and
-one call's prototypes intern their ``DecisionProvenance`` by value, so
-the session groups of one :func:`sweep_interleaved` run with equal
-outcomes (same kind, candidates, history length and epoch) hold one
-record between them.
+grant's one-record tuple, the denial reasons and the
+``DecisionProvenance`` records per policy version, so decisions with
+equal outcomes (same kind, candidates, history length and epoch) hold
+one record between them, across sessions, sweeps and the scalar path.
 
 The sweep is organised **prepare → commit**:
 
@@ -74,7 +73,6 @@ import numpy as np
 
 from repro.errors import AlphabetError
 from repro.obs import OBS
-from repro.obs.provenance import DecisionProvenance
 from repro.rbac.audit import Decision
 from repro.temporal.validity import (
     CODE_INACTIVE,
@@ -179,18 +177,14 @@ def prepare_sweep(
     session: "Session",
     accesses: Sequence[AccessKey],
     times: Sequence[float],
-    shared: dict[DecisionProvenance, DecisionProvenance] | None = None,
 ) -> PreparedSweep | None:
     """Decide a request stream for one session without side effects.
 
     ``accesses`` must already be ``AccessKey`` instances and ``times``
     the per-request decision instants (nondecreasing — the caller built
     them by the same ``clock += dt`` accumulation the scalar loop
-    uses).  ``shared`` interns the prototypes' provenance records by
-    value; :func:`sweep_interleaved` passes one per call so all its
-    session groups share them (default: one for this sweep).  Returns
-    ``None`` when any part of the batch needs the scalar path; in that
-    case no session state was touched.
+    uses).  Returns ``None`` when any part of the batch needs the
+    scalar path; in that case no session state was touched.
     """
     n = len(accesses)
     if n == 0:
@@ -200,8 +194,6 @@ def prepare_sweep(
     if not times[0] >= session.start_time:  # a NaN instant too
         return None
 
-    if shared is None:
-        shared = {}
     prep = PreparedSweep(engine, session)
     prep.n = n
     prep.t_last = float(times[-1])
@@ -235,7 +227,7 @@ def prepare_sweep(
         if k == 0:
             proto = engine._build_decision(
                 session, access, 0.0, (), None, "incremental", history_len,
-                epoch, shared,
+                epoch,
             )
             _fill(decisions, proto, range(m), idx_list, times)
             continue
@@ -275,7 +267,7 @@ def prepare_sweep(
         for j, (_role, permission) in enumerate(candidates):
             key = engine._tracker_key(permission)
             tracker_keys.append(key)
-            tracker = session.trackers.get(key)
+            tracker = session.tracker(key)
             if tracker is None:
                 # The scalar path would lazily create an INACTIVE
                 # tracker; creation is deferred to commit.
@@ -334,7 +326,7 @@ def prepare_sweep(
             )
             proto = engine._build_decision(
                 session, access, 0.0, (entry,), None, "incremental",
-                history_len, epoch, shared,
+                history_len, epoch,
             )
             winners = [p for p, g in enumerate(granted_list) if g == j]
             positions = range(m) if len(winners) == m else winners
@@ -361,7 +353,7 @@ def prepare_sweep(
             ]
             proto = engine._build_decision(
                 session, access, 0.0, entries, None, "incremental",
-                history_len, epoch, shared,
+                history_len, epoch,
             )
             _fill(decisions, proto, positions, idx_list, times)
 
@@ -389,12 +381,9 @@ def sweep_interleaved(
     returns ``None`` or raises counts one vector fallback per entry;
     a swept run counts one vector decision per entry.  The audit log
     receives the decisions in arrival order, exactly as the scalar
-    per-request loop would have recorded them.  The session groups
-    share one provenance memo, so equal outcomes across sessions
-    retain one ``DecisionProvenance``.
+    per-request loop would have recorded them.
     """
     decisions = None
-    shared: dict[DecisionProvenance, DecisionProvenance] = {}
     try:
         by_session: dict[int, tuple["Session", list[int]]] = {}
         for i, (session, _access, _t) in enumerate(entries):
@@ -412,8 +401,7 @@ def sweep_interleaved(
             if any(not b >= a for a, b in zip(times, times[1:])):
                 return None
             prep = prepare_sweep(
-                engine, session, [entries[i][1] for i in idx_list], times,
-                shared,
+                engine, session, [entries[i][1] for i in idx_list], times
             )
             if prep is None:
                 return None

@@ -418,7 +418,7 @@ class DecisionService:
         daemon thread periodically calls
         :meth:`ShardedEngine.expire_sessions` with this ``idle_for``,
         closing every session whose ``last_seen`` has fallen that far
-        behind the shard's newest activity.  The sweep runs on the
+        behind the newest activity on any shard.  The sweep runs on the
         engines' *logical* clock (the ``t`` of decided requests), so a
         quiet service never expires anything — idleness is relative to
         traffic actually flowing.  Expired sessions count toward

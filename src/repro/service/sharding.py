@@ -78,14 +78,12 @@ class ShardedEngine:
             for i in range(shards)
         ]
         self.policy = policy
-        # Attribute routing: every session minted by a shard engine is
-        # stamped with its shard index and this token, so ``shard_of``
-        # is two attribute reads — no per-session route dict to grow
-        # (and leak) alongside a million-session store.
-        self._token = object()
-        for shard in self._shards:
-            shard.engine.shard_index = shard.index
-            shard.engine.router_token = self._token
+        # Routing by store: every handle references its shard's store,
+        # so ``shard_of`` is one lookup — no per-session route stamp or
+        # route dict to grow (and leak) beside a million-session store.
+        self._shard_of_store = {
+            shard.engine._store: shard.index for shard in self._shards
+        }
 
     def close(self) -> None:
         """Close every shard engine.  Idempotent."""
@@ -103,9 +101,10 @@ class ShardedEngine:
         return stripe_index(key, len(self._shards))
 
     def shard_of(self, session: Session) -> int:
-        """The shard that owns ``session`` (its routing stamp)."""
-        if getattr(session, "_router", None) is self._token:
-            return session._shard_index
+        """The shard that owns ``session`` (the one holding its row)."""
+        index = self._shard_of_store.get(getattr(session, "_store", None))
+        if index is not None:
+            return index
         raise ServiceError(
             f"session {session.session_id!r} is not routed through this "
             f"sharded engine"
@@ -175,7 +174,17 @@ class ShardedEngine:
         self, now: float | None = None, idle_for: float = 0.0
     ) -> int:
         """Expire idle sessions on every shard (see
-        :meth:`AccessControlEngine.expire_sessions`)."""
+        :meth:`AccessControlEngine.expire_sessions`).  ``now`` defaults
+        to the engine-wide latest activity, so a shard that has gone
+        quiet is measured against the others' traffic too."""
+        if now is None:
+            latest = []
+            for shard in self._shards:
+                with shard.lock:
+                    latest.append(shard.engine.latest_activity())
+            now = max((t for t in latest if t is not None), default=None)
+            if now is None:
+                return 0
         expired = 0
         for shard in self._shards:
             with shard.lock:

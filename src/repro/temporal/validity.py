@@ -313,7 +313,7 @@ class ValidityTracker:
 
     def _duration(self) -> float:
         tc = self._tc
-        return tc.durations[int(tc.dur.data[self._row])]
+        return tc.durations[tc.dur.data.item(self._row)]
 
     # -- internal clock ----------------------------------------------------
 
@@ -340,11 +340,11 @@ class ValidityTracker:
 
     def _advance(self, t: float) -> None:
         tc, row = self._tc, self._row
-        now = float(tc.now.data[row])
+        now = tc.now.data.item(row)
         # Written so that a NaN instant is refused too.
         if not t >= now:
             raise TemporalError(f"event at {t} is not at or after current time {now}")
-        if tc.active.data[row] and t >= float(tc.expiry.data[row]):
+        if tc.active.data.item(row) and t >= tc.expiry.data.item(row):
             # The budget ran out before t: emit the expiry switch at
             # the precomputed instant and consolidate.
             expiry = float(tc.expiry.data[row])
@@ -412,9 +412,9 @@ class ValidityTracker:
         tc, row = self._cell()
         if t is not None:
             self._advance(t)
-        if not tc.active.data[row]:
+        if not tc.active.data.item(row):
             return PermissionState.INACTIVE
-        if float(tc.consumed0.data[row]) >= self._duration():
+        if tc.consumed0.data.item(row) >= self._duration():
             return PermissionState.ACTIVE_INVALID
         return PermissionState.VALID
 

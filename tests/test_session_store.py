@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
 from repro.service import DecisionService, ShardedEngine
 from repro.srac.parser import parse_constraint
-from repro.temporal.validity import Scheme, ValidityTracker
+from repro.temporal.validity import PermissionState, Scheme, ValidityTracker
 from repro.traces.trace import AccessKey
 from tests.spec_oracle import SpecOracle, spatial_ok, verdict
 
@@ -512,18 +513,64 @@ class TestIdleExpiry:
         for t in (10.0, 20.0, 30.0):
             engine.decide(sessions[0], access, t, history=None)
             engine.decide(sessions[1], access, t + 0.5, history=None)
-        # A sharded engine's default "now" is each shard's own latest
-        # activity, so it gets the instant explicitly.
-        now = 30.5 if sharded else None
-        assert engine.expire_sessions(now=now, idle_for=25.0) == 2
+        # The default "now" is the engine-wide latest activity (30.5),
+        # on a sharded engine too, though sessions 2 and 3 sit on
+        # shards that saw no traffic.
+        assert engine.expire_sessions(idle_for=25.0) == 2
         assert engine.resident_sessions() == 2
         # The hot pair survives and keeps deciding.
         decision = engine.decide(sessions[0], access, 40.0, history=None)
         assert decision.granted
         # Everything idles out relative to the latest activity.
-        now = 40.0 if sharded else None
-        assert engine.expire_sessions(now=now, idle_for=0.0) == 2
+        assert engine.expire_sessions(idle_for=0.0) == 2
         assert engine.resident_sessions() == 0
+
+    @staticmethod
+    def _two_shards():
+        """A two-shard engine and one routing key for each shard."""
+        engine = ShardedEngine(_policy([None], [None]), shards=2)
+        keys = {}
+        for k in range(64):
+            keys.setdefault(engine.shard_index(f"agent-{k}"), f"agent-{k}")
+        return engine, keys[0], keys[1]
+
+    def _open(self, engine, shard_key):
+        session = engine.authenticate("u", 0.0, shard_key=shard_key)
+        engine.activate_role(session, "r", 0.0)
+        return session
+
+    def test_quiet_shard_expires_against_engine_wide_activity(self):
+        """A session on a shard that went quiet idles out against the
+        newest activity on any shard, not its own shard's."""
+        engine, quiet_key, busy_key = self._two_shards()
+        quiet = self._open(engine, quiet_key)
+        busy = self._open(engine, busy_key)
+        assert engine.shard_of(quiet) != engine.shard_of(busy)
+        access = AccessKey.of("exec", "r1", "s1")
+        engine.decide(quiet, access, 10.0, history=None)
+        for t in (40.0, 70.0, 100.0):
+            engine.decide(busy, access, t, history=None)
+        assert engine.expire_sessions(idle_for=50.0) == 1
+        assert engine.resident_sessions() == 1
+        assert quiet.last_seen == -math.inf and busy.last_seen == 100.0
+
+    def test_service_idle_sweep_reaches_a_quiet_shard(self):
+        engine, quiet_key, busy_key = self._two_shards()
+        with DecisionService(
+            engine, workers=2, idle_expiry=50.0, idle_sweep_interval_s=0.01
+        ) as service:
+            quiet = self._open(engine, quiet_key)
+            busy = self._open(engine, busy_key)
+            access = AccessKey.of("exec", "r1", "s1")
+            service.submit(quiet, access, 10.0).result(timeout=30.0)
+            service.submit(busy, access, 100.0).result(timeout=30.0)
+            deadline = time.monotonic() + 10.0
+            while service.service_stats().expired_sessions < 1:
+                assert time.monotonic() < deadline, "idle sweep never fired"
+                time.sleep(0.02)
+            assert service.service_stats().expired_sessions == 1
+            assert engine.resident_sessions() == 1
+            assert quiet.last_seen == -math.inf and busy.last_seen == 100.0
 
     @pytest.mark.parametrize("sharded", [True, False])
     def test_expire_nothing_when_fresh(self, sharded):
@@ -605,6 +652,27 @@ class TestStoreMechanics:
         assert revived.session_id == sid
         assert revived._row == row
 
+    def test_dropped_handle_leaves_the_cache_by_refcount(self):
+        """A handle sits in no reference cycle, so one that has decided
+        and been read through its views leaves the store's handle
+        cache as soon as it is dropped, with the collector off."""
+        engine = self._engine()
+        access = AccessKey.of("exec", "r1", "s1")
+        gc.disable()
+        try:
+            session = engine.authenticate("u", 0.0)
+            engine.activate_role(session, "r", 0.0)
+            engine.decide(session, access, 1.0, history=None)
+            engine.decide_batch(session, [access] * 2, 2.0)
+            assert set(session.active_roles) and dict(session.trackers)
+            row = session._row
+            assert engine._store.handle_for(row) is session
+            del session
+            assert engine._store.handle_for(row) is None
+        finally:
+            gc.enable()
+        assert engine.session_at(row).role_set()
+
     def test_rows_recycle_with_generation_bump(self):
         engine = self._engine()
         first = engine.authenticate("u", 0.0)
@@ -652,11 +720,16 @@ class TestStoreMechanics:
 
     def test_stale_handle_reads_closed_and_cannot_write(self):
         """A closed session's handle and tracker view, held while its
-        row is reused: the handle reads as a closed session, each of its
-        writes and each method of the view raises, and every decide path
+        row is reused by another user: the handle keeps the identity it
+        opened with and reads as a closed session, each of its writes
+        and each method of the view raises, and every decide path
         denies it with no candidate over an empty history — leaving the
-        row's new occupant exactly as its twin in a second engine."""
+        row's new occupant exactly as its twin in a second engine, its
+        decisions carrying its own subject id."""
         engine, twin_engine = self._engine(), self._engine()
+        for policy in (engine.policy, twin_engine.policy):
+            policy.add_user("v")
+            policy.assign_user("v", "r")
         access = AccessKey.of("exec", "r1", "s1")
         a = engine.authenticate("u", 0.0)
         engine.activate_role(a, "r", 0.0)
@@ -664,10 +737,14 @@ class TestStoreMechanics:
         (key,) = a.trackers
         view = a.trackers[key]
         row, gen = a._row, a._gen
+        identity = (a.session_id, a.subject, a.start_time)
         engine.close_session(a, 1.0)
-        b = engine.authenticate("u", 2.0)
+        b = engine.authenticate("v", 2.0)
         assert (b._row, b._gen) == (row, gen + 1)
-        twin = twin_engine.authenticate("u", 2.0)
+        assert (a.session_id, a.subject, a.start_time) == identity
+        assert a.subject.user.name == "u" and b.subject.user.name == "v"
+        assert b.session_id != a.session_id and b.start_time == 2.0
+        twin = twin_engine.authenticate("v", 2.0)
         for eng, session in ((engine, b), (twin_engine, twin)):
             eng.activate_role(session, "r", 2.0)
             eng.observe(session, access)
@@ -735,6 +812,7 @@ class TestStoreMechanics:
                 assert not decision.granted
                 assert decision.provenance.kind == "no-candidate"
                 assert decision.provenance.history_len == 0
+                assert decision.subject_id == identity[1].subject_id
 
         assert_closed([engine.decide(a, access, 3.0, history=None)])
         assert_closed(engine.decide_batch(a, [access] * 3, 3.0, dt=0.5))
@@ -747,10 +825,19 @@ class TestStoreMechanics:
         )
         assert [_norm(d) for d in many[1::2]] == [_norm(d) for d in expected]
         assert [d.granted for d in expected] == [True, True]
-        assert [_norm(engine.decide(b, access, 6.5, history=None))] == [
+        single = engine.decide(b, access, 6.5, history=None)
+        assert [_norm(single)] == [
             _norm(twin_engine.decide(twin, access, 6.5, history=None))
         ]
+        batch = engine.decide_batch(b, [access] * 2, 7.5, dt=0.5)
+        assert [_norm(d) for d in batch] == [
+            _norm(d) for d in twin_engine.decide_batch(twin, [access] * 2, 7.5, dt=0.5)
+        ]
         assert state(b) == state(twin)
+        assert {d.subject_id for d in [*many[1::2], single, *batch]} == {
+            b.subject.subject_id
+        }
+        assert b.subject.subject_id != identity[1].subject_id
 
     def test_store_invalidation_on_policy_change(self):
         engine = self._engine()
@@ -838,6 +925,31 @@ class TestMemoryBudget:
         excluded) must stay within 200 B/session."""
         _engine, _rows, traced, columns = self._bulk_open()
         assert max(traced, columns) <= 200.0, (traced, columns)
+
+    def test_touched_handle_bytes_within_budget(self):
+        """What a touched session keeps beside its row: a handle per
+        bulk-opened session, each read through every tracker's state
+        and its role set, retains at most 520 B — the handle, its
+        identity and its slot in the store's weak cache.  Views are
+        built per read and dropped."""
+        engine, rows, _traced, _columns = self._bulk_open()
+        rows = rows.tolist()
+        handles = [None] * len(rows)
+        gc.collect()
+        tracemalloc.start()
+        base, _ = tracemalloc.get_traced_memory()
+        for i, row in enumerate(rows):
+            handle = engine.session_at(row)
+            assert all(
+                tracker.state() is PermissionState.VALID
+                for tracker in handle.trackers.values()
+            )
+            assert set(handle.active_roles)
+            handles[i] = handle
+        current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        per_handle = (current - base) / len(rows)
+        assert per_handle <= 520.0, per_handle
 
     def test_bytes_per_session_within_budget_with_timelines(self):
         """The same gate, with the timelines it pays for checked: a

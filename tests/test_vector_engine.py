@@ -471,7 +471,7 @@ class TestStateCodes:
 # what one costs is what the log grows by.  Budgets in bytes, measured
 # by tracemalloc with the request stream built beforehand.
 SWEPT_BUDGET_B = 200
-SCALAR_BUDGET_B = 300
+SCALAR_BUDGET_B = 160
 
 
 def _hot_population(sessions: int = 64):
@@ -564,11 +564,36 @@ class TestRetainedDecisions:
         assert len(kept) == self.N
         assert per_decision <= SCALAR_BUDGET_B, per_decision
         assert not any(hasattr(d, "__dict__") for d in kept)
+        # Equal outcomes share one provenance record, across calls and
+        # sessions.
+        grants = [d for d in kept if d.granted]
+        first = grants[0]
+        twin = next(
+            d for d in grants[1:]
+            if d.provenance == first.provenance and d.subject_id != first.subject_id
+        )
+        assert twin.provenance is first.provenance
+        provenances = [d.provenance for d in kept]
+        assert len({id(p) for p in provenances}) == len(set(provenances))
+        # A replaced permission empties the memo: the next spatial
+        # denial names the new constraint text.
+        i = next(i for i, d in enumerate(kept) if d.provenance.kind == "spatial")
+        session, access = pairs[i]
+        old = engine.policy.permission(kept[i].permission)
+        source = "count(0, 2, [res = rsw])"
+        engine.policy.replace_permission(
+            dataclasses.replace(old, spatial_constraint=parse_constraint(source))
+        )
+        denial = engine.decide(session, access, times[-1] + 1.0, history=None)
+        assert denial.provenance.kind == "spatial"
+        assert denial.provenance.failing.constraint == source
+        assert kept[i].provenance.failing.constraint != source
+        assert list(engine._provenance_memo.values()) == [denial.provenance]
 
     def test_sessions_of_one_sweep_share_provenance(self):
-        """Equal outcomes of different sessions in one sweep retain one
-        ``DecisionProvenance``; candidate records, grant tuples and
-        reasons are shared across calls and with the scalar path."""
+        """Equal outcomes of different sessions retain one
+        ``DecisionProvenance``; it, the candidate records, grant tuples
+        and reasons are shared across calls and with the scalar path."""
         engine, handles, _ = _hot_population()
         fresh_a, fresh_b = handles[1], handles[2]
         seeded_a, seeded_b = handles[0], handles[4]
@@ -593,6 +618,9 @@ class TestRetainedDecisions:
         assert later[0].provenance.candidates is first[0].provenance.candidates
         assert scalar.provenance.candidates is first[0].provenance.candidates
         assert denied.provenance.failing is first[2].provenance.failing
+        # The provenance records themselves are interned per engine.
+        assert later[0].provenance is scalar.provenance is first[0].provenance
+        assert denied.provenance is first[2].provenance
         assert denied.reason is first[2].reason
         assert later[1].reason is first[2].reason
 
