@@ -21,12 +21,16 @@ measures what that buys:
   population (1M+ sessions in the full run) under ``tracemalloc``, on
   the default engine (timelines recorded, as deployed); the marginal
   bytes/session (and the store's own column accounting) gate the
-  ≤ 200 B/session budget.
+  ≤ 100 B/session budget.
 * **touched handles** — the drive's touched sessions get handles,
   each read through its trackers and role set under ``tracemalloc``;
-  what they retain per session gates the ≤ 520 B budget.
+  what they retain per session gates the ≤ 520 B budget.  Reads copy
+  no cell, so this holds only the handles.
 * **throughput at scale** — the diurnal Zipf stream is driven through
-  the micro-batched :class:`~repro.service.DecisionService`.
+  the micro-batched :class:`~repro.service.DecisionService`.  After
+  the drive, the store's bytes over its residents — the untouched rows
+  still sharing their template cell, each written row with a cell of
+  its own — gate the same ≤ 100 B/session budget.
 
 Run:  python benchmarks/bench_scale.py [--smoke]
 Emits benchmarks/artifacts/BENCH_scale.json.
@@ -67,8 +71,9 @@ MAX_WAIT_S = 0.002
 QUEUE_DEPTH = 1 << 17
 SUBMIT_CHUNK = 8192
 
-#: Store-overhead budget per resident session (ISSUE acceptance).
-BYTES_PER_SESSION_BUDGET = 200.0
+#: Store-overhead budget per resident session, after the bulk open
+#: and after the drive.
+BYTES_PER_SESSION_BUDGET = 100.0
 
 #: What a touched session's handle may keep beside its row.
 HANDLE_BYTES_BUDGET = 520.0
@@ -336,10 +341,12 @@ def drive_population(
     if stats.errors:
         raise AssertionError(f"scale drive reported {stats.errors} errors")
     granted = sum(d.granted for d in decisions)
+    store_bytes = sum(shard.engine._store.nbytes() for shard in engine._shards)
     return {
         "requests": len(decisions),
         "touched_sessions": int(len(touched)),
         "handle_bytes_per_touched_session": handle_bytes,
+        "store_bytes_per_session": store_bytes / engine.resident_sessions(),
         "wall_s": wall,
         "throughput": len(decisions) / wall,
         "granted": granted,
@@ -427,6 +434,11 @@ def print_report(report: dict) -> None:
         f"{drive['handle_bytes_per_touched_session']:.1f} B "
         f"(budget {HANDLE_BYTES_BUDGET:.0f} B)"
     )
+    print(
+        f"store after the drive: "
+        f"{drive['store_bytes_per_session']:.1f} B per resident session "
+        f"(budget {BYTES_PER_SESSION_BUDGET:.0f} B)"
+    )
 
 
 def check_acceptance(report: dict, smoke: bool = False) -> None:
@@ -446,6 +458,11 @@ def check_acceptance(report: dict, smoke: bool = False) -> None:
     assert drive["handle_bytes_per_touched_session"] <= HANDLE_BYTES_BUDGET, (
         f"{drive['handle_bytes_per_touched_session']:.1f} B per touched "
         f"session's handle exceeds the {HANDLE_BYTES_BUDGET:.0f} B budget"
+    )
+    assert drive["store_bytes_per_session"] <= BYTES_PER_SESSION_BUDGET, (
+        f"store overhead after the drive "
+        f"{drive['store_bytes_per_session']:.1f} B/session exceeds the "
+        f"{BYTES_PER_SESSION_BUDGET:.0f} B budget"
     )
     assert drive["vector_fallbacks"] == 0, drive
     assert drive["vector_decisions"] > 0, drive

@@ -46,11 +46,13 @@ DEFAULT_BUCKETS = (
 
 
 #: Collected names that are current values of their owner (resident
-#: sessions, queued proofs, the membership epoch): combined over
-#: registered collectors only, never kept from an unregistered one.
+#: sessions and those owning a store cell, queued proofs, the
+#: membership epoch): combined over registered collectors only, never
+#: kept from an unregistered one.
 COLLECTED_GAUGES = frozenset({
     "engine.sessions.resident", "engine.sessions.store_bytes",
-    "proofbatch.pending", "proofbatch.parked", "coalition.membership_epoch",
+    "engine.sessions.own_cells", "proofbatch.pending", "proofbatch.parked",
+    "coalition.membership_epoch",
 })
 
 #: Collected names combined by ``max`` rather than summed.

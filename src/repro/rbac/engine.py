@@ -30,7 +30,7 @@ from repro.errors import AccessDenied, ConstraintError, RbacError
 from repro.obs import OBS, RECORDER, REGISTRY
 from repro.obs.provenance import CandidateProvenance, DecisionProvenance
 from repro.rbac.audit import AuditLog, Decision
-from repro.rbac.model import Permission, Role, Subject
+from repro.rbac.model import Permission, Role, Subject, User
 from repro.rbac.policy import Policy
 from repro.rbac.session_store import Session, SessionStore
 from repro.sral.ast import Program
@@ -41,7 +41,7 @@ from repro.srac.monitors import CompiledConstraint, compile_constraint
 from repro.srac.printer import unparse_constraint
 from repro.srac.reachability import CacheStats, cache_stats, live_set
 from repro.temporal.aggregation import PermissionClassifier
-from repro.temporal.validity import PermissionState, Scheme
+from repro.temporal.validity import PermissionState, Scheme, check_clock
 from repro.traces.trace import AccessKey, Trace
 
 __all__ = [
@@ -170,8 +170,9 @@ class AccessControlEngine:
     Resident session state lives in the columnar
     :class:`~repro.rbac.session_store.SessionStore`: sessions returned
     by :meth:`authenticate` are :class:`~repro.rbac.session_store.Session`
-    handles over numpy columns (~200 bytes of store overhead per
-    resident session).
+    handles over numpy columns (~70 bytes of store overhead per
+    resident session until its first tracker or monitor write, which
+    copies its shared cell into one of its own).
     """
 
     def __init__(
@@ -282,6 +283,7 @@ class AccessControlEngine:
         return {
             "engine.sessions.resident": float(self.resident_sessions()),
             "engine.sessions.store_bytes": float(self._store.nbytes()),
+            "engine.sessions.own_cells": float(self._store.own_cells()),
             "engine.decisions": granted + denied,
             "engine.decisions.granted": granted,
             "engine.decisions.denied": denied,
@@ -402,10 +404,16 @@ class AccessControlEngine:
         return self._store.resident
 
     def close_session(self, session: Session, t: float) -> None:
-        """End a session: deactivate everything and free its row at
-        once; ``session`` then reads as a closed session."""
-        for role in list(session.active_roles):
-            self.deactivate_role(session, role.name, t)
+        """End a session at ``t``: free its row at once, and
+        ``session`` reads as a closed session — no roles, trackers or
+        history.  Refused with :class:`~repro.errors.TemporalError`,
+        the session left open, when ``t`` is behind a clock that
+        deactivating its roles would advance.  Closing writes no
+        tracker: the closed occupancy's tracker states and timelines
+        are read by no one."""
+        if session.role_set():
+            for tracker in session.trackers.values():
+                check_clock(t, tracker.now)
         if session._store is self._store:
             self._store.close(session._row, session._gen)
 
@@ -420,22 +428,17 @@ class AccessControlEngine:
         """Close every session idle for at least ``idle_for`` as of
         ``now`` (default: :meth:`latest_activity`) — the long-run guard
         against unbounded session growth.  Each expired session is
-        closed at the latest instant any of its trackers has reached
-        (never behind a tracker clock), exactly as an explicit
-        :meth:`close_session` there.  Returns the number of sessions
+        closed as :meth:`close_session` closes it at an instant no
+        tracker clock is behind.  Returns the number of sessions
         expired."""
         if now is None:
             now = self.latest_activity()
             if now is None:
                 return 0
-        now = float(now)
-        rows = self._store.idle_rows(now, idle_for)
+        store = self._store
+        rows = store.idle_rows(float(now), idle_for)
         for row in rows.tolist():
-            session = self._handle(row)
-            t = now
-            for tracker in session.trackers.values():
-                t = max(t, tracker.now)
-            self.close_session(session, t)
+            store.close(row, store._gen.data.item(row))
         return len(rows)
 
     def open_sessions(
@@ -451,10 +454,20 @@ class AccessControlEngine:
         :meth:`activate_role` per session — same states, timelines and
         id sequences (checked in ``tests/test_session_store.py`` and
         ``benchmarks/bench_scale.py``) — minus the per-session Python
-        objects.  Returns the opened row indices, in ``user_names``
-        order (:meth:`session_at` materialises handles on demand)."""
-        store = self._store
+        objects.  A refused call opens nothing.  Returns the opened row
+        indices, in ``user_names`` order (:meth:`session_at`
+        materialises handles on demand)."""
         names = list(user_names)
+        role_objs, users = self._check_bulk_open(names, roles)
+        return self._open_block(names, t, role_objs, users)
+
+    def _check_bulk_open(
+        self, names: Iterable[str], roles: Iterable[str]
+    ) -> tuple[tuple[Role, ...], dict[str, User]]:
+        """Check a bulk open before anything is written: the role set
+        against DSD, and each distinct name as a known user entitled to
+        every role.  Returns the roles and the users by name, in first
+        appearance order."""
         role_objs = tuple(self.policy.role(name) for name in roles)
         role_fs = frozenset(role_objs)
         for constraint in self.policy.dsd_constraints:
@@ -463,20 +476,7 @@ class AccessControlEngine:
                     f"activating {sorted(r.name for r in role_objs)!r} "
                     f"violates DSD constraint {constraint.name!r}"
                 )
-        # One tracker plan for the whole block: key -> duration, in the
-        # same first-creation order the scalar activation loop uses.
-        tracker_plan: dict[str, float] = {}
-        for role in role_objs:
-            for permission in self.policy.permissions_of_role(role):
-                key = self._tracker_key(permission)
-                if key not in tracker_plan:
-                    tracker_plan[key] = self._duration_for(permission)
-        # Distinct users in first-appearance order — the order
-        # one-by-one authentication interns them — each checked and
-        # interned once.
-        user_index: dict[str, int] = {}
-        user_codes: list[int] = []
-        principal_codes: list[int] = []
+        users: dict[str, User] = {}
         for name in dict.fromkeys(names):
             user = self.policy.user(name)
             if role_objs:
@@ -489,8 +489,35 @@ class AccessControlEngine:
                             f"user {name!r} is not authorized "
                             f"for role {role.name!r}"
                         )
+            users[name] = user
+        return role_objs, users
+
+    def _open_block(
+        self,
+        names: list[str],
+        t: float,
+        role_objs: tuple[Role, ...],
+        users: dict[str, User],
+    ) -> np.ndarray:
+        """Open a checked bulk open's rows (see :meth:`open_sessions`);
+        ``users`` holds every name in ``names``."""
+        store = self._store
+        # One tracker plan for the whole block: key -> duration, in the
+        # same first-creation order the scalar activation loop uses.
+        tracker_plan: dict[str, float] = {}
+        for role in role_objs:
+            for permission in self.policy.permissions_of_role(role):
+                key = self._tracker_key(permission)
+                if key not in tracker_plan:
+                    tracker_plan[key] = self._duration_for(permission)
+        # Distinct users in first-appearance order — the order
+        # one-by-one authentication interns them — each interned once.
+        user_index: dict[str, int] = {}
+        user_codes: list[int] = []
+        principal_codes: list[int] = []
+        for name in dict.fromkeys(names):
             user_index[name] = len(user_index)
-            user_codes.append(store._intern_user(user))
+            user_codes.append(store._intern_user(users[name]))
             principal_codes.append(
                 store._intern_principals(frozenset({f"user:{name}"}))
             )
@@ -504,7 +531,7 @@ class AccessControlEngine:
             ),
             np.array(user_codes, dtype=np.int32)[of_user],
             np.array(principal_codes, dtype=np.int32)[of_user],
-            store._intern_role_set(role_fs),
+            store._intern_role_set(frozenset(role_objs)),
             tracker_plan,
         )
 
@@ -538,16 +565,24 @@ class AccessControlEngine:
 
     def deactivate_role(self, session: Session, role_name: str, t: float) -> None:
         """Deactivate a role; permissions no longer reachable through a
-        remaining active role lose their active state."""
+        remaining active role lose their active state.  Refused with
+        :class:`~repro.errors.TemporalError`, nothing changed, when
+        ``t`` is behind the clock of a tracker it would deactivate."""
         role = self.policy.role(role_name)
-        session.active_roles.discard(role)
         remaining = self.policy.permissions_of_roles(
-            self.policy.hierarchy.closure(set(session.active_roles))
+            self.policy.hierarchy.closure(set(session.active_roles) - {role})
         )
         remaining_keys = {self._tracker_key(p) for p in remaining}
-        for key, tracker in session.trackers.items():
-            if key not in remaining_keys:
-                tracker.deactivate(t)
+        trackers = [
+            tracker
+            for key, tracker in session.trackers.items()
+            if key not in remaining_keys
+        ]
+        for tracker in trackers:
+            check_clock(t, tracker.now)
+        session.active_roles.discard(role)
+        for tracker in trackers:
+            tracker.deactivate(t)
 
     def notify_migration(self, session: Session, t: float) -> None:
         """The mobile object arrived at a new server: under the

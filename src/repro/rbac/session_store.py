@@ -2,12 +2,12 @@
 
 A resident session's hot state — validity-tracker accrual, compiled
 monitor states, the active role set and the observation log — lives in
-per-engine **numpy columns** indexed by row instead of per-session
-Python objects.  A per-session object graph costs hundreds of bytes to
-kilobytes (dict headers, list over-allocation, tracker instances,
-recorder lists); at the ROADMAP's "millions of users" scale that
-overhead *is* the memory bill.  The columnar layout brings a resident
-session down to a fixed set of scalar cells:
+per-engine **numpy columns** instead of per-session Python objects.  A
+per-session object graph costs hundreds of bytes to kilobytes (dict
+headers, list over-allocation, tracker instances, recorder lists); at
+the ROADMAP's "millions of users" scale that overhead *is* the memory
+bill.  The columnar layout brings a resident session down to a fixed
+set of scalar cells in its row, plus a cell index:
 
 ::
 
@@ -16,23 +16,39 @@ session down to a fixed set of scalar cells:
       sid_seq      i64   subj_seq    i64
       user_id      i32   principals_id i32  role_set_id i32
       obs_head/obs_tail/obs_len/obs_ver     i32 (observation list)
+      cell         i32   (the tracker and monitor cell the row reads)
 
-    per tracker key (lazily created, one cell per row; a
-    repro.temporal.validity.TrackerCells)
-      alloc u8  active u8  anchor f64  consumed0 f64  expiry f64
-      now f64   dur i16 (index into the key's distinct durations)
-      + an append-only timeline event arena (row, gen, time, kind)
-      alloc: 0 free, 1 allocated, 2 activated when the row was opened
-      (its active-on / valid-on events at start_time are implied)
-
-    per compiled constraint (lazily created, one cell per row; none
-    for a product over MAX_MONITOR_PRODUCT)
-      state i64  — the mixed-radix monitor-product encoding of
-      :class:`repro.srac.compiled.TransitionTable` (same strides), so
-      the vectorized sweep reads a ready-made table state id
+    cells (one entry per cell id; cell 0 is the empty cell)
+      owner        i32   the row that owns the cell, or -1
+      per tracker key (lazily created; a
+      repro.temporal.validity.TrackerCells: one 36 B record per cell)
+        alloc u8  active u8  dur i16 (index into the key's distinct
+        durations)  anchor f64  consumed0 f64  expiry f64  now f64
+        + an append-only timeline event arena keyed by the occupancy
+          that recorded the event (row, gen, time, kind)
+        alloc: 0 free, 1 allocated, 2 activated when the row was opened
+        (its active-on / valid-on events at start_time are implied)
+      per compiled constraint (lazily created; none for a product
+      over MAX_MONITOR_PRODUCT)
+        state i64  — the mixed-radix monitor-product encoding of
+        :class:`repro.srac.compiled.TransitionTable` (same strides), so
+        the vectorized sweep reads a ready-made table state id
 
     observation arena (append-only, shared by all rows)
       sym i32 (interned AccessKey id)   nxt i32 (linked list)
+
+Rows that only restate their open state share one cell.  A fresh row
+reads the **empty cell** (every tracker free, every monitor -1); the
+rows of one bulk open (:meth:`SessionStore.open_block`) read one
+**template** cell holding the trackers that open activated.  Reads
+resolve the row's current cell and never allocate.  The row's first
+write to a tracker or monitor — an event, a clock advance, a tracker
+allocation, a monitor initialisation — copies the shared cell into a
+cell the row owns (:meth:`SessionStore._own_cell`), and the row points
+at its copy from then on.  Closing a row frees the cell it owns, and a
+template with the last row reading it, for reuse.  Cell columns grow
+with the cells in use, not with the rows: a million bulk-opened rows
+of which a few thousand are ever written hold a few thousand cells.
 
 Scalar callers never see the columns: a :class:`Session` is a
 **handle**, a reference into one row.  It holds the store, the row and
@@ -62,10 +78,10 @@ Timeline recording (the audit ``valid``/``active`` state functions) is
 columnar too: events append to a per-tracker-key arena and are replayed
 through a real :class:`~repro.temporal.timeline.TimelineRecorder` only
 when a timeline is actually requested.  A cell activated by a bulk
-open (:meth:`SessionStore.open_block`) stores no events: its
-active-on / valid-on pair at the row's start time is implied by
-``alloc == TrackerCells.OPEN_ACTIVE`` and replayed ahead of the stored
-events, so recording timelines costs a bulk-opened row nothing.
+open stores no events: its active-on / valid-on pair at the row's
+start time is implied by ``alloc == TrackerCells.OPEN_ACTIVE`` and
+replayed ahead of the stored events, so recording timelines costs a
+bulk-opened row nothing.
 """
 
 from __future__ import annotations
@@ -96,6 +112,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SessionStore", "Session", "ColumnTracker"]
 
 _INITIAL_ROWS = 64
+_INITIAL_CELLS = 64
+
+#: The shared empty cell: every tracker ``FREE``, every monitor -1.
+EMPTY_CELL = 0
 
 #: Widest monitor product a store column encodes: every state id must
 #: fit the int64 cell.  A wider product keeps no column; its states are
@@ -105,7 +125,7 @@ MAX_MONITOR_PRODUCT = 2**62
 
 class _MonitorColumn:
     """Per-constraint monitor-product states, one mixed-radix encoded
-    int64 per row (``-1`` = not initialised for that row).  The strides
+    int64 per cell (``-1`` = not initialised for that cell).  The strides
     are the same MSB-first mixed radix as
     :class:`repro.srac.compiled.TransitionTable`, so an initialised
     cell *is* a valid table state id for any table compiled from the
@@ -136,8 +156,10 @@ class ColumnTracker(ValidityTracker):
     """The :class:`~repro.temporal.validity.ValidityTracker` of one
     store row: the same accrual code, over the row's cell in the
     store's :class:`~repro.temporal.validity.TrackerCells` for its
-    tracker key.  The view holds its store, not its session handle, so
-    it pins nothing; once the session is closed, every method raises
+    tracker key.  Each call resolves the row's current cell, so a view
+    made before the row's first write reads the copy that write made.
+    The view holds its store, not its session handle, so it pins
+    nothing; once the session is closed, every method raises
     :class:`~repro.errors.RbacError`."""
 
     __slots__ = ("_store",)
@@ -151,16 +173,27 @@ class ColumnTracker(ValidityTracker):
         self._gen = gen
         self.scheme = store.scheme
 
-    def _cell(self) -> tuple[TrackerCells, int]:
-        """The view's cells and row, while its session is open."""
-        if self._store._gen.data.item(self._row) != self._gen:
+    def _cell(self) -> int:
+        """The row's current cell, while its session is open."""
+        store, row = self._store, self._row
+        if store._gen.data.item(row) != self._gen:
             raise RbacError("tracker of a closed session")
-        return self._tc, self._row
+        return store._cell.data.item(row)
+
+    def _own_cell(self) -> int:
+        """The row's own cell (see :meth:`SessionStore._own_cell`),
+        while its session is open."""
+        store, row = self._store, self._row
+        if store._gen.data.item(row) != self._gen:
+            raise RbacError("tracker of a closed session")
+        return store._own_cell(row)
 
     def _replay(self) -> tuple[TimelineRecorder, TimelineRecorder]:
         """A row opened in bulk replays its implied open events first."""
-        tc, row = self._cell()
-        return tc.replay(row, self._gen, float(self._store._start_time.data[row]))
+        cell, row = self._cell(), self._row
+        return self._tc.replay(
+            cell, row, self._gen, float(self._store._start_time.data[row])
+        )
 
     # Bound here too: the ``benchmarks/e2e`` layer tracer wraps each
     # class's own entries, and an override calling ``super()`` would
@@ -288,19 +321,24 @@ class Session:
         if not self._is_open():
             return {}
         store, row, gen = self._store, self._row, self._gen
+        cell = store._cell.data.item(row)
         return {
             key: ColumnTracker(tc, store, row, gen)
             for key, tc in store._trackers.items()
-            if tc.alloc.data[row]
+            if tc.alloc.item(cell)
         }
 
     def tracker(self, key: str) -> ColumnTracker | None:
         """A view of tracker ``key`` — the lookup's one new object — or
-        ``None`` when the row has no such cell or the session is
+        ``None`` when the row has no such tracker or the session is
         closed."""
         store, row = self._store, self._row
         tc = store._trackers.get(key)
-        if tc is None or not tc.alloc.data.item(row) or not self._is_open():
+        if (
+            tc is None
+            or not tc.alloc.item(store._cell.data.item(row))
+            or not self._is_open()
+        ):
             return None
         return ColumnTracker(tc, store, row, self._gen)
 
@@ -399,6 +437,7 @@ class SessionStore:
         self._obs_tail = Column(capacity, np.int32, fill=-1)
         self._obs_len = Column(capacity, np.int32)
         self._obs_ver = Column(capacity, np.int32)
+        self._cell = Column(capacity, np.int32, fill=EMPTY_CELL)
         self._row_columns: list[Column] = [
             self._start_time,
             self._last_seen,
@@ -413,6 +452,7 @@ class SessionStore:
             self._obs_tail,
             self._obs_len,
             self._obs_ver,
+            self._cell,
         ]
         # Interning tables.  Index 0 of the role sets is the empty set
         # (every fresh row's default).
@@ -427,9 +467,17 @@ class SessionStore:
         # Observation arena: linked list of interned symbol ids.
         self._obs_sym = Arena(np.int32, fill=-1)
         self._obs_next = Arena(np.int32, fill=-1)
-        # Lazy column families.
+        # Cells: the owning row of each (-1 for the empty cell, a
+        # template or a free cell), and every tracker key's and
+        # monitor's columns, created lazily.  Cell 0 is the empty cell.
+        self._owner = Column(_INITIAL_CELLS, np.int32, fill=-1)
+        self._cell_columns: list[Column] = [self._owner]
         self._trackers: dict[str, TrackerCells] = {}
         self._monitors: dict[object, _MonitorColumn] = {}
+        self._cells = 1  # high-water cell mark
+        self._free_cells: list[int] = []
+        # Template cell -> rows still reading it.
+        self._template_rows: dict[int, int] = {}
         self._handles: "weakref.WeakValueDictionary[int, Session]" = (
             weakref.WeakValueDictionary()
         )
@@ -446,15 +494,10 @@ class SessionStore:
     def _grow_to(self, capacity: int) -> None:
         for column in self._row_columns:
             column.grow(capacity)
-        for tc in self._trackers.values():
-            for column in tc.columns():
-                column.grow(capacity)
-        for mc in self._monitors.values():
-            mc.col.grow(capacity)
 
     def reserve(self, n: int) -> None:
-        """Presize every column for ``n`` rows (so bulk loads measure
-        their true footprint instead of doubling slack)."""
+        """Presize every row column for ``n`` rows (so bulk loads
+        measure their true footprint instead of doubling slack)."""
         if n > self.capacity:
             self._grow_to(n)
 
@@ -462,22 +505,70 @@ class SessionStore:
         """Bytes held by the columns and arenas (the store overhead the
         scale benchmark's per-session gate divides by residency)."""
         total = sum(c.data.nbytes for c in self._row_columns)
+        total += sum(c.data.nbytes for c in self._cell_columns)
         for tc in self._trackers.values():
-            total += sum(c.data.nbytes for c in tc.columns())
             total += (
                 tc.ev_row.data.nbytes
                 + tc.ev_gen.data.nbytes
                 + tc.ev_time.data.nbytes
                 + tc.ev_kind.data.nbytes
             )
-        for mc in self._monitors.values():
-            total += mc.col.data.nbytes
         total += self._obs_sym.data.nbytes + self._obs_next.data.nbytes
         return total
 
     @property
     def resident(self) -> int:
         return self._resident
+
+    def own_cells(self) -> int:
+        """Rows that own a cell: written since they were opened."""
+        return int(np.count_nonzero(self._owner.data[: self._cells] >= 0))
+
+    # -- cells ---------------------------------------------------------------
+
+    def _new_cell(self, source: int) -> int:
+        """A free cell holding a copy of cell ``source``."""
+        if self._free_cells:
+            cell = self._free_cells.pop()
+        else:
+            cell = self._cells
+            if cell == self._owner.data.size:
+                for column in self._cell_columns:
+                    column.grow(2 * cell)
+            self._cells = cell + 1
+        for column in self._cell_columns:
+            column.data[cell] = column.data[source]
+        return cell
+
+    def _own_cell(self, row: int) -> int:
+        """The cell ``row`` writes: its own, or — on its first write —
+        a copy of the shared cell it has read until now, which the row
+        then points at.  Every write to a row's tracker or monitor
+        cells comes through here, so no write reaches a shared cell."""
+        shared = self._cell.data.item(row)
+        if self._owner.data.item(shared) == row:
+            return shared
+        cell = self._new_cell(shared)
+        self._owner.data[cell] = row
+        self._cell.data[row] = cell
+        self._release(row, shared)
+        return cell
+
+    def _release(self, row: int, cell: int) -> None:
+        """Drop ``row``'s hold on ``cell``: a cell the row owns is
+        freed, and a template with the last row reading it."""
+        if self._owner.data.item(cell) == row:
+            self._owner.data[cell] = -1
+            self._free_cells.append(cell)
+            return
+        rows = self._template_rows.get(cell)
+        if rows is None:  # the empty cell
+            return
+        if rows > 1:
+            self._template_rows[cell] = rows - 1
+        else:
+            del self._template_rows[cell]
+            self._free_cells.append(cell)
 
     # -- interning ----------------------------------------------------------
 
@@ -555,6 +646,7 @@ class SessionStore:
         self._obs_tail.data[row] = -1
         self._obs_len.data[row] = 0
         self._obs_ver.data[row] = 0
+        self._cell.data[row] = EMPTY_CELL
         self._subj_seq.data[row] = subj_seq
         self._resident += 1
         return row
@@ -570,12 +662,14 @@ class SessionStore:
         trackers: Mapping[str, float],
     ) -> np.ndarray:
         """Bulk-open ``len(sid_seqs)`` rows at the high-water mark with
-        vectorized column fills (the bulk load path), each with the
-        ``trackers`` cells (key → duration) allocated and activated at
-        ``t`` — what ``create_tracker`` + ``activate(t)`` leaves, minus
-        the two timeline events, which ``OPEN_ACTIVE`` implies.  All
-        other inputs are parallel integer sequences; interning codes
-        come from the scalar helpers.  Returns the opened row indices."""
+        vectorized column fills (the bulk load path), all reading one
+        template cell with the ``trackers`` (key → duration) allocated
+        and activated at ``t`` — what ``create_tracker`` +
+        ``activate(t)`` leaves, minus the two timeline events, which
+        ``OPEN_ACTIVE`` implies.  A row copies the template on its first
+        write.  All other inputs are parallel integer sequences;
+        interning codes come from the scalar helpers.  Returns the
+        opened row indices."""
         for duration in trackers.values():
             check_duration(duration)
         n = len(sid_seqs)
@@ -599,15 +693,19 @@ class SessionStore:
         self._obs_tail.data[sl] = -1
         self._obs_len.data[sl] = 0
         self._obs_ver.data[sl] = 0
-        for key, duration in trackers.items():
-            tc = self._tracker_columns(key)
-            tc.alloc.data[sl] = TrackerCells.OPEN_ACTIVE
-            tc.active.data[sl] = 1
-            tc.anchor.data[sl] = t
-            tc.consumed0.data[sl] = 0.0
-            tc.now.data[sl] = t
-            tc.expiry.data[sl] = math.inf if math.isinf(duration) else t + duration
-            tc.dur.data[sl] = tc.dur_code(duration)
+        cell = EMPTY_CELL
+        if trackers:
+            cell = self._new_cell(EMPTY_CELL)
+            self._template_rows[cell] = n
+            for key, duration in trackers.items():
+                tc = self._tracker_columns(key)
+                tc.allocate(cell, duration, t)
+                tc.alloc[cell] = TrackerCells.OPEN_ACTIVE
+                tc.active[cell] = 1
+                tc.expiry[cell] = (
+                    math.inf if math.isinf(duration) else t + duration
+                )
+        self._cell.data[sl] = cell
         self._resident += n
         return rows
 
@@ -617,18 +715,17 @@ class SessionStore:
         occupancy into a closed session's, and the cached handle is
         evicted so the row's next occupant gets a fresh one.  The row
         columns keep their values until :meth:`open` rewrites them all;
-        tracker and monitor cells are freed here.  A stale ``gen`` (the
-        session is already closed) is a no-op."""
+        the row's hold on its cell is released here, and it reads the
+        empty cell.  A stale ``gen`` (the session is already closed) is
+        a no-op."""
         if int(self._gen.data[row]) != gen:
             return
         self._handles.pop(row, None)
         self._resident -= 1
         self._alive.data[row] = 0
         self._gen.data[row] += 1
-        for tc in self._trackers.values():
-            tc.alloc.data[row] = TrackerCells.FREE
-        for mc in self._monitors.values():
-            mc.col.data[row] = -1
+        self._release(row, self._cell.data.item(row))
+        self._cell.data[row] = EMPTY_CELL
         self._free.append(row)
 
     def register_handle(self, row: int, handle: Session) -> None:
@@ -761,7 +858,7 @@ class SessionStore:
     def monitor_entry(self, row: int, constraint) -> tuple | None:
         mc = self._monitors.get(constraint)
         if mc is not None:
-            value = mc.col.data.item(row)
+            value = mc.col.data.item(self._cell.data.item(row))
             if value >= 0:
                 return (mc.compiled, mc.decode(value))
         return None
@@ -775,9 +872,12 @@ class SessionStore:
         if mc is None:
             if compiled.state_space() > MAX_MONITOR_PRODUCT:
                 return (compiled, states)
-            mc = _MonitorColumn(compiled, self.capacity)
+            mc = _MonitorColumn(compiled, self._owner.data.size)
             self._monitors[constraint] = mc
-        mc.col.data[row] = mc.encode(states)
+            self._cell_columns.append(mc.col)
+        # Resolved first: the copy may grow (replace) the column arrays.
+        cell = self._own_cell(row)
+        mc.col.data[cell] = mc.encode(states)
         return (mc.compiled, states)
 
     def monitor_state_id(self, row: int, constraint, table: "TransitionTable") -> int | None:
@@ -788,22 +888,29 @@ class SessionStore:
         mc = self._monitors.get(constraint)
         if mc is None or mc.sizes != table.sizes:
             return None
-        value = int(mc.col.data[row])
+        value = mc.col.data.item(self._cell.data.item(row))
         return value if value >= 0 else None
 
     def step_monitors_row(self, row: int, access: AccessKey) -> None:
         """Advance every initialised monitor cell of ``row`` by one
-        access (the ``observe`` hot path)."""
+        access (the ``observe`` hot path).  Only a cell the row owns
+        holds an initialised monitor — :meth:`init_monitor` writes
+        through :meth:`_own_cell` — so this never copies."""
+        cell = self._cell.data.item(row)
         for mc in self._monitors.values():
-            value = int(mc.col.data[row])
+            value = mc.col.data.item(cell)
             if value >= 0:
-                mc.col.data[row] = mc.encode(
+                mc.col.data[cell] = mc.encode(
                     mc.compiled.step(mc.decode(value), access)
                 )
 
     def clear_monitor_row(self, row: int) -> None:
-        for mc in self._monitors.values():
-            mc.col.data[row] = -1
+        """Uninitialise the row's monitors; a row reading a shared cell
+        has none to clear."""
+        cell = self._cell.data.item(row)
+        if self._owner.data.item(cell) == row:
+            for mc in self._monitors.values():
+                mc.col.data[cell] = -1
 
     def clear_all_monitor_states(self) -> None:
         for mc in self._monitors.values():
@@ -814,13 +921,14 @@ class SessionStore:
     def _tracker_columns(self, key: str) -> TrackerCells:
         tc = self._trackers.get(key)
         if tc is None:
-            tc = TrackerCells(self.capacity)
+            tc = TrackerCells(self._owner.data.size)
             self._trackers[key] = tc
+            self._cell_columns.append(tc)
         return tc
 
     def alloc_tracker(self, row: int, key: str, duration: float) -> None:
         """Allocate one tracker cell in the fresh (inactive) state a
         standalone tracker's constructor produces."""
         self._tracker_columns(key).allocate(
-            row, duration, float(self._start_time.data[row])
+            self._own_cell(row), duration, float(self._start_time.data[row])
         )

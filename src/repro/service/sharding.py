@@ -140,9 +140,10 @@ class ShardedEngine:
         users are routed by name exactly as :meth:`authenticate` would
         (hashed once per distinct name), then each shard bulk-loads its
         share in arrival order (:meth:`AccessControlEngine.open_sessions`).
-        Returns ``{shard_index: row_indices}``; :meth:`session_at`
-        materialises handles on demand."""
-        roles = tuple(roles)
+        Every distinct name is checked once before any shard opens a
+        row, so a refused call opens nothing.  Returns
+        ``{shard_index: row_indices}``; :meth:`session_at` materialises
+        handles on demand."""
         by_shard: dict[int, list[str]] = {}
         share_of: dict[str, list[str]] = {}  # name -> its shard's names
         for name in user_names:
@@ -152,11 +153,15 @@ class ShardedEngine:
                     self.shard_index(name), []
                 )
             share.append(name)
+        # Shards share the policy and engine settings: any one checks.
+        role_objs, users = self._shards[0].engine._check_bulk_open(
+            share_of, roles
+        )
         out: dict[int, "np.ndarray"] = {}
         for index, names in sorted(by_shard.items()):
             shard = self._shards[index]
             with shard.lock:
-                out[index] = shard.engine.open_sessions(names, t, roles)
+                out[index] = shard.engine._open_block(names, t, role_objs, users)
         return out
 
     def session_at(self, shard_index: int, row: int) -> Session:

@@ -24,10 +24,15 @@ and records the ``valid`` state function as a
 :class:`~repro.temporal.timeline.BooleanTimeline` for audit and for
 cross-checking against the declarative integral (tests do both).
 
-A tracker is a view of one row of :class:`TrackerCells` (numpy columns
-of accrual state plus an arena of timeline events): a private one-row
-set when it stands alone, the session store's set for its tracker key
-as a :class:`~repro.rbac.session_store.ColumnTracker`.  Accrual is
+A tracker is a view of one cell of :class:`TrackerCells` (a numpy
+column of accrual records plus an arena of timeline events): the one
+cell of a private set when it stands alone, its row's cell in the
+session store's set for its tracker key as a
+:class:`~repro.rbac.session_store.ColumnTracker`.  Reads resolve the
+cell through :meth:`ValidityTracker._cell` and writes through
+:meth:`ValidityTracker._own_cell`: a standalone tracker owns the cell
+it reads, and a store row's view copies a cell it shares with other
+rows into one of its own on its first write.  Accrual is
 closed-form — ``consumed(t) = consumed₀ + (t − anchor)`` against an
 expiry instant precomputed at the last event — and every query answers
 ``t >= expiry``: :meth:`ValidityTracker.state` one instant at a time,
@@ -55,6 +60,7 @@ __all__ = [
     "Column",
     "Arena",
     "check_duration",
+    "check_clock",
     "STATE_CODES",
     "CODE_INACTIVE",
     "CODE_ACTIVE_INVALID",
@@ -104,6 +110,13 @@ def check_duration(duration: float) -> None:
         raise TemporalError(f"validity duration must be positive, got {duration}")
 
 
+def check_clock(t: float, now: float) -> None:
+    """Refuse an event at ``t`` behind a tracker clock at ``now`` (a
+    NaN instant included)."""
+    if not t >= now:
+        raise TemporalError(f"event at {t} is not at or after current time {now}")
+
+
 class Column:
     """One growable numpy column (capacity doubling, stable dtype)."""
 
@@ -148,27 +161,38 @@ class Arena:
         return index
 
 
-class TrackerCells:
-    """Tracker cells for one tracker key, one per row: the closed-form
-    accrual columns plus the timeline event arena.  ``dur`` indirects
-    through the key's distinct durations so a cell stays 2 bytes
-    instead of a float column.  ``alloc`` is :attr:`FREE`,
-    :attr:`ALLOCATED` or :attr:`OPEN_ACTIVE` — activated when its row
-    was opened in bulk, with the active-on / valid-on pair at the row's
-    start time implied instead of stored."""
+#: One tracker cell: the closed-form accrual state of one tracker, a
+#: 36-byte record so that copying a cell is one element copy.
+_CELL = np.dtype(
+    [
+        ("alloc", np.uint8),
+        ("active", np.uint8),
+        ("dur", np.int16),
+        ("anchor", np.float64),
+        ("consumed0", np.float64),
+        ("expiry", np.float64),
+        ("now", np.float64),
+    ]
+)
+
+
+class TrackerCells(Column):
+    """Tracker cells for one tracker key: a :class:`Column` of cell
+    records, with one view per field (``tc.anchor[cell]``), plus the
+    timeline event arena.  Events are keyed by the occupancy that
+    recorded them (row and generation), not by cell.  ``dur`` indirects
+    through the key's distinct durations so it stays 2 bytes instead of
+    a float.  ``alloc`` is :attr:`FREE`, :attr:`ALLOCATED` or
+    :attr:`OPEN_ACTIVE` — activated when its row was opened in bulk,
+    with the active-on / valid-on pair at the row's start time implied
+    instead of stored."""
 
     FREE = 0
     ALLOCATED = 1
     OPEN_ACTIVE = 2
 
     __slots__ = (
-        "alloc",
-        "active",
-        "anchor",
-        "consumed0",
-        "expiry",
-        "now",
-        "dur",
+        *_CELL.names,
         "durations",
         "_dur_codes",
         "ev_row",
@@ -178,13 +202,9 @@ class TrackerCells:
     )
 
     def __init__(self, capacity: int):
-        self.alloc = Column(capacity, np.uint8)
-        self.active = Column(capacity, np.uint8)
-        self.anchor = Column(capacity, np.float64)
-        self.consumed0 = Column(capacity, np.float64)
-        self.expiry = Column(capacity, np.float64, fill=math.inf)
-        self.now = Column(capacity, np.float64)
-        self.dur = Column(capacity, np.int16, fill=-1)
+        free = np.array((self.FREE, 0, -1, 0.0, 0.0, math.inf, 0.0), dtype=_CELL)
+        super().__init__(capacity, _CELL, fill=free[()])
+        self._bind()
         self.durations: list[float] = []
         self._dur_codes: dict[float, int] = {}
         self.ev_row = Arena(np.int32)
@@ -192,16 +212,14 @@ class TrackerCells:
         self.ev_time = Arena(np.float64)
         self.ev_kind = Arena(np.int8)
 
-    def columns(self) -> tuple[Column, ...]:
-        return (
-            self.alloc,
-            self.active,
-            self.anchor,
-            self.consumed0,
-            self.expiry,
-            self.now,
-            self.dur,
-        )
+    def _bind(self) -> None:
+        """Point the field views at the current records."""
+        for name in _CELL.names:
+            setattr(self, name, self.data[name])
+
+    def grow(self, capacity: int) -> None:
+        super().grow(capacity)
+        self._bind()
 
     def dur_code(self, duration: float) -> int:
         duration = float(duration)
@@ -216,17 +234,17 @@ class TrackerCells:
             self._dur_codes[duration] = code
         return code
 
-    def allocate(self, row: int, duration: float, start: float) -> None:
-        """Set ``row``'s cell to a fresh, inactive tracker of budget
+    def allocate(self, cell: int, duration: float, start: float) -> None:
+        """Set ``cell`` to a fresh, inactive tracker of budget
         ``duration`` with its clock at ``start``."""
         check_duration(duration)
-        self.alloc.data[row] = self.ALLOCATED
-        self.active.data[row] = 0
-        self.anchor.data[row] = start
-        self.consumed0.data[row] = 0.0
-        self.expiry.data[row] = math.inf
-        self.now.data[row] = start
-        self.dur.data[row] = self.dur_code(duration)
+        self.alloc[cell] = self.ALLOCATED
+        self.active[cell] = 0
+        self.anchor[cell] = start
+        self.consumed0[cell] = 0.0
+        self.expiry[cell] = math.inf
+        self.now[cell] = start
+        self.dur[cell] = self.dur_code(duration)
 
     def record(self, row: int, gen: int, kind: int, t: float) -> None:
         self.ev_row.append(row)
@@ -235,16 +253,16 @@ class TrackerCells:
         self.ev_kind.append(kind)
 
     def replay(
-        self, row: int, gen: int, start: float = 0.0
+        self, cell: int, row: int, gen: int, start: float = 0.0
     ) -> tuple[TimelineRecorder, TimelineRecorder]:
-        """Re-run ``row``'s recorded events of generation ``gen``
-        through fresh ``(valid, active)`` recorders.  An
-        :attr:`OPEN_ACTIVE` cell first replays the active-on / valid-on
-        pair at its row's ``start`` time, in
+        """Re-run the events ``row`` recorded in generation ``gen``
+        through fresh ``(valid, active)`` recorders.  When its ``cell``
+        is :attr:`OPEN_ACTIVE`, the active-on / valid-on pair at the
+        row's ``start`` time goes first, in
         :meth:`ValidityTracker.activate`'s order."""
         valid = TimelineRecorder(initial=False)
         active = TimelineRecorder(initial=False)
-        if self.alloc.data[row] == self.OPEN_ACTIVE:
+        if self.alloc[cell] == self.OPEN_ACTIVE:
             active.set(start, True)
             valid.set(start, True)
         n = self.ev_row.count
@@ -280,13 +298,14 @@ class ValidityTracker:
         ``t_1``, the start of the object's execution (arrival at the
         first server).
 
-    The tracker reads and writes one :class:`TrackerCells` row — here
-    row 0 of a private one-row set.  While the permission is active
-    and unexpired, ``consumed(t) = consumed0 + (t - anchor)`` and the
-    cell's ``expiry = anchor + (duration - consumed0)`` is precomputed
-    at the last event.  Every query answers ``t >= expiry``; there is
-    no per-query accumulation, so query *order* cannot drift the
-    floating-point state.
+    The tracker reads and writes one :class:`TrackerCells` cell — here
+    the one cell of a private set, which it owns.  While the permission
+    is active and unexpired, ``consumed(t) = consumed0 + (t - anchor)``
+    and the cell's ``expiry = anchor + (duration - consumed0)`` is
+    precomputed at the last event.  Every query answers ``t >= expiry``;
+    there is no per-query accumulation, so query *order* cannot drift
+    the floating-point state.  Each public method resolves its cell
+    once, through :meth:`_cell` to read or :meth:`_own_cell` to write.
     """
 
     __slots__ = ("_tc", "_row", "_gen", "scheme")
@@ -302,91 +321,93 @@ class ValidityTracker:
         self._row = self._gen = 0
         self.scheme = scheme
 
-    def _cell(self) -> tuple[TrackerCells, int]:
-        """The cells and row; every public method's one entry check."""
-        return self._tc, self._row
+    def _cell(self) -> int:
+        """The cell the tracker reads; every read's one entry check.
+        A standalone tracker's row and cell are both 0."""
+        return self._row
+
+    def _own_cell(self) -> int:
+        """The cell the tracker writes; every write's one entry check.
+        A standalone tracker owns the cell it reads."""
+        return self._cell()
 
     @property
     def duration(self) -> float:
-        self._cell()
-        return self._duration()
+        return self._duration(self._cell())
 
-    def _duration(self) -> float:
+    def _duration(self, c: int) -> float:
         tc = self._tc
-        return tc.durations[tc.dur.data.item(self._row)]
+        return tc.durations[tc.dur.item(c)]
 
     # -- internal clock ----------------------------------------------------
 
-    def _pending_expiry(self) -> float:
+    def _pending_expiry(self, c: int) -> float:
         """The expiry instant assuming the permission stays active from
         the current accrual anchor; ``inf`` when it cannot expire."""
-        tc, row = self._tc, self._row
-        duration = self._duration()
-        consumed0 = float(tc.consumed0.data[row])
+        tc = self._tc
+        duration = self._duration(c)
+        consumed0 = float(tc.consumed0[c])
         if math.isinf(duration) or consumed0 >= duration:
             return math.inf
-        return float(tc.anchor.data[row]) + (duration - consumed0)
+        return float(tc.anchor[c]) + (duration - consumed0)
 
-    def _consumed_at(self, t: float) -> float:
+    def _consumed_at(self, c: int, t: float) -> float:
         """``∫ valid du`` accrued by time ``t`` (t >= last event)."""
-        tc, row = self._tc, self._row
-        duration = self._duration()
-        consumed0 = float(tc.consumed0.data[row])
-        if not tc.active.data[row] or consumed0 >= duration:
+        tc = self._tc
+        duration = self._duration(c)
+        consumed0 = float(tc.consumed0[c])
+        if not tc.active[c] or consumed0 >= duration:
             return consumed0
-        if t >= float(tc.expiry.data[row]):
+        if t >= float(tc.expiry[c]):
             return duration
-        return consumed0 + (t - float(tc.anchor.data[row]))
+        return consumed0 + (t - float(tc.anchor[c]))
 
-    def _advance(self, t: float) -> None:
-        tc, row = self._tc, self._row
-        now = tc.now.data.item(row)
-        # Written so that a NaN instant is refused too.
-        if not t >= now:
-            raise TemporalError(f"event at {t} is not at or after current time {now}")
-        if tc.active.data.item(row) and t >= tc.expiry.data.item(row):
+    def _advance(self, c: int, t: float) -> None:
+        tc = self._tc
+        check_clock(t, tc.now.item(c))
+        if tc.active.item(c) and t >= tc.expiry.item(c):
             # The budget ran out before t: emit the expiry switch at
             # the precomputed instant and consolidate.
-            expiry = float(tc.expiry.data[row])
-            tc.record(row, self._gen, _EV_VALID_OFF, expiry)
-            tc.consumed0.data[row] = self._duration()
-            tc.anchor.data[row] = expiry
-            tc.expiry.data[row] = math.inf
-        tc.now.data[row] = t
+            expiry = float(tc.expiry[c])
+            tc.record(self._row, self._gen, _EV_VALID_OFF, expiry)
+            tc.consumed0[c] = self._duration(c)
+            tc.anchor[c] = expiry
+            tc.expiry[c] = math.inf
+        tc.now[c] = t
 
-    def _consolidate(self, t: float) -> None:
+    def _consolidate(self, c: int, t: float) -> None:
         """Fold the accrual run into ``consumed0`` at instant ``t``
         (called on events that stop or restart accrual)."""
-        tc, row = self._tc, self._row
-        tc.consumed0.data[row] = self._consumed_at(t)
-        tc.anchor.data[row] = t
+        tc = self._tc
+        tc.consumed0[c] = self._consumed_at(c, t)
+        tc.anchor[c] = t
 
     # -- events ------------------------------------------------------------
 
     def activate(self, t: float) -> None:
         """The permission's role was activated for the subject at ``t``."""
-        tc, row = self._cell()
-        self._advance(t)
-        if tc.active.data[row]:
+        tc, c = self._tc, self._own_cell()
+        self._advance(c, t)
+        if tc.active[c]:
             return
-        tc.active.data[row] = 1
-        tc.record(row, self._gen, _EV_ACTIVE_ON, t)
-        tc.anchor.data[row] = t
-        if float(tc.consumed0.data[row]) < self._duration():
-            tc.record(row, self._gen, _EV_VALID_ON, t)
-        tc.expiry.data[row] = self._pending_expiry()
+        tc.active[c] = 1
+        tc.record(self._row, self._gen, _EV_ACTIVE_ON, t)
+        tc.anchor[c] = t
+        if float(tc.consumed0[c]) < self._duration(c):
+            tc.record(self._row, self._gen, _EV_VALID_ON, t)
+        tc.expiry[c] = self._pending_expiry(c)
 
     def deactivate(self, t: float) -> None:
         """The role was deactivated (session ended) at ``t``."""
-        tc, row = self._cell()
-        self._advance(t)
-        if not tc.active.data[row]:
+        tc, c = self._tc, self._own_cell()
+        self._advance(c, t)
+        if not tc.active[c]:
             return
-        self._consolidate(t)
-        tc.active.data[row] = 0
-        tc.expiry.data[row] = math.inf
-        tc.record(row, self._gen, _EV_ACTIVE_OFF, t)
-        tc.record(row, self._gen, _EV_VALID_OFF, t)
+        self._consolidate(c, t)
+        tc.active[c] = 0
+        tc.expiry[c] = math.inf
+        tc.record(self._row, self._gen, _EV_ACTIVE_OFF, t)
+        tc.record(self._row, self._gen, _EV_VALID_OFF, t)
 
     def migrate(self, t: float) -> None:
         """The mobile object arrived at a new server at ``t``.
@@ -395,26 +416,29 @@ class ValidityTracker:
         the consumed budget resets; under
         :data:`Scheme.WHOLE_EXECUTION` migration is irrelevant to the
         budget."""
-        tc, row = self._cell()
-        self._advance(t)
+        tc, c = self._tc, self._own_cell()
+        self._advance(c, t)
         if self.scheme is Scheme.PER_SERVER:
-            tc.consumed0.data[row] = 0.0
-            tc.anchor.data[row] = t
-            if tc.active.data[row]:
-                tc.record(row, self._gen, _EV_VALID_ON, t)
-                tc.expiry.data[row] = self._pending_expiry()
+            tc.consumed0[c] = 0.0
+            tc.anchor[c] = t
+            if tc.active[c]:
+                tc.record(self._row, self._gen, _EV_VALID_ON, t)
+                tc.expiry[c] = self._pending_expiry(c)
 
     # -- queries ------------------------------------------------------------
 
     def state(self, t: float | None = None) -> PermissionState:
         """The permission state at ``t`` (default: the current time).
-        Querying advances the internal clock."""
-        tc, row = self._cell()
-        if t is not None:
-            self._advance(t)
-        if not tc.active.data.item(row):
+        Querying at an instant advances the internal clock (a write)."""
+        if t is None:
+            c = self._cell()
+        else:
+            c = self._own_cell()
+            self._advance(c, t)
+        tc = self._tc
+        if not tc.active.item(c):
             return PermissionState.INACTIVE
-        if tc.consumed0.data.item(row) >= self._duration():
+        if tc.consumed0.item(c) >= self._duration(c):
             return PermissionState.ACTIVE_INVALID
         return PermissionState.VALID
 
@@ -425,25 +449,27 @@ class ValidityTracker:
     def remaining_budget(self, t: float | None = None) -> float:
         """Validity time left before expiry (``inf`` for time-insensitive
         permissions)."""
-        tc, row = self._cell()
-        if t is not None:
-            self._advance(t)
-        duration = self._duration()
+        if t is None:
+            c = self._cell()
+        else:
+            c = self._own_cell()
+            self._advance(c, t)
+        duration = self._duration(c)
         if math.isinf(duration):
             return math.inf
-        return max(0.0, duration - self._consumed_at(float(tc.now.data[row])))
+        return max(0.0, duration - self._consumed_at(c, float(self._tc.now[c])))
 
     def expiry_time(self) -> float | None:
         """If the permission is currently valid, the instant its budget
         will be exhausted (assuming it stays active); ``None`` when
         inactive, already expired, or time-insensitive."""
-        tc, row = self._cell()
-        duration = self._duration()
-        if not tc.active.data[row] or float(tc.consumed0.data[row]) >= duration:
+        tc, c = self._tc, self._cell()
+        duration = self._duration(c)
+        if not tc.active[c] or float(tc.consumed0[c]) >= duration:
             return None
         if math.isinf(duration):
             return None
-        return float(tc.expiry.data[row])
+        return float(tc.expiry[c])
 
     def state_codes_at(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`state` for a sorted batch of query instants
@@ -453,20 +479,19 @@ class ValidityTracker:
         afterwards with ``state(ts[-1])``, which leaves the tracker
         exactly as a per-instant query sequence would have
         (property-tested)."""
-        tc, row = self._cell()
-        if not tc.active.data[row]:
+        tc, c = self._tc, self._cell()
+        if not tc.active[c]:
             return np.full(len(ts), CODE_INACTIVE, dtype=np.uint8)
-        if float(tc.consumed0.data[row]) >= self._duration():
+        if float(tc.consumed0[c]) >= self._duration(c):
             return np.full(len(ts), CODE_ACTIVE_INVALID, dtype=np.uint8)
         codes = np.full(len(ts), CODE_VALID, dtype=np.uint8)
-        codes[ts >= float(tc.expiry.data[row])] = CODE_ACTIVE_INVALID
+        codes[ts >= float(tc.expiry[c])] = CODE_ACTIVE_INVALID
         return codes
 
     # -- audit ---------------------------------------------------------------
 
     def _replay(self) -> tuple[TimelineRecorder, TimelineRecorder]:
-        tc, row = self._cell()
-        return tc.replay(row, self._gen)
+        return self._tc.replay(self._cell(), self._row, self._gen)
 
     def valid_timeline(self) -> BooleanTimeline:
         """The recorded ``valid(perm, ·)`` state function up to the
@@ -479,5 +504,4 @@ class ValidityTracker:
 
     @property
     def now(self) -> float:
-        tc, row = self._cell()
-        return float(tc.now.data[row])
+        return float(self._tc.now[self._cell()])

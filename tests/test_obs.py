@@ -342,9 +342,17 @@ class TestCollectedGaugesAndMaxima:
         assert live["engine.sessions.resident"] == (
             before.get("engine.sessions.resident", 0) + 1001
         )
+        # Only the authenticated session has written its cells.
+        assert live["engine.sessions.own_cells"] == (
+            before.get("engine.sessions.own_cells", 0) + 1
+        )
         engine.close()
         after = REGISTRY.snapshot().get("collected", {})
-        for gauge in ("engine.sessions.resident", "engine.sessions.store_bytes"):
+        for gauge in (
+            "engine.sessions.resident",
+            "engine.sessions.store_bytes",
+            "engine.sessions.own_cells",
+        ):
             assert after.get(gauge, 0) == before.get(gauge, 0), gauge
         assert after["engine.decisions"] == before.get("engine.decisions", 0) + 1
         engine.close()

@@ -16,8 +16,10 @@ session representation.  The reference is the definitions-level oracle
   and a standalone :class:`~repro.temporal.validity.ValidityTracker`
   must follow the oracle's Eq. 4.1 integral step for step (state,
   budget, expiry, clock and both timelines);
-* bulk opens, the observed-view memo, idle expiry, ``AccessKey``
-  interning, row recycling, closed-handle guards and the memory budget.
+* bulk opens, the cells bulk-opened rows share until their first
+  write, the observed-view memo, idle expiry, ``AccessKey`` interning,
+  row recycling, closed-handle and refused-close guards and the memory
+  budget.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests.strategies as strategies
-from repro.errors import RbacError
+from repro.errors import RbacError, TemporalError
 from repro.rbac import session_store
 from repro.rbac.audit import Decision
 from repro.rbac.engine import AccessControlEngine
@@ -434,11 +436,196 @@ class TestBulkOpen:
         assert tracker.active_timeline() == reference.active_timeline()
 
     def test_bulk_open_rejects_unknown_role_and_user(self):
+        """A refused bulk open opens nothing — on a sharded engine too,
+        where the unentitled user ``h`` routes to the last shard
+        opened."""
         policy = _policy([None], [None])
+        for name in "abcdefgh":
+            policy.add_user(name)
+            if name != "h":
+                policy.assign_user(name, "r")
+        refused = (
+            (["nobody"], ("r",)),
+            (["u"], ("nobody",)),
+            (list("abcdefgh"), ("r",)),
+        )
+        for engine in (AccessControlEngine(policy), ShardedEngine(policy, shards=4)):
+            for names, roles in refused:
+                with pytest.raises(RbacError):
+                    engine.open_sessions(names, 0.0, roles=roles)
+                assert engine.resident_sessions() == 0
+
+
+ACCESS = AccessKey.of("exec", "r1", "s1")
+
+
+class TestSharedCells:
+    """Bulk-opened rows read one template cell until their first
+    tracker or monitor write copies it into a cell of their own."""
+
+    @staticmethod
+    def _pair(n, scheme=Scheme.WHOLE_EXECUTION):
+        """``n`` bulk-opened sessions and ``n`` scalar twins, role
+        ``r`` active from 1.0."""
+        policy = _policy([parse_constraint(COUNT_SRC), None], [5.0, 20.0])
+        bulk_engine = AccessControlEngine(policy, scheme=scheme)
+        scalar_engine = AccessControlEngine(policy, scheme=scheme)
+        rows = bulk_engine.open_sessions(["u"] * n, 1.0, roles=("r",))
+        bulk = [bulk_engine.session_at(row) for row in rows]
+        twins = []
+        for _ in range(n):
+            session = scalar_engine.authenticate("u", 1.0)
+            scalar_engine.activate_role(session, "r", 1.0)
+            twins.append(session)
+        return bulk_engine, bulk, scalar_engine, twins
+
+    @staticmethod
+    def _shared(store, rows) -> list:
+        """Every cell column's values at the empty cell and at the
+        cells ``rows`` read."""
+        cells = sorted({session_store.EMPTY_CELL, *store._cell.data[rows].tolist()})
+        return [column.data[cells].tolist() for column in store._cell_columns]
+
+    def test_reading_an_untouched_row_allocates_nothing(self):
+        bulk_engine, bulk, _, _ = self._pair(200)
+        store = bulk_engine._store
+        constraint = bulk_engine.policy.permission("p0").spatial_constraint
+        # One decided row gives the constraint a monitor column to read.
+        bulk_engine.decide(bulk[0], ACCESS, 2.0, history=None)
+        before = (store.nbytes(), store.own_cells())
+        assert before[1] == 1
+        for session in bulk[1:]:
+            trackers = session.trackers
+            assert len(trackers) == 2
+            for key in trackers:
+                tracker = session.tracker(key)
+                assert tracker.state() is PermissionState.VALID
+                assert tracker.now == 1.0
+                assert tracker.valid_timeline().switches.tolist() == [1.0]
+                assert tracker.active_timeline().switches.tolist() == [1.0]
+                tracker.expiry_time(), tracker.remaining_budget()
+                tracker.state_codes_at(np.array([2.0]))
+            assert session.monitor_entry(constraint) is None
+        assert (store.nbytes(), store.own_cells()) == before
+        assert len({store._cell.data[s._row] for s in bulk[1:]}) == 1
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_one_write_leaves_block_mates_scalar_twins(self, scheme):
+        """One migration on one tracker of one row copies that row's
+        cell: views of the row made before the copy read the copy, and
+        its block-mates keep the template — states, timelines and next
+        decisions equal to their scalar twins'."""
+        bulk_engine, bulk, scalar_engine, twins = self._pair(4, scheme)
+        views = [bulk[0].trackers["p0"], bulk[0].tracker("p0"), bulk[0].tracker("p1")]
+        views[0].migrate(3.0)
+        twins[0].tracker("p0").migrate(3.0)
+        assert bulk_engine._store.own_cells() == 1
+        assert views[1].now == 3.0 and views[2].now == 1.0
+        TestBulkOpen._assert_twins(bulk, twins)
+        for t in (4.0, 9.0):
+            got = [bulk_engine.decide(s, ACCESS, t, history=None) for s in bulk]
+            want = [scalar_engine.decide(s, ACCESS, t, history=None) for s in twins]
+            assert [_norm(d) for d in got] == [_norm(d) for d in want]
+            TestBulkOpen._assert_twins(bulk, twins)
+
+    def test_copies_past_the_cell_capacity_keep_every_row(self):
+        """First writes on more rows than the store has cells grow the
+        cell columns mid-sweep (a monitor initialisation, then a clock
+        advance per row): every row still decides and reads as its
+        scalar twin, with no sweep fallback."""
+        n = 150
+        bulk_engine, bulk, scalar_engine, twins = self._pair(n)
+        got = bulk_engine.decide_batch_many([(s, ACCESS) for s in bulk], 2.0, dt=0.0)
+        want = scalar_engine.decide_batch_many(
+            [(s, ACCESS) for s in twins], 2.0, dt=0.0
+        )
+        assert [_norm(d) for d in got] == [_norm(d) for d in want]
+        assert bulk_engine.cache_stats().vector_fallbacks == 0
+        assert bulk_engine._store.own_cells() == n
+        TestBulkOpen._assert_twins(bulk, twins)
+
+    def test_rescind_and_clear_write_nothing_shared(self):
+        """Rows with observations but no write still read the template
+        after ``rescind_server`` empties their histories and
+        ``clear_monitor_row`` clears them; nothing shared changes."""
+        bulk_engine, bulk, scalar_engine, twins = self._pair(4)
+        store = bulk_engine._store
+        rows = [s._row for s in bulk]
+        for engine, sessions in ((bulk_engine, bulk), (scalar_engine, twins)):
+            for session in sessions:
+                engine.observe(session, ACCESS)
+            engine.decide(sessions[3], ACCESS, 2.0, history=None)
+        shared = self._shared(store, rows[:3])
+        assert store.own_cells() == 1
+        assert bulk_engine.rescind_server("s1") == scalar_engine.rescind_server("s1") == 4
+        for row in rows[:3]:
+            store.clear_monitor_row(row)
+        assert store.own_cells() == 1
+        assert self._shared(store, rows[:3]) == shared
+        assert len({store._cell.data[row] for row in rows[:3]}) == 1
+        got = [bulk_engine.decide(s, ACCESS, 3.0, history=None) for s in bulk]
+        want = [scalar_engine.decide(s, ACCESS, 3.0, history=None) for s in twins]
+        assert [_norm(d) for d in got] == [_norm(d) for d in want]
+
+    def test_expiring_untouched_rows_keeps_nbytes_flat(self):
+        """Expiring 10k untouched bulk rows writes no cell, and a row
+        reused afterwards reads ``FREE`` trackers and replays no
+        implied open events once activated."""
+        policy = _policy([parse_constraint(COUNT_SRC)], [5.0])
         engine = AccessControlEngine(policy)
-        with pytest.raises(RbacError):
-            engine.open_sessions(["nobody"], 0.0, roles=("r",))
+        rows = engine.open_sessions(["u"] * 10_000, 1.0, roles=("r",))
+        store = engine._store
+        before = store.nbytes()
+        assert engine.expire_sessions(now=5.0, idle_for=0.0) == 10_000
         assert engine.resident_sessions() == 0
+        assert store.nbytes() == before and store.own_cells() == 0
+        recycled = engine.authenticate("u", 6.0)
+        assert recycled._row in set(rows.tolist())
+        assert recycled.trackers == {} and recycled.tracker("p0") is None
+        engine.activate_role(recycled, "r", 7.0)
+        reference = ValidityTracker(5.0, start_time=6.0)
+        reference.activate(7.0)
+        tracker = recycled.tracker("p0")
+        assert tracker.valid_timeline() == reference.valid_timeline()
+        assert tracker.active_timeline() == reference.active_timeline()
+
+    def test_reopened_touched_row_replays_no_earlier_events(self):
+        """A written row closed and reused replays none of its earlier
+        occupancy's events, and closing and reopening it again and
+        again reuses one cell: the cell columns do not grow."""
+        policy = _policy([parse_constraint(COUNT_SRC)], [5.0])
+        engine = AccessControlEngine(policy)
+        store = engine._store
+        first = engine.authenticate("u", 0.0)
+        engine.activate_role(first, "r", 0.0)
+        engine.decide(first, ACCESS, 1.0, history=None)
+        engine.deactivate_role(first, "r", 2.0)
+        engine.activate_role(first, "r", 3.0)
+        engine.decide(first, ACCESS, 9.0, history=None)  # past expiry
+        row, gen = first._row, first._gen
+        engine.close_session(first, 10.0)
+        second = engine.authenticate("u", 11.0)
+        assert (second._row, second._gen) == (row, gen + 1)
+        engine.activate_role(second, "r", 12.0)
+        reference = ValidityTracker(5.0, start_time=11.0)
+        reference.activate(12.0)
+        tracker = second.tracker("p0")
+        assert tracker.valid_timeline() == reference.valid_timeline()
+        assert tracker.active_timeline() == reference.active_timeline()
+        assert tracker.state() is PermissionState.VALID
+        def cell_bytes():
+            return sum(column.data.nbytes for column in store._cell_columns)
+
+        before = (store._cells, cell_bytes())
+        session = second
+        for k in range(200):
+            t = 20.0 + 2 * k
+            engine.close_session(session, t)
+            session = engine.authenticate("u", t)
+            engine.activate_role(session, "r", t + 1.0)
+            assert engine.decide(session, ACCESS, t + 1.0, history=None).granted
+        assert store.own_cells() == 1
+        assert (store._cells, cell_bytes()) == before
 
 
 class TestObservedViewMemo:
@@ -700,6 +887,50 @@ class TestStoreMechanics:
         engine.close_session(session, 2.0)
         assert engine.resident_sessions() == 0
 
+    def test_refused_close_leaves_the_session_whole(self):
+        """``close_session`` or ``deactivate_role`` at an instant behind
+        a tracker clock (or at NaN) is refused before anything is
+        written: the session stays resident with its role and trackers
+        and keeps deciding.  An accepted close records no events."""
+        policy = Policy()
+        policy.add_user("u")
+        policy.add_role("r")
+        for name in ("a", "b"):
+            policy.add_permission(
+                Permission(name, op="exec", resource=name, validity_duration=100.0)
+            )
+            policy.assign_permission("r", name)
+        policy.assign_user("u", "r")
+        access_a = AccessKey.of("exec", "a", "s1")
+        access_b = AccessKey.of("exec", "b", "s1")
+        engine = AccessControlEngine(policy)
+        session = engine.authenticate("u", 0.0)
+        engine.activate_role(session, "r", 0.0)
+        assert engine.decide(session, access_b, 10.0, history=None).granted
+        refused = [
+            lambda: engine.close_session(session, 5.0),
+            lambda: engine.close_session(session, math.nan),
+            lambda: engine.deactivate_role(session, "r", 5.0),
+            lambda: engine.deactivate_role(session, "r", math.nan),
+        ]
+        for call in refused:
+            with pytest.raises(TemporalError):
+                call()
+            assert engine.resident_sessions() == 1
+            assert {role.name for role in session.role_set()} == {"r"}
+            assert {k: t.now for k, t in session.trackers.items()} == {
+                "a": 0.0,
+                "b": 10.0,
+            }
+            for tracker in session.trackers.values():
+                assert tracker.active_timeline().switches.tolist() == [0.0]
+        assert engine.decide(session, access_a, 11.0, history=None).granted
+        arenas = list(engine._store._trackers.values())
+        events = [tc.ev_row.count for tc in arenas]
+        engine.close_session(session, 11.0)
+        assert engine.resident_sessions() == 0
+        assert [tc.ev_row.count for tc in arenas] == events
+
     def test_closed_session_cannot_be_rearmed(self):
         """A closed handle must not take roles or observations again —
         otherwise it decides ``granted`` while no session is resident."""
@@ -922,9 +1153,9 @@ class TestMemoryBudget:
     def test_bytes_per_session_within_budget(self):
         """The store gate, in miniature: marginal store overhead for a
         bulk-opened population (capacity reserved so doubling slack is
-        excluded) must stay within 200 B/session."""
+        excluded) must stay within 100 B/session."""
         _engine, _rows, traced, columns = self._bulk_open()
-        assert max(traced, columns) <= 200.0, (traced, columns)
+        assert max(traced, columns) <= 100.0, (traced, columns)
 
     def test_touched_handle_bytes_within_budget(self):
         """What a touched session keeps beside its row: a handle per
@@ -957,7 +1188,7 @@ class TestMemoryBudget:
         row, not stored, so the event arenas stay empty and the rows
         still replay their open-time switches."""
         engine, rows, traced, columns = self._bulk_open()
-        assert max(traced, columns) <= 200.0, (traced, columns)
+        assert max(traced, columns) <= 100.0, (traced, columns)
         arenas = list(engine._store._trackers.values())
         assert arenas
         assert all(tc.ev_row.count == 0 for tc in arenas)
