@@ -237,8 +237,8 @@ def rate_many(n: int, sessions: int = 8) -> float:
 
 
 #: Retained-bytes budgets per decision (the test suite's gates).
-SWEPT_BUDGET_B = 200
-SCALAR_BUDGET_B = 160
+SWEPT_BUDGET_B = 100
+SCALAR_BUDGET_B = 100
 
 
 def _retention_stream(n: int, sessions: int = 8):

@@ -64,7 +64,7 @@ from repro.errors import (
 from repro.faults.plan import FaultPlan
 from repro.obs import OBS, RECORDER, REGISTRY
 from repro.obs.provenance import DecisionProvenance
-from repro.rbac.audit import Decision
+from repro.rbac.audit import Decision, Outcome
 from repro.traces.trace import AccessKey
 
 __all__ = ["Simulation", "SimulationReport"]
@@ -642,22 +642,25 @@ class Simulation:
                 # top of the engine's verdict — never extra grants.
                 self.degraded_denials += 1
                 decision = Decision(
-                    subject_id=naplet.owner,
-                    access=access,
-                    granted=False,
-                    time=t,
-                    reason=(
-                        f"degraded ({self.faults.degradation.mode}): "
-                        f"{len(gap)} uncorroborated foreign proofs"
-                    ),
-                    provenance=DecisionProvenance(
-                        kind="degraded",
-                        uncorroborated=tuple(p.digest for p in gap),
-                        detail=self.faults.degradation.mode,
-                        epoch=(
-                            self.coalition.membership_epoch
-                            if getattr(self.security, "coalition", None) is not None
-                            else None
+                    naplet.owner,
+                    access,
+                    t,
+                    Outcome(
+                        False,
+                        reason=(
+                            f"degraded ({self.faults.degradation.mode}): "
+                            f"{len(gap)} uncorroborated foreign proofs"
+                        ),
+                        provenance=DecisionProvenance(
+                            kind="degraded",
+                            uncorroborated=tuple(p.digest for p in gap),
+                            detail=self.faults.degradation.mode,
+                            epoch=(
+                                self.coalition.membership_epoch
+                                if getattr(self.security, "coalition", None)
+                                is not None
+                                else None
+                            ),
                         ),
                     ),
                 )

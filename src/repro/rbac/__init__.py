@@ -10,7 +10,7 @@
 * :mod:`repro.rbac.audit` — the decision log.
 """
 
-from repro.rbac.audit import AuditLog, Decision
+from repro.rbac.audit import AuditLog, Decision, Outcome
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.hierarchy import RoleHierarchy
 from repro.rbac.model import WILDCARD, Permission, Role, Subject, User
@@ -24,6 +24,7 @@ from repro.rbac.trbac import PeriodicInterval, TRBACEngine, TRBACPolicy
 __all__ = [
     "AuditLog",
     "Decision",
+    "Outcome",
     "AccessControlEngine",
     "Session",
     "RoleHierarchy",

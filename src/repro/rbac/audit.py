@@ -8,18 +8,20 @@ security officer the evidence trail the coalition setting demands
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.obs.provenance import DecisionProvenance
 from repro.traces.trace import AccessKey
 
-__all__ = ["Decision", "AuditLog"]
+__all__ = ["Decision", "Outcome", "AuditLog"]
 
 
 @dataclass(frozen=True, slots=True)
-class Decision:
-    """One access-control decision (the output of Eq. 3.1 + Eq. 4.1).
+class Outcome:
+    """What a decision concluded, apart from who asked, for what and
+    when.
 
     ``permission``/``role`` name the pair that granted the access, or
     the last candidate examined when denied.  ``reason`` is a short
@@ -30,23 +32,58 @@ class Decision:
     produced by the engine carries one naming the failing SRAC clause
     or the Eq. 4.1 temporal state.
 
-    The audit log keeps every decision, so its layout is the log's
-    cost: one slotted record (no per-instance ``__dict__``) whose
-    fields point at immutable values the engine shares between
-    decisions — the interned access key, reason string, candidate
-    records and provenance record.
+    Every field is fixed by the key the engine interns the provenance
+    record by (the examined candidate records, history mode and
+    length, foreign servers and epoch), so the engine interns whole
+    outcomes under that key, once per policy version
+    (``AccessControlEngine._build_decision``): decisions of equal
+    outcome share one record, across sessions, shards, sweeps and the
+    scalar path.
     """
 
-    subject_id: str
-    access: AccessKey
     granted: bool
-    time: float
     role: str | None = None
     permission: str | None = None
     spatial_ok: bool | None = None
     temporal_ok: bool | None = None
     reason: str = ""
     provenance: DecisionProvenance | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class Decision:
+    """One access-control decision (the output of Eq. 3.1 + Eq. 4.1):
+    the request — ``subject_id``, ``access``, ``time`` — and its
+    :class:`Outcome`.
+
+    ``granted``, ``role``, ``permission``, ``spatial_ok``,
+    ``temporal_ok``, ``reason`` and ``provenance`` read through to the
+    outcome.  Equality and hash are by value, outcome included.
+
+    The audit log keeps every decision, so its layout is the log's
+    cost: one slotted record of four references (no per-instance
+    ``__dict__``, 64 B) whose fields point at immutable values the
+    engine shares between decisions — the interned access key and
+    outcome.  The engine makes decisions in
+    ``AccessControlEngine._build_decision``; anything else builds one
+    as ``Decision(subject_id, access, time, Outcome(...))``.
+    """
+
+    subject_id: str
+    access: AccessKey
+    time: float
+    outcome: Outcome
+
+    # Read-only views of the outcome.  ``attrgetter`` is a C-level
+    # getter: cheaper than a property written in Python, though a read
+    # still costs several slot reads.
+    granted = property(attrgetter("outcome.granted"))
+    role = property(attrgetter("outcome.role"))
+    permission = property(attrgetter("outcome.permission"))
+    spatial_ok = property(attrgetter("outcome.spatial_ok"))
+    temporal_ok = property(attrgetter("outcome.temporal_ok"))
+    reason = property(attrgetter("outcome.reason"))
+    provenance = property(attrgetter("outcome.provenance"))
 
 
 class AuditLog:

@@ -19,6 +19,7 @@ Every decision is recorded in the :class:`~repro.rbac.audit.AuditLog`.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -29,7 +30,7 @@ import repro.rbac.model as rbac_model
 from repro.errors import AccessDenied, ConstraintError, RbacError
 from repro.obs import OBS, RECORDER, REGISTRY
 from repro.obs.provenance import CandidateProvenance, DecisionProvenance
-from repro.rbac.audit import AuditLog, Decision
+from repro.rbac.audit import AuditLog, Decision, Outcome
 from repro.rbac.model import Permission, Role, Subject, User
 from repro.rbac.policy import Policy
 from repro.rbac.session_store import Session, SessionStore
@@ -90,6 +91,48 @@ _NO_CANDIDATE = CandidateProvenance(None, None, None, None, None, None)
 #: carries, and the reason a denial ending on it gives ("" if it
 #: passes).
 _Examined = tuple[CandidateProvenance, tuple[CandidateProvenance], str]
+
+
+class _DecisionMemo:
+    """The interned attribution and outcomes of one policy version.
+
+    ``examined`` holds :meth:`AccessControlEngine._examined`'s entries
+    and ``outcomes`` :meth:`AccessControlEngine._build_decision`'s
+    :class:`~repro.rbac.audit.Outcome` records, so retained decisions
+    of equal outcome share one record, on every path.  Like the audit
+    log, it grows with the distinct outcomes of one policy version.
+
+    A :class:`~repro.service.sharding.ShardedEngine` hands one memo to
+    all its shards, which decide under different locks.  An entry is a
+    pure function of its key, so shards racing to make one is harmless:
+    they insert with ``setdefault`` and all keep the record that won.
+    The tables are emptied once when the policy version moves, under
+    a lock only that check takes.
+    """
+
+    __slots__ = ("version", "examined", "outcomes", "_lock")
+
+    def __init__(self, version: int):
+        self.version = version
+        # Keys hold names, a bool and a string, which hash at C speed;
+        # the Role / Permission dataclasses or the enum would cost a
+        # Python-level __hash__ per lookup.
+        self.examined: dict[tuple[str, str, bool, str], _Examined] = {}
+        self.outcomes: dict[tuple, Outcome] = {}
+        self._lock = threading.Lock()
+
+    def at(self, version: int) -> "_DecisionMemo":
+        """The memo, emptied first if it holds another version's."""
+        if self.version != version:
+            with self._lock:
+                if self.version != version:
+                    self.clear()
+                    self.version = version
+        return self
+
+    def clear(self) -> None:
+        self.examined.clear()
+        self.outcomes.clear()
 
 
 @dataclass(frozen=True)
@@ -227,17 +270,9 @@ class AccessControlEngine:
         self._extension_tables: dict[
             tuple[Constraint, AccessKey], "TransitionTable | None"
         ] = {}
-        # Attribution memo of _examined, valid for one policy version.
-        # Its keys hold names, a bool and a string, which hash at C
-        # speed; the Role / Permission dataclasses or the enum would
-        # cost a Python-level __hash__ per lookup.
-        self._examined_memo: dict[tuple[str, str, bool, str], _Examined] = {}
-        # _build_decision's provenance records by value, emptied with
-        # the attribution memo: retained decisions of equal outcome
-        # share one record, on every path.  Like the audit log, it
-        # grows with the distinct outcomes of one policy version.
-        self._provenance_memo: dict[tuple, DecisionProvenance] = {}
-        self._examined_version = policy.version
+        # Attribution and outcome memo of one policy version (a
+        # ShardedEngine replaces it with one its shards share).
+        self._memo = _DecisionMemo(policy.version)
         self._candidate_hits = 0
         self._candidate_misses = 0
         self._live_hits = 0
@@ -755,16 +790,12 @@ class AccessControlEngine:
         one grant tuple and one denial reason per distinct value, so
         retained decisions share them.  Every decision path and
         :meth:`explain` get their candidate records here.  The memo,
-        and :meth:`_build_decision`'s provenance memo with it, is
-        emptied whenever :attr:`Policy.version` moves, so a replaced
-        permission's old constraint text is never served."""
-        version = self.policy.version
-        if version != self._examined_version:
-            self._examined_memo.clear()
-            self._provenance_memo.clear()
-            self._examined_version = version
+        :meth:`_build_decision`'s outcomes with it, is emptied whenever
+        :attr:`Policy.version` moves, so a replaced permission's old
+        constraint text is never served."""
+        memo = self._memo.at(self.policy.version).examined
         key = (role.name, permission.name, spatial_ok, state._value_)
-        entry = self._examined_memo.get(key)
+        entry = memo.get(key)
         if entry is None:
             constraint = permission.spatial_constraint
             record = CandidateProvenance(
@@ -786,7 +817,7 @@ class AccessControlEngine:
                 reason = f"permission {permission.name!r} is {state.value}"
             else:
                 reason = ""
-            entry = self._examined_memo[key] = (record, (record,), reason)
+            entry = memo.setdefault(key, (record, (record,), reason))
         return entry
 
     def _build_decision(
@@ -806,9 +837,11 @@ class AccessControlEngine:
         no candidate matched.  A last record passing both checks is the
         grant.  Otherwise the last record's failing check is the
         denial's kind and reason, and only denials pay the
-        foreign-server scan.  The provenance record is interned in the
-        engine's provenance memo, keyed by the interned candidate
-        records and the other fields (the records fix the kind)."""
+        foreign-server scan.  The outcome, with its provenance record,
+        is interned in the engine's memo, keyed by the interned
+        candidate records and the other provenance fields (the records
+        fix the kind, the last one's verdicts and the reason), so the
+        decision itself is the request plus that one shared record."""
         foreign: tuple[str, ...] = ()
         if not examined:
             last, candidates = _NO_CANDIDATE, ()
@@ -826,28 +859,26 @@ class AccessControlEngine:
                 )
                 foreign = self._foreign_servers(session, access, history)
         key = (candidates, history_mode, history_len, foreign, epoch)
-        provenance = self._provenance_memo.get(key)
-        if provenance is None:
-            provenance = self._provenance_memo[key] = DecisionProvenance(
-                kind=kind,
-                candidates=candidates,
-                history_mode=history_mode,
-                history_len=history_len,
-                foreign_servers=foreign,
-                epoch=epoch,
-            )
-        return Decision(
-            subject_id=session.subject.subject_id,
-            access=access,
-            granted=kind == "granted",
-            time=t,
-            role=last.role,
-            permission=last.permission,
-            spatial_ok=last.spatial_ok,
-            temporal_ok=last.temporal_ok,
-            reason=reason,
-            provenance=provenance,
-        )
+        outcomes = self._memo.outcomes
+        outcome = outcomes.get(key)
+        if outcome is None:
+            outcome = outcomes.setdefault(key, Outcome(
+                kind == "granted",
+                last.role,
+                last.permission,
+                last.spatial_ok,
+                last.temporal_ok,
+                reason,
+                DecisionProvenance(
+                    kind=kind,
+                    candidates=candidates,
+                    history_mode=history_mode,
+                    history_len=history_len,
+                    foreign_servers=foreign,
+                    epoch=epoch,
+                ),
+            ))
+        return Decision(session.subject.subject_id, access, t, outcome)
 
     def _effective_history(
         self, session: Session, history: Trace | None
@@ -1187,8 +1218,7 @@ class AccessControlEngine:
         invalidate the candidate cache automatically via the version
         counter; this is the explicit hammer for out-of-band changes."""
         self._candidates_cache.clear()
-        self._examined_memo.clear()
-        self._provenance_memo.clear()
+        self._memo.clear()
         self._extension_cache.clear()
         self._extension_tables.clear()
         self._owner_monitors.clear()

@@ -661,26 +661,35 @@ class SessionStore:
         role_set_code: int,
         trackers: Mapping[str, float],
     ) -> np.ndarray:
-        """Bulk-open ``len(sid_seqs)`` rows at the high-water mark with
-        vectorized column fills (the bulk load path), all reading one
-        template cell with the ``trackers`` (key → duration) allocated
-        and activated at ``t`` — what ``create_tracker`` +
-        ``activate(t)`` leaves, minus the two timeline events, which
-        ``OPEN_ACTIVE`` implies.  A row copies the template on its first
-        write.  All other inputs are parallel integer sequences;
-        interning codes come from the scalar helpers.  Returns the
-        opened row indices."""
+        """Bulk-open ``len(sid_seqs)`` rows with vectorized column
+        fills (the bulk load path), all reading one template cell with
+        the ``trackers`` (key → duration) allocated and activated at
+        ``t`` — what ``create_tracker`` + ``activate(t)`` leaves, minus
+        the two timeline events, which ``OPEN_ACTIVE`` implies.  A row
+        copies the template on its first write.  All other inputs are
+        parallel integer sequences; interning codes come from the
+        scalar helpers.  Free rows are taken first, in the order
+        :meth:`open` would take them, then rows from the high-water
+        mark.  Returns the opened row indices, parallel to the
+        inputs."""
         for duration in trackers.values():
             check_duration(duration)
         n = len(sid_seqs)
         if n == 0:
             return np.empty(0, dtype=np.int64)
+        reused = min(n, len(self._free))
         first = self._n
-        if first + n > self.capacity:
-            self._grow_to(max(first + n, self.capacity * 2))
-        rows = np.arange(first, first + n, dtype=np.int64)
-        self._n = first + n
-        sl = slice(first, first + n)
+        end = first + n - reused
+        if end > self.capacity:
+            self._grow_to(max(end, self.capacity * 2))
+        self._n = end
+        rows = np.arange(first - reused, end, dtype=np.int64)
+        if reused:
+            rows[:reused] = self._free[-reused:][::-1]
+            del self._free[-reused:]
+            sl = rows
+        else:
+            sl = slice(first, end)
         self._start_time.data[sl] = t
         self._last_seen.data[sl] = t
         self._alive.data[sl] = 1

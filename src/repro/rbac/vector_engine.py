@@ -2,8 +2,8 @@
 
 The scalar :meth:`~repro.rbac.engine.AccessControlEngine.decide` is
 O(1) warm but pays interpreted-Python cost per decision: a candidate
-walk, a monitor dict step, a validity-tracker query and a fresh
-provenance record each time.  For a *batch* of requests over one
+walk, a monitor dict step, a validity-tracker query and an outcome
+memo lookup each time.  For a *batch* of requests over one
 session most of that work is invariant:
 
 * the session's observed history — and with it every cached monitor
@@ -17,22 +17,24 @@ session most of that work is invariant:
   expiry`` compare per (candidate, access-group)
   (:meth:`~repro.temporal.validity.ValidityTracker.state_codes_at`,
   the compare the scalar query makes);
-* provenance records depend only on the access, the candidate index
-  and the vector of temporal state codes — a handful of distinct
-  values per group — so whole ``Decision`` prototypes are memoised and
-  per-element decisions are slot-by-slot clones differing only in
-  ``time`` (:func:`_fill`).
+* outcomes depend only on the access, the candidate index and the
+  vector of temporal state codes — a handful of distinct values per
+  group — so one ``Decision`` prototype is made per distinct outcome
+  and per-element decisions are clones of its request slots differing
+  only in ``time`` (:func:`_fill`).
   The prototypes are made by the engine's shared constructors
   (``AccessControlEngine._examined`` and ``_build_decision``), the
   same code that makes every scalar decision, so kinds, reasons and
   provenance cannot drift between the two paths.
 
-What a swept decision retains is one slotted ``Decision``; everything
-it points at is shared.  The engine interns the candidate records, the
-grant's one-record tuple, the denial reasons and the
-``DecisionProvenance`` records per policy version, so decisions with
-equal outcomes (same kind, candidates, history length and epoch) hold
-one record between them, across sessions, sweeps and the scalar path.
+What a swept decision retains is one four-slot ``Decision`` (subject,
+access, time and outcome); everything it points at is shared.  The
+engine interns the candidate records, the grant's one-record tuple,
+the denial reasons and whole :class:`~repro.rbac.audit.Outcome`
+records (verdicts, reason and ``DecisionProvenance``) per policy
+version, so decisions with equal outcomes (same kind, candidates,
+history length and epoch) hold one record between them, across
+sessions, shards, sweeps and the scalar path.
 
 The sweep is organised **prepare → commit**:
 
@@ -94,8 +96,9 @@ __all__ = [
 ]
 
 
-#: ``Decision``'s slots other than ``time``: their member-descriptor
-#: setters and one C-level getter of their values (see :func:`_fill`).
+#: ``Decision``'s slots other than ``time`` (subject, access and
+#: outcome): their member-descriptor setters and one C-level getter of
+#: their values (see :func:`_fill`).
 _SHARED_SLOTS = tuple(name for name in Decision.__slots__ if name != "time")
 _SETTERS = tuple(getattr(Decision, name).__set__ for name in _SHARED_SLOTS)
 _SHARED_VALUES = attrgetter(*_SHARED_SLOTS)
@@ -112,18 +115,19 @@ def _fill(
     """Clone ``proto`` into ``decisions`` at each position's instant.
 
     This loop *is* the vector path's per-decision cost.  ``Decision``
-    is a frozen slotted dataclass; a clone writes its ten slots through
-    their member descriptors, skipping the keyword ``__init__`` and the
-    frozen-setattr guard.  The clones are indistinguishable from
-    constructed decisions (same fields, equality and hash), differ from
-    the prototype only in ``time``, and point at the prototype's field
-    values, so a clone adds one slotted record and nothing else.  The
-    prototype is made for this call and seen by no one else, so it
-    becomes the first position's decision instead of being cloned.
+    is a frozen slotted dataclass; a clone writes its subject, access
+    and outcome slots through their member descriptors, skipping the
+    ``__init__`` and the frozen-setattr guard, then its ``time``.  The
+    clones are indistinguishable from constructed decisions (same
+    fields, equality and hash), differ from the prototype only in
+    ``time``, and share the prototype's interned outcome, so a clone
+    adds one four-slot record and nothing else.  The prototype is made
+    for this call and seen by no one else, so it becomes the first
+    position's decision instead of being cloned.
     """
     new = Decision.__new__
-    s0, s1, s2, s3, s4, s5, s6, s7, s8 = _SETTERS
-    v0, v1, v2, v3, v4, v5, v6, v7, v8 = _SHARED_VALUES(proto)
+    s0, s1, s2 = _SETTERS
+    v0, v1, v2 = _SHARED_VALUES(proto)
     set_time = _SET_TIME
     i = idx_list[positions[0]]
     set_time(proto, times[i])
@@ -133,12 +137,6 @@ def _fill(
         s0(d, v0)
         s1(d, v1)
         s2(d, v2)
-        s3(d, v3)
-        s4(d, v4)
-        s5(d, v5)
-        s6(d, v6)
-        s7(d, v7)
-        s8(d, v8)
         i = idx_list[p]
         set_time(d, times[i])
         decisions[i] = d

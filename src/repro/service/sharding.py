@@ -16,7 +16,11 @@ key** (the owner's user name by default), so:
   and precomputed live sets (:mod:`repro.srac.monitors`,
   :mod:`repro.srac.reachability`) — remain **process-global**: they
   are immutable once built and their tables are lock-guarded, so all
-  shards share one copy and one warm-up.
+  shards share one copy and one warm-up;
+* the interned decision attribution and outcomes are one memo per
+  policy version that every shard shares, so equal outcomes decided on
+  different shards are one record.  Its entries are pure functions of
+  their keys, inserted with ``setdefault``, so racing shards agree.
 
 Per-shard state (sessions, validity trackers, candidate/extension
 entry caches, audit log) is touched only under the shard lock, so the
@@ -77,6 +81,11 @@ class ShardedEngine:
             _Shard(i, AccessControlEngine(policy, **engine_kwargs))
             for i in range(shards)
         ]
+        # One attribution and outcome memo for every shard: a value
+        # decided on several shards is one record.
+        memo = self._shards[0].engine._memo
+        for shard in self._shards[1:]:
+            shard.engine._memo = memo
         self.policy = policy
         # Routing by store: every handle references its shard's store,
         # so ``shard_of`` is one lookup — no per-session route stamp or

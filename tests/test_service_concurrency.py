@@ -17,7 +17,9 @@ The two load-bearing properties:
 from __future__ import annotations
 
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -165,6 +167,131 @@ class TestShardedDeterminism:
     def test_shard_count_validation(self):
         with pytest.raises(ServiceError):
             ShardedEngine(make_policy(), shards=0)
+
+
+class TestSharedDecisionMemo:
+    """The shards of a ``ShardedEngine`` intern attribution and
+    outcomes in one memo per policy version."""
+
+    @staticmethod
+    def _spread(sharded, n):
+        """``n`` sessions with role ``r``, each on its own shard."""
+        sessions, shards = [], set()
+        k = 0
+        while len(sessions) < n:
+            key = f"agent-{k}"
+            k += 1
+            if sharded.shard_index(key) in shards:
+                continue
+            shards.add(sharded.shard_index(key))
+            session = sharded.authenticate("u", 0.0, shard_key=key)
+            sharded.activate_role(session, "r", 0.0)
+            sessions.append(session)
+        return sessions
+
+    def test_equal_outcomes_on_two_shards_are_one_record(self):
+        sharded = ShardedEngine(make_policy(), shards=4)
+        a, b = self._spread(sharded, 2)
+        access = AccessKey("exec", "rsw", "s1")
+        first = sharded.decide(a, access, 1.0)
+        second = sharded.decide(b, access, 2.0)
+        assert first.granted and second.granted
+        assert first.outcome is second.outcome
+        assert first.provenance is second.provenance
+        memo = sharded._shards[0].engine._memo
+        assert all(shard.engine._memo is memo for shard in sharded._shards)
+        sharded.close()
+
+    def test_replace_permission_empties_the_memo_for_every_shard(self):
+        policy = make_policy(count_bound=0)
+        sharded = ShardedEngine(policy, shards=4)
+        a, b = self._spread(sharded, 2)
+        access = AccessKey("exec", "rsw", "s1")
+        old = [sharded.decide(s, access, 1.0) for s in (a, b)]
+        assert old[0].outcome is old[1].outcome
+        assert old[0].provenance.kind == "spatial"
+        memo = sharded._shards[0].engine._memo
+        assert len(memo.outcomes) == 1 and len(memo.examined) == 1
+        source = "count(0, 1, [res = rsw])"
+        policy.replace_permission(
+            Permission(
+                "p", op="exec", resource="rsw",
+                spatial_constraint=parse_constraint(source),
+            )
+        )
+        # One decision on one shard empties the memo the other reads.
+        denied = sharded.decide(a, AccessKey("exec", "rsw", "s2"), 2.0,
+                                history=(access, access))
+        assert denied.provenance.failing.constraint == source
+        assert list(memo.outcomes.values()) == [denied.outcome]
+        assert len(memo.examined) == 1
+        granted = sharded.decide(b, access, 3.0)
+        assert granted.granted and granted.provenance.candidates[0].constraint == source
+        assert old[1].provenance.failing.constraint != source
+        assert memo.version == policy.version
+        assert all(shard.engine._memo is memo for shard in sharded._shards)
+        sharded.close()
+
+    def test_racing_shards_keep_one_record_per_value(self):
+        """Threads on different shards make the same outcomes at the
+        same moment, round after round on fresh memos: every decision
+        holds the memo's one record of its value."""
+        threads_n, rounds_min, budget_s = 6, 3, 3.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        deadline = time.monotonic() + budget_s
+        rounds = 0
+        try:
+            while rounds < rounds_min or time.monotonic() < deadline:
+                rounds += 1
+                sharded = ShardedEngine(make_policy(count_bound=3), shards=8)
+                sessions = self._spread(sharded, threads_n)
+                barrier = threading.Barrier(threads_n)
+                results: list[list] = [[] for _ in range(threads_n)]
+                errors: list[BaseException] = []
+
+                def work(k):
+                    try:
+                        barrier.wait(timeout=10.0)
+                        for i in range(8):
+                            access = AccessKey("exec", "rsw", SERVERS[i % 2])
+                            decision = sharded.decide(
+                                sessions[k], access, float(i + 1),
+                                history=None,
+                            )
+                            if decision.granted:
+                                sharded.observe(sessions[k], access)
+                            results[k].append(decision)
+                    except Exception as error:
+                        errors.append(error)
+
+                workers = [
+                    threading.Thread(target=work, args=(k,))
+                    for k in range(threads_n)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30.0)
+                assert not any(worker.is_alive() for worker in workers)
+                assert not errors, errors
+                decisions = [d for row in results for d in row]
+                assert len(decisions) == threads_n * 8
+                assert {d.granted for d in decisions} == {True, False}
+                records = [c for d in decisions for c in d.provenance.candidates]
+                for values in (
+                    [d.outcome for d in decisions],
+                    [d.provenance for d in decisions],
+                    records,
+                ):
+                    assert len({id(v) for v in values}) == len(set(values))
+                memo = sharded._shards[0].engine._memo
+                kept = {id(o) for o in memo.outcomes.values()}
+                assert {id(d.outcome) for d in decisions} <= kept
+                assert len(memo.outcomes) == len({d.outcome for d in decisions})
+                sharded.close()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestChannelTableStress:

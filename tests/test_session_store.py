@@ -435,6 +435,46 @@ class TestBulkOpen:
         assert tracker.valid_timeline() == reference.valid_timeline()
         assert tracker.active_timeline() == reference.active_timeline()
 
+    def test_bulk_open_reuses_expired_rows(self):
+        """A bulk open after expiry fills the freed rows, in the order
+        ``authenticate`` would take them, before it grows the store:
+        capacity and ``nbytes()`` stay put, every reopened row reads as
+        a freshly bulk-opened session, and handles to the expired
+        occupancies still read as closed."""
+        n = 2_000
+        policy = _policy([parse_constraint(COUNT_SRC), None], [5.0, 20.0])
+        engine = AccessControlEngine(policy)
+        store = engine._store
+        rows = engine.open_sessions(["u"] * n, 1.0, roles=("r",))
+        stale = [engine.session_at(r) for r in rows[::97]]
+        engine.decide(stale[0], ACCESS, 2.0, history=None)  # one own cell
+        capacity, nbytes = store.capacity, store.nbytes()
+        assert engine.expire_sessions(now=5.0, idle_for=0.0) == n
+        pop_order = store._free[::-1]
+        reopened = engine.open_sessions(["u"] * n, 6.0, roles=("r",))
+        assert reopened.tolist() == pop_order
+        assert sorted(pop_order) == rows.tolist()
+        assert (store.capacity, store.nbytes()) == (capacity, nbytes)
+        assert engine.resident_sessions() == n and store.own_cells() == 0
+        twin_engine = AccessControlEngine(policy)
+        (twin_row,) = twin_engine.open_sessions(["u"], 6.0, roles=("r",))
+        twin = twin_engine.session_at(twin_row)
+        fresh = [engine.session_at(r) for r in reopened]
+        self._assert_twins(fresh, [twin] * n)
+        for session in fresh:
+            assert (session.start_time, session.last_seen) == (6.0, 6.0)
+            assert session.observed == ()
+        want = _norm(twin_engine.decide(twin, ACCESS, 7.0, history=None))
+        for session in fresh:
+            assert _norm(engine.decide(session, ACCESS, 7.0, history=None)) == want
+        fresh_ids = {session.session_id for session in fresh}
+        for handle in stale:
+            assert not handle._is_open() and handle.session_id not in fresh_ids
+            assert handle.role_set() == frozenset() and handle.trackers == {}
+            assert handle.observed == () and handle.last_seen == -math.inf
+            with pytest.raises(RbacError):
+                handle.require_open()
+
     def test_bulk_open_rejects_unknown_role_and_user(self):
         """A refused bulk open opens nothing — on a sharded engine too,
         where the unentitled user ``h`` routes to the last shard

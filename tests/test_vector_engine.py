@@ -20,7 +20,10 @@ failures.
 The audit log keeps every decision, so what one decision retains is
 gated too (``TestRetainedDecisions``): bytes per swept and per scalar
 decision, no per-instance ``__dict__``, and the sharing of provenance
-records between decisions.
+records between decisions.  A decision is its request plus one shared
+``Outcome``; ``TestDecisionSurface`` pins its ten names, ``replace``,
+equality, hash and immutability on the scalar, swept, service and
+degraded paths.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from hypothesis import strategies as st
 
 import tests.strategies as strategies
 from repro.errors import AlphabetError, ReproError
-from repro.rbac.audit import AuditLog, Decision
+from repro.obs.provenance import CandidateProvenance, DecisionProvenance
+from repro.rbac.audit import AuditLog, Decision, Outcome
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
@@ -425,8 +429,8 @@ class TestBatchMany:
 
 class TestAuditRecordMany:
     def test_counters_match_scalar_recording(self):
-        grant = Decision("s", AccessKey("e", "r", "s"), True, 1.0)
-        deny = Decision("s", AccessKey("e", "r", "s"), False, 2.0)
+        grant = Decision("s", AccessKey("e", "r", "s"), 1.0, Outcome(True))
+        deny = Decision("s", AccessKey("e", "r", "s"), 2.0, Outcome(False))
         log = AuditLog()
         log.record_many([grant, deny, grant])
         assert (log.granted_count, log.denied_count) == (2, 1)
@@ -470,8 +474,8 @@ class TestStateCodes:
 # Retained bytes per decision: the audit log keeps every decision, so
 # what one costs is what the log grows by.  Budgets in bytes, measured
 # by tracemalloc with the request stream built beforehand.
-SWEPT_BUDGET_B = 200
-SCALAR_BUDGET_B = 160
+SWEPT_BUDGET_B = 100
+SCALAR_BUDGET_B = 100
 
 
 def _hot_population(sessions: int = 64):
@@ -588,7 +592,7 @@ class TestRetainedDecisions:
         assert denial.provenance.kind == "spatial"
         assert denial.provenance.failing.constraint == source
         assert kept[i].provenance.failing.constraint != source
-        assert list(engine._provenance_memo.values()) == [denial.provenance]
+        assert list(engine._memo.outcomes.values()) == [denial.outcome]
 
     def test_sessions_of_one_sweep_share_provenance(self):
         """Equal outcomes of different sessions retain one
@@ -630,3 +634,144 @@ class TestRetainedDecisions:
         assert engine.decide(handles[1], key, 1.0, history=None).access is key
         from_tuple = engine.decide(handles[1], ("write", "log", "s3"), 2.0)
         assert from_tuple.access is AccessKey.of("write", "log", "s3")
+
+
+class TestDecisionSurface:
+    """A ``Decision`` is its request plus one interned ``Outcome``; the
+    ten names, ``replace``, equality, hash and immutability read as
+    they did when all ten were slots of the record."""
+
+    NAMES = (
+        "subject_id", "access", "granted", "time", "role", "permission",
+        "spatial_ok", "temporal_ok", "reason", "provenance",
+    )
+    WRITE = AccessKey.of("write", "log", "s1")
+    EXEC = AccessKey.of("exec", "rsw", "s2")
+
+    @staticmethod
+    def _grant(access, t):
+        record = CandidateProvenance(
+            "agent", "write-log", None, True, True, "valid"
+        )
+        provenance = DecisionProvenance(
+            kind="granted", candidates=(record,),
+            history_mode="incremental", history_len=0,
+        )
+        return (access, True, t, "agent", "write-log", True, True, "",
+                provenance)
+
+    @staticmethod
+    def _spatial(access, t):
+        record = CandidateProvenance(
+            "agent", "exec-rsw", "count(0, 3, [res = rsw])", False, True,
+            "valid",
+        )
+        provenance = DecisionProvenance(
+            kind="spatial", candidates=(record,),
+            history_mode="incremental", history_len=4,
+            foreign_servers=("s0",),
+        )
+        return (access, False, t, "agent", "exec-rsw", False, True,
+                "spatial constraint of 'exec-rsw' cannot be satisfied",
+                provenance)
+
+    def _check_record(self, decision, subject_id, pinned):
+        assert tuple(getattr(decision, n) for n in self.NAMES) == (
+            subject_id, *pinned
+        )
+        masked = dataclasses.replace(decision, subject_id="")
+        assert masked.subject_id == "" and masked.outcome is decision.outcome
+        assert [getattr(masked, n) for n in self.NAMES[1:]] == list(pinned)
+        # Equality and hash by value: a copy with its own outcome record.
+        outcome = decision.outcome
+        copy = Decision(
+            subject_id, decision.access, decision.time,
+            Outcome(*(getattr(outcome, f.name)
+                      for f in dataclasses.fields(Outcome))),
+        )
+        assert copy.outcome is not outcome
+        assert copy == decision and hash(copy) == hash(decision)
+        assert dataclasses.replace(decision, time=decision.time + 1) != decision
+        assert not hasattr(decision, "__dict__")
+        for name in ("subject_id", "access", "time", "outcome"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(decision, name, None)
+        for name in self.NAMES:
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(decision, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.granted = not outcome.granted
+        assert tuple(getattr(decision, n) for n in self.NAMES) == (
+            subject_id, *pinned
+        )
+
+    def test_scalar_swept_served_and_degraded_decisions(self):
+        from repro.faults import FaultPlan, fail_closed
+        from repro.service import DecisionService
+        from repro.workloads.scale import ScaleSpec, build_policy
+        from tests.faultload import run_workload
+
+        engine, handles, _ = _hot_population(8)
+        scalar = engine.decide(handles[1], self.WRITE, 1.0, history=None)
+        swept = engine.decide_batch_many(
+            [(handles[2], self.WRITE), (handles[0], self.EXEC)], 2.0
+        )
+        denial = engine.decide(handles[4], self.EXEC, 3.0, history=None)
+        assert engine.cache_stats().vector_decisions == 2
+        self._check_record(
+            scalar, handles[1].subject.subject_id, self._grant(self.WRITE, 1.0)
+        )
+        self._check_record(
+            swept[0], handles[2].subject.subject_id,
+            self._grant(self.WRITE, 2.0),
+        )
+        self._check_record(
+            swept[1], handles[0].subject.subject_id,
+            self._spatial(self.EXEC, 2.0),
+        )
+        # Equal outcomes share one record across sessions, the sweep
+        # and the scalar path.
+        assert swept[0].outcome is scalar.outcome
+        assert denial.outcome is swept[1].outcome
+        assert len(engine._memo.outcomes) == 2
+        engine.close()
+
+        spec = ScaleSpec(sessions=8, users=16, servers=8, requests=1)
+        sharded = ShardedEngine(build_policy(spec), shards=4)
+        service = DecisionService(sharded, workers=2)
+        try:
+            sessions = [
+                sharded.authenticate(f"u{i:05d}", 0.0) for i in (1, 2)
+            ]
+            assert sharded.shard_of(sessions[0]) != sharded.shard_of(sessions[1])
+            for session in sessions:
+                sharded.activate_role(session, "agent", 0.0)
+            served = [
+                service.submit(session, self.WRITE, 4.0).result()
+                for session in sessions
+            ]
+        finally:
+            service.shutdown()
+        for session, decision in zip(sessions, served):
+            self._check_record(
+                decision, session.subject.subject_id,
+                self._grant(self.WRITE, 4.0),
+            )
+        assert served[0].outcome is served[1].outcome
+
+        sim, _, naplets = run_workload(
+            [("u0", "exec rsw @ s1 ; read r1 @ s2", "s1")], "batched",
+            faults=FaultPlan(degradation=fail_closed()),
+        )
+        assert sim.degraded_denials == 1
+        (degraded,) = naplets[0].denials
+        (proof,) = naplets[0].registry.proofs()
+        provenance = DecisionProvenance(
+            kind="degraded", uncorroborated=(proof.digest,),
+            detail="fail_closed",
+        )
+        self._check_record(degraded, "u0", (
+            AccessKey.of("read", "r1", "s2"), False, 3.0, None, None, None,
+            None, "degraded (fail_closed): 1 uncorroborated foreign proofs",
+            provenance,
+        ))
