@@ -24,8 +24,10 @@ measures what that buys:
   ≤ 100 B/session budget.
 * **touched handles** — the drive's touched sessions get handles,
   each read through its trackers and role set under ``tracemalloc``;
-  what they retain per session gates the ≤ 520 B budget.  Reads copy
-  no cell, so this holds only the handles.
+  what they retain per session gates the ≤ 320 B budget.  Reads copy
+  no cell, so this holds only the handles.  The handles are made once
+  untraced first, and the wall µs per ``session_at`` is reported
+  (``drive.handle_us_per_touched_session``).
 * **throughput at scale** — the diurnal Zipf stream is driven through
   the micro-batched :class:`~repro.service.DecisionService`.  After
   the drive, the store's bytes over its residents — the untouched rows
@@ -76,7 +78,7 @@ SUBMIT_CHUNK = 8192
 BYTES_PER_SESSION_BUDGET = 100.0
 
 #: What a touched session's handle may keep beside its row.
-HANDLE_BYTES_BUDGET = 520.0
+HANDLE_BYTES_BUDGET = 320.0
 
 
 def _reset_counters() -> None:
@@ -304,10 +306,20 @@ def touch_handles(
     shard_ids: np.ndarray,
     row_of: np.ndarray,
     touched: np.ndarray,
-) -> tuple[dict[int, object], float]:
+) -> tuple[dict[int, object], float, float]:
     """Handles for the ``touched`` sessions, each read through every
-    tracker's state and its role set, made under tracemalloc.  Returns
-    the handles and the bytes they retain per touched session."""
+    tracker's state and its role set.  They are made twice: untraced,
+    timing each ``session_at``, and — once those are dropped — under
+    tracemalloc.  Returns the handles, the bytes they retain per touched
+    session and the wall µs per ``session_at``."""
+    shards = shard_ids[touched].tolist()
+    rows = row_of[touched].tolist()
+    session_at = engine.session_at
+    gc.collect()
+    start = time.perf_counter()
+    timed = [session_at(shard, row) for shard, row in zip(shards, rows)]
+    handle_us = (time.perf_counter() - start) / len(timed) * 1e6
+    del timed
     handles: dict[int, object] = dict.fromkeys(touched.tolist())
     gc.collect()
     tracemalloc.start()
@@ -320,7 +332,7 @@ def touch_handles(
         handles[i] = handle
     current, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return handles, (current - base) / len(handles)
+    return handles, (current - base) / len(handles), handle_us
 
 
 def drive_population(
@@ -332,7 +344,9 @@ def drive_population(
     """Drive the Zipf/diurnal stream against the resident population
     through the batched service; only touched sessions get handles."""
     touched = np.unique(workload.session_index)
-    handles, handle_bytes = touch_handles(engine, shard_ids, row_of, touched)
+    handles, handle_bytes, handle_us = touch_handles(
+        engine, shard_ids, row_of, touched
+    )
     sessions = _HandleList(handles)
     engine.prewarm(workload.alphabet)
     with _service(engine) as service:
@@ -346,6 +360,7 @@ def drive_population(
         "requests": len(decisions),
         "touched_sessions": int(len(touched)),
         "handle_bytes_per_touched_session": handle_bytes,
+        "handle_us_per_touched_session": handle_us,
         "store_bytes_per_session": store_bytes / engine.resident_sessions(),
         "wall_s": wall,
         "throughput": len(decisions) / wall,
@@ -432,7 +447,8 @@ def print_report(report: dict) -> None:
     print(
         f"per touched session's handle: "
         f"{drive['handle_bytes_per_touched_session']:.1f} B "
-        f"(budget {HANDLE_BYTES_BUDGET:.0f} B)"
+        f"(budget {HANDLE_BYTES_BUDGET:.0f} B), "
+        f"{drive['handle_us_per_touched_session']:.2f} µs per session_at"
     )
     print(
         f"store after the drive: "

@@ -18,6 +18,7 @@ Every decision is recorded in the :class:`~repro.rbac.audit.AuditLog`.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import threading
 import time
@@ -31,7 +32,7 @@ from repro.errors import AccessDenied, ConstraintError, RbacError
 from repro.obs import OBS, RECORDER, REGISTRY
 from repro.obs.provenance import CandidateProvenance, DecisionProvenance
 from repro.rbac.audit import AuditLog, Decision, Outcome
-from repro.rbac.model import Permission, Role, Subject, User
+from repro.rbac.model import Permission, Role, User
 from repro.rbac.policy import Policy
 from repro.rbac.session_store import Session, SessionStore
 from repro.sral.ast import Program
@@ -52,6 +53,32 @@ __all__ = [
 ]
 
 _session_counter = itertools.count(1)
+
+
+def _draw_ids(n: int) -> tuple[int, int]:
+    """The first of ``n`` consecutive session sequence numbers and the
+    first of ``n`` consecutive subject sequence numbers, drawn in one
+    step that no other draw interleaves.  The counters are read from
+    their modules at each call (tests and benchmarks restart them by
+    assignment); a run moves each past itself by replacing it."""
+    global _session_counter
+    with rbac_model._id_lock:
+        sid = next(_session_counter)
+        seq = next(rbac_model._subject_counter)
+        if n > 1:
+            _session_counter = itertools.count(sid + n)
+            rbac_model._subject_counter = itertools.count(seq + n)
+    return sid, seq
+
+
+def _factorize(names: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct names in first-appearance order, and each name's
+    index among them — one pass at C speed."""
+    names = names if isinstance(names, (list, tuple)) else list(names)
+    codes: dict[str, int] = collections.defaultdict(itertools.count().__next__)
+    index = np.fromiter(map(codes.__getitem__, names), np.intp, len(names))
+    return list(codes), index
+
 
 #: One in this many decisions draws a wall-clock timing sample and
 #: records an ``engine.decide`` span when observability is enabled
@@ -250,7 +277,9 @@ class AccessControlEngine:
         # role set, access) -> matching (role, permission) pairs; the
         # version in the key makes policy mutations invalidate lazily.
         # Extension entries: (constraint, access) -> (compiled
-        # constraint, canonical request universe).
+        # constraint, canonical request universe, live set).  A
+        # ShardedEngine hands its shards one copy of this memo and the
+        # table memo below.
         self._candidates_cache: dict[
             tuple[int, frozenset[Role], AccessKey],
             tuple[tuple[Role, Permission], ...],
@@ -398,23 +427,20 @@ class AccessControlEngine:
         """Authenticate ``user_name`` and establish a session (the
         paper's subject creation after certificate validation)."""
         user = self.policy.user(user_name)
-        seq = next(rbac_model._subject_counter)
-        subject = Subject(
-            user,
-            frozenset(principals) | {f"user:{user_name}"},
-            subject_id=f"subject-{seq}",
+        sid, seq = _draw_ids(1)
+        row = self._store.open(
+            user, frozenset(principals) | {f"user:{user_name}"}, t, sid, seq
         )
-        row = self._store.open(subject, t, next(_session_counter), seq)
-        return self._handle(row, subject=subject)
+        return self._handle(row)
 
-    def _handle(self, row: int, subject: Subject | None = None) -> Session:
+    def _handle(self, row: int) -> Session:
         """The (cached) handle for a live store row."""
         store = self._store
         handle = store.handle_for(row)
         if handle is None:
-            if not store._alive.data[row]:
+            if not store._alive.data.item(row):
                 raise RbacError(f"no live session at store row {row}")
-            handle = Session(store, row, subject=subject)
+            handle = Session(store, row)
             store.register_handle(row, handle)
         return handle
 
@@ -478,31 +504,35 @@ class AccessControlEngine:
 
     def open_sessions(
         self,
-        user_names: Sequence[str],
+        user_names: Iterable[str],
         t: float,
         roles: Iterable[str] = (),
     ) -> np.ndarray:
         """Bulk-authenticate ``user_names`` at ``t`` and activate
-        ``roles`` on every session — the columnar load path: column
-        fills, with entitlement, DSD and interning done once per
-        distinct user / role set.  Equivalent to :meth:`authenticate` +
-        :meth:`activate_role` per session — same states, timelines and
-        id sequences (checked in ``tests/test_session_store.py`` and
-        ``benchmarks/bench_scale.py``) — minus the per-session Python
-        objects.  A refused call opens nothing.  Returns the opened row
-        indices, in ``user_names`` order (:meth:`session_at`
-        materialises handles on demand)."""
-        names = list(user_names)
-        role_objs, users = self._check_bulk_open(names, roles)
-        return self._open_block(names, t, role_objs, users)
+        ``roles`` on every session — the columnar load path.  The names
+        become one int code array; each distinct user is checked and
+        interned once, entitlement once per distinct assigned-role set,
+        and the rows are column fills.  Equivalent to
+        :meth:`authenticate` + :meth:`activate_role` per session — same
+        states, timelines and id sequences (checked in
+        ``tests/test_session_store.py`` and ``benchmarks/bench_scale.py``)
+        — minus the per-session Python objects.  A refused call opens
+        nothing.  Returns the opened row indices, in ``user_names``
+        order (:meth:`session_at` materialises handles on demand)."""
+        distinct, codes = _factorize(user_names)
+        role_objs, users = self._check_bulk_open(distinct, roles)
+        return self._open_block(
+            users, range(len(users)), codes, t, role_objs,
+            self._tracker_plan(role_objs),
+        )
 
     def _check_bulk_open(
-        self, names: Iterable[str], roles: Iterable[str]
-    ) -> tuple[tuple[Role, ...], dict[str, User]]:
+        self, names: Sequence[str], roles: Iterable[str]
+    ) -> tuple[tuple[Role, ...], list[User]]:
         """Check a bulk open before anything is written: the role set
-        against DSD, and each distinct name as a known user entitled to
-        every role.  Returns the roles and the users by name, in first
-        appearance order."""
+        against DSD, each distinct name as a known user, and each
+        distinct assigned-role set as entitled to every role.  Returns
+        the roles and the users, parallel to ``names``."""
         role_objs = tuple(self.policy.role(name) for name in roles)
         role_fs = frozenset(role_objs)
         for constraint in self.policy.dsd_constraints:
@@ -511,61 +541,72 @@ class AccessControlEngine:
                     f"activating {sorted(r.name for r in role_objs)!r} "
                     f"violates DSD constraint {constraint.name!r}"
                 )
-        users: dict[str, User] = {}
-        for name in dict.fromkeys(names):
+        users: list[User] = []
+        # Assigned-role set -> the first role it is not entitled to.
+        missing: dict[frozenset[Role], Role | None] = {}
+        for name in names:
             user = self.policy.user(name)
             if role_objs:
-                entitled = self.policy.hierarchy.closure(
-                    self.policy.roles_of_user(user)
-                )
-                for role in role_objs:
-                    if role not in entitled:
-                        raise RbacError(
-                            f"user {name!r} is not authorized "
-                            f"for role {role.name!r}"
-                        )
-            users[name] = user
+                assigned = self.policy.roles_of_user(user)
+                if assigned not in missing:
+                    entitled = self.policy.hierarchy.closure(assigned)
+                    missing[assigned] = next(
+                        (r for r in role_objs if r not in entitled), None
+                    )
+                role = missing[assigned]
+                if role is not None:
+                    raise RbacError(
+                        f"user {name!r} is not authorized "
+                        f"for role {role.name!r}"
+                    )
+            users.append(user)
         return role_objs, users
 
-    def _open_block(
-        self,
-        names: list[str],
-        t: float,
-        role_objs: tuple[Role, ...],
-        users: dict[str, User],
-    ) -> np.ndarray:
-        """Open a checked bulk open's rows (see :meth:`open_sessions`);
-        ``users`` holds every name in ``names``."""
-        store = self._store
-        # One tracker plan for the whole block: key -> duration, in the
-        # same first-creation order the scalar activation loop uses.
-        tracker_plan: dict[str, float] = {}
+    def _tracker_plan(self, role_objs: Iterable[Role]) -> dict[str, float]:
+        """A bulk open's trackers, key -> duration, in the first-creation
+        order the scalar activation loop uses."""
+        plan: dict[str, float] = {}
         for role in role_objs:
             for permission in self.policy.permissions_of_role(role):
                 key = self._tracker_key(permission)
-                if key not in tracker_plan:
-                    tracker_plan[key] = self._duration_for(permission)
-        # Distinct users in first-appearance order — the order
-        # one-by-one authentication interns them — each interned once.
-        user_index: dict[str, int] = {}
-        user_codes: list[int] = []
-        principal_codes: list[int] = []
-        for name in dict.fromkeys(names):
-            user_index[name] = len(user_index)
-            user_codes.append(store._intern_user(users[name]))
-            principal_codes.append(
-                store._intern_principals(frozenset({f"user:{name}"}))
+                if key not in plan:
+                    plan[key] = self._duration_for(permission)
+        return plan
+
+    def _open_block(
+        self,
+        users: Sequence[User],
+        members: Iterable[int],
+        codes: np.ndarray,
+        t: float,
+        role_objs: tuple[Role, ...],
+        tracker_plan: dict[str, float],
+    ) -> np.ndarray:
+        """Open a checked bulk open's rows (see :meth:`open_sessions`):
+        row ``i`` is user ``users[codes[i]]``, and ``members`` are the
+        indices into ``users`` that ``codes`` holds, ascending.
+        ``users`` are distinct, in first-appearance order — the order
+        one-by-one authentication interns them — and each member is
+        interned once."""
+        n = len(codes)
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        store = self._store
+        user_codes = np.zeros(len(users), dtype=np.int32)
+        principal_codes = np.zeros(len(users), dtype=np.int32)
+        for m in members:
+            user = users[m]
+            user_codes[m] = store._intern_user(user)
+            principal_codes[m] = store._intern_principals(
+                frozenset({f"user:{user.name}"})
             )
-        n = len(names)
-        of_user = np.fromiter(map(user_index.__getitem__, names), np.intp, n)
+        sid, seq = _draw_ids(n)
         return store.open_block(
             t,
-            np.fromiter(itertools.islice(_session_counter, n), np.int64, n),
-            np.fromiter(
-                itertools.islice(rbac_model._subject_counter, n), np.int64, n
-            ),
-            np.array(user_codes, dtype=np.int32)[of_user],
-            np.array(principal_codes, dtype=np.int32)[of_user],
+            np.arange(sid, sid + n, dtype=np.int64),
+            np.arange(seq, seq + n, dtype=np.int64),
+            user_codes[codes],
+            principal_codes[codes],
             store._intern_role_set(frozenset(role_objs)),
             tracker_plan,
         )
@@ -878,7 +919,7 @@ class AccessControlEngine:
                     epoch=epoch,
                 ),
             ))
-        return Decision(session.subject.subject_id, access, t, outcome)
+        return Decision(session.subject_id, access, t, outcome)
 
     def _effective_history(
         self, session: Session, history: Trace | None
@@ -1264,8 +1305,11 @@ class AccessControlEngine:
     ]:
         """Compiled constraint, canonical request universe and
         precomputed live set for one (constraint, access) pair —
-        computed once per engine, so a warm decision reduces the
-        spatial check to a set-membership lookup."""
+        computed once per engine, or once for all the shards of a
+        :class:`~repro.service.sharding.ShardedEngine`, which share the
+        memo (an entry is a pure function of its key, inserted with
+        ``setdefault``, so racing shards keep one), so a warm decision
+        reduces the spatial check to a set-membership lookup."""
         key = (constraint, access)
         entry = self._extension_cache.get(key)
         if entry is None:
@@ -1279,8 +1323,9 @@ class AccessControlEngine:
                     )
                 )
             )
-            entry = (compiled, universe, live_set(compiled, universe))
-            self._extension_cache[key] = entry
+            entry = self._extension_cache.setdefault(
+                key, (compiled, universe, live_set(compiled, universe))
+            )
         return entry
 
     def _extension_table(
@@ -1290,17 +1335,18 @@ class AccessControlEngine:
         universe: tuple[AccessKey, ...],
     ) -> "TransitionTable | None":
         """The compiled transition table for one (constraint, access)
-        pair, memoised per engine in front of the process-level cache
-        (``None`` is memoised too — "over budget" is as stable as the
-        table itself).  ``universe`` must be the canonical request
-        universe from :meth:`_extension_entry` for the same pair."""
+        pair, memoised like :meth:`_extension_entry` in front of the
+        process-level cache (``None`` is memoised too — "over budget"
+        is as stable as the table itself).  ``universe`` must be the
+        canonical request universe from :meth:`_extension_entry` for
+        the same pair."""
         key = (constraint, access)
         try:
             return self._extension_tables[key]
         except KeyError:
-            table = compile_table(constraint, universe)
-            self._extension_tables[key] = table
-            return table
+            return self._extension_tables.setdefault(
+                key, compile_table(constraint, universe)
+            )
 
     def _extendable(
         self,

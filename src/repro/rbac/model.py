@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import FrozenSet
 
@@ -103,6 +104,11 @@ class Permission:
 
 _subject_counter = itertools.count(1)
 
+#: Every draw from the subject and session id counters takes this
+#: lock, so a bulk draw of consecutive ids is one step no other draw
+#: interleaves (see ``repro.rbac.engine``).
+_id_lock = threading.Lock()
+
 
 @dataclass(frozen=True, slots=True)
 class Subject:
@@ -115,9 +121,9 @@ class Subject:
 
     def __post_init__(self) -> None:
         if not self.subject_id:
-            object.__setattr__(
-                self, "subject_id", f"subject-{next(_subject_counter)}"
-            )
+            with _id_lock:
+                seq = next(_subject_counter)
+            object.__setattr__(self, "subject_id", f"subject-{seq}")
         object.__setattr__(self, "principals", frozenset(self.principals))
 
     def has_principal(self, principal: str) -> bool:

@@ -24,8 +24,8 @@ set of scalar cells in its row, plus a cell index:
       repro.temporal.validity.TrackerCells: one 36 B record per cell)
         alloc u8  active u8  dur i16 (index into the key's distinct
         durations)  anchor f64  consumed0 f64  expiry f64  now f64
-        + an append-only timeline event arena keyed by the occupancy
-          that recorded the event (row, gen, time, kind)
+        + a timeline event arena keyed by the occupancy that
+          recorded the event (row, gen, time, kind)
         alloc: 0 free, 1 allocated, 2 activated when the row was opened
         (its active-on / valid-on events at start_time are implied)
       per compiled constraint (lazily created; none for a product
@@ -34,8 +34,19 @@ set of scalar cells in its row, plus a cell index:
         :class:`repro.srac.compiled.TransitionTable` (same strides), so
         the vectorized sweep reads a ready-made table state id
 
-    observation arena (append-only, shared by all rows)
+    observation arena (shared by all rows)
       sym i32 (interned AccessKey id)   nxt i32 (linked list)
+
+Both arenas are appended to.  Closing a session leaves its occupancy's
+tracker events and observations behind, and replacing a row's history
+(:meth:`SessionStore.set_observations`) orphans its old nodes.  At
+such a close or replacement, an arena that holds at least
+:data:`COMPACT_MIN` entries and twice what its last compaction kept is
+compacted: tracker events whose (row, generation) is a live occupancy
+are kept in order, and each live row's observations are relinked in
+order at the front.  A compaction scans the arena once and follows a
+doubling of it, so it costs O(1) per entry amortised, and the decide
+and observe paths do no work for it.
 
 Rows that only restate their open state share one cell.  A fresh row
 reads the **empty cell** (every tracker free, every monitor -1); the
@@ -52,9 +63,11 @@ of which a few thousand are ever written hold a few thousand cells.
 
 Scalar callers never see the columns: a :class:`Session` is a
 **handle**, a reference into one row.  It holds the store, the row and
-the generation it was made for, the session's identity as of opening
-(``session_id``, ``subject``, ``start_time``) and the ``observed``
-memo — nothing else.  Its ``trackers``, :meth:`Session.tracker` and
+the generation it was made for and the ``observed`` memo.  Its
+identity (``session_id``, ``subject``, ``start_time``) is read from the
+row when asked for; the :class:`~repro.rbac.model.Subject` is built on
+its first read and kept, and deciding reads only the subject id string,
+cached on the handle.  Its ``trackers``, :meth:`Session.tracker` and
 ``active_roles`` build their views when read, and the caller drops
 them: a :class:`ColumnTracker` is
 :class:`repro.temporal.validity.ValidityTracker` itself over the row's
@@ -65,12 +78,13 @@ A view points at the store or the handle, and no handle points at a
 view, so no handle sits in a reference cycle.  Handles are cached per
 row in a ``WeakValueDictionary`` — a cache only: dropping every handle
 loses nothing, and a dropped handle leaves it by reference count, not
-at a collection.  Closing a session frees its row at once: the row's
-generation is bumped and its cached handle evicted, and the next open
-may reuse the row.  A handle or tracker view keeps the generation it
-was made for, and each accessor compares it with the row's once: a
-handle of an earlier generation reads as a closed session (no roles,
-trackers or history) under the identity it opened with, and raises
+at a collection.  Closing a session frees its row at once: the cached
+handle's identity is frozen into it, the row's generation is bumped
+and the handle evicted, and the next open may reuse the row.  A handle
+or tracker view keeps the generation it was made for, and each
+accessor compares it with the row's once: a handle of an earlier
+generation reads as a closed session (no roles, trackers or history)
+under the identity it opened with, and raises
 :class:`~repro.errors.RbacError` on every write, and a tracker view of
 an earlier generation raises on every method.
 
@@ -116,6 +130,16 @@ _INITIAL_CELLS = 64
 
 #: The shared empty cell: every tracker ``FREE``, every monitor -1.
 EMPTY_CELL = 0
+
+#: The fewest entries an arena holds before a close or a history
+#: replacement compacts it (it must also hold twice what it kept at its
+#: last compaction).
+COMPACT_MIN = 128
+
+
+def _compaction_due(arena: Arena) -> bool:
+    return arena.count >= max(COMPACT_MIN, 2 * arena.kept)
+
 
 #: Widest monitor product a store column encodes: every state id must
 #: fit the int64 cell.  A wider product keeps no column; its states are
@@ -250,46 +274,84 @@ class Session:
     its activated roles, per-permission validity trackers and observed
     history.
 
-    A handle holds its store, row and generation, its identity as of
-    opening (``session_id``, ``subject``, ``start_time``) and the
-    ``observed`` memo.  All state reads and writes go to the columns,
-    so any number of materialisations of the same session observe the
-    same state (the store caches one handle per row while referenced).
-    ``active_roles``, ``trackers`` and :meth:`tracker`
-    build their views when read; the handle keeps none, so it sits in
-    no reference cycle.  Once the session is closed, the handle reads
-    as a closed session — no roles, trackers or history, and
-    :meth:`touch` does nothing — and every write raises
-    :class:`~repro.errors.RbacError`, even after the row has been
-    reused; its identity stays that of the session it opened.
-    ``view_rebuilds`` counts ``observed`` tuple-view materialisations —
-    the regression meter for the memo-churn fix."""
+    A handle holds its store, row and generation and the ``observed``
+    memo.  ``session_id``, ``subject`` and ``start_time`` are read from
+    the row when asked for; the ``subject`` is built on its first read
+    and kept, and :attr:`subject_id` caches its id string without
+    building it.  All state reads and writes go to the columns, so any
+    number of materialisations of the same session observe the same
+    state (the store caches one handle per row while referenced).
+    ``active_roles``, ``trackers`` and :meth:`tracker` build their views
+    when read; the handle keeps none, so it sits in no reference cycle.
+    Once the session is closed, the handle reads as a closed session —
+    no roles, trackers or history, and :meth:`touch` does nothing — and
+    every write raises :class:`~repro.errors.RbacError`, even after the
+    row has been reused.  Its identity stays that of the session it
+    opened: :meth:`SessionStore.close` freezes it into the cached
+    handle before the row can be reused.  ``view_rebuilds`` counts
+    ``observed`` tuple-view materialisations — the regression meter for
+    the memo-churn fix."""
 
     __slots__ = (
         "_store",
         "_row",
         "_gen",
-        "subject",
-        "session_id",
-        "start_time",
+        "_subject",
+        "_subject_id",
+        "_frozen",
         "_observed_view",
         "_view_ver",
         "view_rebuilds",
         "__weakref__",
     )
 
-    def __init__(
-        self, store: "SessionStore", row: int, subject: Subject | None = None
-    ):
+    def __init__(self, store: "SessionStore", row: int):
         self._store = store
         self._row = row
-        self._gen = int(store._gen.data[row])
-        self.start_time = float(store._start_time.data[row])
-        self.session_id = f"session-{int(store._sid_seq.data[row])}"
-        self.subject = subject if subject is not None else store.subject_of(row)
+        self._gen = store._gen.data.item(row)
+        self._subject = self._subject_id = self._frozen = None
         self._observed_view: tuple[AccessKey, ...] | None = None
         self._view_ver = -1
         self.view_rebuilds = 0
+
+    @property
+    def session_id(self) -> str:
+        if self._frozen is not None:
+            return self._frozen[0]
+        return f"session-{self._store._sid_seq.data.item(self._row)}"
+
+    @property
+    def start_time(self) -> float:
+        if self._frozen is not None:
+            return self._frozen[1]
+        return self._store._start_time.data.item(self._row)
+
+    @property
+    def subject_id(self) -> str:
+        """``subject.subject_id``, without building the subject: one
+        string per handle, which all its decisions share."""
+        subject_id = self._subject_id
+        if subject_id is None:
+            subject_id = self._subject_id = (
+                f"subject-{self._store._subj_seq.data.item(self._row)}"
+            )
+        return subject_id
+
+    @property
+    def subject(self) -> Subject:
+        subject = self._subject
+        if subject is None:
+            subject = self._subject = self._store.subject_of(
+                self._row, self.subject_id
+            )
+        return subject
+
+    def _freeze(self) -> None:
+        """Keep the identity past the row's reuse (see
+        :meth:`SessionStore.close`); the subject is built now, while
+        the row still holds it."""
+        self._frozen = (self.session_id, self.start_time)
+        self._subject = self.subject
 
     def _is_open(self) -> bool:
         """Does the handle's generation still own its row?  Closing a
@@ -416,9 +478,9 @@ class SessionStore:
     threading contract, and needs no lock of its own.
 
     ``set_observations`` (the ``observed`` setter / churn rescind path)
-    rebuilds a row's log at the arena tail and orphans the old nodes:
-    the arena is append-only by design — rescinds are rare relative to
-    observations, and compaction would invalidate live row links.
+    rebuilds a row's log at the arena tail and orphans the old nodes;
+    they, and a closed occupancy's nodes and tracker events, go at the
+    next compaction that falls due (see the module docstring).
     """
 
     def __init__(self, scheme: Scheme):
@@ -624,23 +686,22 @@ class SessionStore:
 
     def open(
         self,
-        subject: Subject,
+        user: User,
+        principals: frozenset,
         t: float,
         sid_seq: int,
         subj_seq: int,
     ) -> int:
-        """Open a session row for ``subject`` at ``t``; returns the row.
-        ``subject.subject_id`` must be ``f"subject-{subj_seq}"``: the row
-        keeps only the number, and :meth:`subject_of` rebuilds the id."""
+        """Open a session row for ``user`` at ``t``; returns the row.
+        The row keeps the numbers of its session and subject ids, and
+        :meth:`subject_of` builds the subject from them."""
         row = self._alloc_row()
         self._start_time.data[row] = t
         self._last_seen.data[row] = t
         self._alive.data[row] = 1
         self._sid_seq.data[row] = sid_seq
-        self._user_id.data[row] = self._intern_user(subject.user)
-        self._principals_id.data[row] = self._intern_principals(
-            subject.principals
-        )
+        self._user_id.data[row] = self._intern_user(user)
+        self._principals_id.data[row] = self._intern_principals(principals)
         self._role_set_id.data[row] = 0
         self._obs_head.data[row] = -1
         self._obs_tail.data[row] = -1
@@ -720,22 +781,34 @@ class SessionStore:
 
     def close(self, row: int, gen: int) -> None:
         """Close the row's ``gen`` occupancy and free the row at once:
-        the generation bump turns every handle and tracker view of the
-        occupancy into a closed session's, and the cached handle is
-        evicted so the row's next occupant gets a fresh one.  The row
-        columns keep their values until :meth:`open` rewrites them all;
-        the row's hold on its cell is released here, and it reads the
-        empty cell.  A stale ``gen`` (the session is already closed) is
-        a no-op."""
-        if int(self._gen.data[row]) != gen:
+        the cached handle's identity is frozen into it, the generation
+        bump turns every handle and tracker view of the occupancy into a
+        closed session's, and the handle is evicted so the row's next
+        occupant gets a fresh one.  The row columns keep their values
+        until :meth:`open` rewrites them all; the row's hold on its cell
+        is released here, and it reads the empty cell.  An arena the
+        close leaves due is compacted.  A stale ``gen`` (the session is
+        already closed) is a no-op."""
+        if self._gen.data.item(row) != gen:
             return
-        self._handles.pop(row, None)
+        handle = self._handles.pop(row, None)
+        if handle is not None:
+            handle._freeze()
         self._resident -= 1
         self._alive.data[row] = 0
         self._gen.data[row] += 1
-        self._release(row, self._cell.data.item(row))
+        cell = self._cell.data.item(row)
+        # Only a row that owns a cell has recorded tracker events.
+        wrote = self._owner.data.item(cell) == row
+        self._release(row, cell)
         self._cell.data[row] = EMPTY_CELL
         self._free.append(row)
+        if wrote:
+            for tc in self._trackers.values():
+                if _compaction_due(tc.ev_row):
+                    self._compact_events(tc)
+        if self._obs_len.data.item(row) and _compaction_due(self._obs_sym):
+            self._compact_observations()
 
     def register_handle(self, row: int, handle: Session) -> None:
         self._handles[row] = handle
@@ -743,11 +816,13 @@ class SessionStore:
     def handle_for(self, row: int) -> Session | None:
         return self._handles.get(row)
 
-    def subject_of(self, row: int) -> Subject:
+    def subject_of(self, row: int, subject_id: str) -> Subject:
+        """The subject of the row's occupancy, whose id is
+        ``subject_id``."""
         return Subject(
-            self._users[int(self._user_id.data[row])],
-            self._principal_sets[int(self._principals_id.data[row])],
-            subject_id=f"subject-{int(self._subj_seq.data[row])}",
+            self._users[self._user_id.data.item(row)],
+            self._principal_sets[self._principals_id.data.item(row)],
+            subject_id=subject_id,
         )
 
     def row_of_session_id(self, session_id: str) -> int | None:
@@ -836,6 +911,31 @@ class SessionStore:
             (a if type(a) is AccessKey else AccessKey.of(a) for a in accesses),
         )
         self.clear_monitor_row(row)
+        if _compaction_due(self._obs_sym):
+            self._compact_observations()
+
+    def _compact_observations(self) -> None:
+        """Relink every live row's observations, in order, at the
+        front of the arena, and drop every other node."""
+        nxt = self._obs_next.data[: self._obs_next.count].tolist()
+        head = self._obs_head.data
+        n = self._n
+        rows = np.flatnonzero((self._alive.data[:n] == 1) & (head[:n] >= 0))
+        order: list[int] = []
+        firsts: list[int] = []
+        lasts: list[int] = []
+        for index in head[rows].tolist():
+            firsts.append(len(order))
+            while index >= 0:
+                order.append(index)
+                index = nxt[index]
+            lasts.append(len(order) - 1)
+        self._obs_sym.assign(self._obs_sym.data[order])
+        links = np.arange(1, len(order) + 1, dtype=np.int32)
+        links[lasts] = -1
+        self._obs_next.assign(links)
+        head[rows] = firsts
+        self._obs_tail.data[rows] = lasts
 
     def observed_list(self, row: int) -> list[AccessKey]:
         out: list[AccessKey] = []
@@ -926,6 +1026,12 @@ class SessionStore:
             mc.col.data[:] = -1
 
     # -- trackers ------------------------------------------------------------
+
+    def _compact_events(self, tc: TrackerCells) -> None:
+        """Keep the tracker events of live occupancies, in order."""
+        n = tc.ev_row.count
+        live = tc.ev_gen.data[:n] == self._gen.data[tc.ev_row.data[:n]]
+        tc.keep_events(np.flatnonzero(live))
 
     def _tracker_columns(self, key: str) -> TrackerCells:
         tc = self._trackers.get(key)

@@ -20,11 +20,14 @@ key** (the owner's user name by default), so:
 * the interned decision attribution and outcomes are one memo per
   policy version that every shard shares, so equal outcomes decided on
   different shards are one record.  Its entries are pure functions of
-  their keys, inserted with ``setdefault``, so racing shards agree.
+  their keys, inserted with ``setdefault``, so racing shards agree;
+* so are the ``(constraint, access)`` extension entries and transition
+  tables: the shards share one copy of each table, and one prewarm
+  fills it.
 
-Per-shard state (sessions, validity trackers, candidate/extension
-entry caches, audit log) is touched only under the shard lock, so the
-engine internals need no locks of their own.
+Per-shard state (sessions, validity trackers, candidate cache, audit
+log) is touched only under the shard lock, so the engine internals
+need no locks of their own.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
+import numpy as np
+
 from repro.concurrency import stripe_index
 from repro.errors import ServiceError
 from repro.rbac.audit import Decision
-from repro.rbac.engine import AccessControlEngine, EngineCacheStats
+from repro.rbac.engine import AccessControlEngine, EngineCacheStats, _factorize
 from repro.rbac.policy import Policy
 from repro.rbac.session_store import Session
 from repro.srac.reachability import cache_stats as srac_cache_stats
@@ -81,11 +86,14 @@ class ShardedEngine:
             _Shard(i, AccessControlEngine(policy, **engine_kwargs))
             for i in range(shards)
         ]
-        # One attribution and outcome memo for every shard: a value
-        # decided on several shards is one record.
-        memo = self._shards[0].engine._memo
+        # One attribution and outcome memo, and one extension entry and
+        # table memo, for every shard: a value decided on several
+        # shards is one record, and one prewarm warms every shard.
+        first = self._shards[0].engine
         for shard in self._shards[1:]:
-            shard.engine._memo = memo
+            shard.engine._memo = first._memo
+            shard.engine._extension_cache = first._extension_cache
+            shard.engine._extension_tables = first._extension_tables
         self.policy = policy
         # Routing by store: every handle references its shard's store,
         # so ``shard_of`` is one lookup — no per-session route stamp or
@@ -144,33 +152,45 @@ class ShardedEngine:
         user_names: Iterable[str],
         t: float,
         roles: Iterable[str] = (),
-    ) -> dict[int, "np.ndarray"]:
-        """Bulk-open sessions across shards:
-        users are routed by name exactly as :meth:`authenticate` would
-        (hashed once per distinct name), then each shard bulk-loads its
-        share in arrival order (:meth:`AccessControlEngine.open_sessions`).
-        Every distinct name is checked once before any shard opens a
-        row, so a refused call opens nothing.  Returns
-        ``{shard_index: row_indices}``; :meth:`session_at` materialises
-        handles on demand."""
-        by_shard: dict[int, list[str]] = {}
-        share_of: dict[str, list[str]] = {}  # name -> its shard's names
-        for name in user_names:
-            share = share_of.get(name)
-            if share is None:
-                share = share_of[name] = by_shard.setdefault(
-                    self.shard_index(name), []
-                )
-            share.append(name)
+    ) -> dict[int, np.ndarray]:
+        """Bulk-open sessions across shards.  The names become one int
+        code array; each distinct user is routed as :meth:`authenticate`
+        would route it, checked and interned once, and entitlement is
+        checked once per distinct assigned-role set, before any shard
+        opens a row, so a refused call opens nothing.  The rows are
+        split by shard with one stable sort, and each shard bulk-loads
+        its share in arrival order under its lock
+        (:meth:`AccessControlEngine.open_sessions`), drawing its block's
+        session and subject ids in one step, shards in index order.
+        Returns ``{shard_index: row_indices}``; :meth:`session_at`
+        materialises handles on demand."""
+        distinct, codes = _factorize(user_names)
         # Shards share the policy and engine settings: any one checks.
-        role_objs, users = self._shards[0].engine._check_bulk_open(
-            share_of, roles
+        first = self._shards[0].engine
+        role_objs, users = first._check_bulk_open(distinct, roles)
+        plan = first._tracker_plan(role_objs)
+        # The narrowest shard index type: a stable sort of 8- or 16-bit
+        # keys is a radix sort.
+        user_shard = np.fromiter(
+            map(self.shard_index, distinct),
+            np.min_scalar_type(len(self._shards) - 1),
+            len(distinct),
         )
-        out: dict[int, "np.ndarray"] = {}
-        for index, names in sorted(by_shard.items()):
-            shard = self._shards[index]
-            with shard.lock:
-                out[index] = shard.engine._open_block(names, t, role_objs, users)
+        row_shard = user_shard[codes]
+        order = np.argsort(row_shard, kind="stable")
+        ends = np.cumsum(np.bincount(row_shard, minlength=len(self._shards)))
+        codes = codes[order]
+        out: dict[int, np.ndarray] = {}
+        lo = 0
+        for index, hi in enumerate(ends.tolist()):
+            if hi > lo:
+                shard = self._shards[index]
+                members = np.flatnonzero(user_shard == index).tolist()
+                with shard.lock:
+                    out[index] = shard.engine._open_block(
+                        users, members, codes[lo:hi], t, role_objs, plan
+                    )
+            lo = hi
         return out
 
     def session_at(self, shard_index: int, row: int) -> Session:
@@ -341,15 +361,14 @@ class ShardedEngine:
     def prewarm(
         self, alphabet: Iterable[AccessKey | tuple[str, str, str]] = ()
     ) -> int:
-        """Prewarm every shard.  The heavy work (constraint compilation,
-        live-set fixpoints) happens once — the process-global caches are
-        shared — and each shard only materialises its own entry table."""
-        alphabet = tuple(alphabet)
-        total = 0
-        for shard in self._shards:
-            with shard.lock:
-                total += shard.engine.prewarm(alphabet)
-        return total
+        """Prewarm every shard at once: the shards share their
+        extension entry and table memos, so one engine fills them (see
+        :meth:`AccessControlEngine.prewarm`), and the compilation and
+        live-set fixpoints behind them are process-global.  Returns the
+        number of (constraint, access) entries warmed."""
+        shard = self._shards[0]
+        with shard.lock:
+            return shard.engine.prewarm(alphabet)
 
     def invalidate_caches(self) -> None:
         for shard in self._shards:
@@ -357,12 +376,13 @@ class ShardedEngine:
                 shard.engine.invalidate_caches()
 
     def cache_stats(self) -> EngineCacheStats:
-        """Engine counters summed across shards; the SRAC portion is the
-        process-global snapshot (shared by all shards, counted once)."""
+        """Engine counters summed across shards; the extension entries
+        and the SRAC portion are shared by all shards and counted once
+        (the SRAC portion is the process-global snapshot)."""
         totals = dict(
             candidate_hits=0,
             candidate_misses=0,
-            extension_entries=0,
+            extension_entries=len(self._shards[0].engine._extension_cache),
             live_hits=0,
             live_fallbacks=0,
             vector_decisions=0,
@@ -373,7 +393,6 @@ class ShardedEngine:
                 stats = shard.engine.cache_stats()
             totals["candidate_hits"] += stats.candidate_hits
             totals["candidate_misses"] += stats.candidate_misses
-            totals["extension_entries"] += stats.extension_entries
             totals["live_hits"] += stats.live_hits
             totals["live_fallbacks"] += stats.live_fallbacks
             totals["vector_decisions"] += stats.vector_decisions

@@ -136,14 +136,25 @@ class Column:
 
 
 class Arena:
-    """An append-only growable numpy array with an element count."""
+    """A growable numpy array with an element count, appended to one
+    element at a time.  ``kept`` is the count its last :meth:`assign`
+    left (the owner's compaction policy reads it)."""
 
-    __slots__ = ("data", "count", "fill")
+    __slots__ = ("data", "count", "fill", "kept")
 
     def __init__(self, dtype, fill=0, capacity: int = _INITIAL_ARENA):
         self.data = np.full(capacity, fill, dtype=dtype)
         self.count = 0
         self.fill = fill
+        self.kept = 0
+
+    def assign(self, values: np.ndarray) -> None:
+        """Replace the elements with ``values`` (at most the current
+        count of them): a compaction, which keeps the capacity."""
+        n = len(values)
+        self.data[:n] = values
+        self.data[n : self.count] = self.fill
+        self.count = self.kept = n
 
     def _ensure(self, extra: int) -> None:
         need = self.count + extra
@@ -180,9 +191,10 @@ class TrackerCells(Column):
     """Tracker cells for one tracker key: a :class:`Column` of cell
     records, with one view per field (``tc.anchor[cell]``), plus the
     timeline event arena.  Events are keyed by the occupancy that
-    recorded them (row and generation), not by cell.  ``dur`` indirects
-    through the key's distinct durations so it stays 2 bytes instead of
-    a float.  ``alloc`` is :attr:`FREE`, :attr:`ALLOCATED` or
+    recorded them (row and generation), not by cell; the session store
+    drops closed occupancies' events with :meth:`keep_events`.  ``dur``
+    indirects through the key's distinct durations so it stays 2 bytes
+    instead of a float.  ``alloc`` is :attr:`FREE`, :attr:`ALLOCATED` or
     :attr:`OPEN_ACTIVE` — activated when its row was opened in bulk,
     with the active-on / valid-on pair at the row's start time implied
     instead of stored."""
@@ -251,6 +263,11 @@ class TrackerCells(Column):
         self.ev_gen.append(gen)
         self.ev_time.append(t)
         self.ev_kind.append(kind)
+
+    def keep_events(self, index: np.ndarray) -> None:
+        """Keep only the events at ``index`` (ascending), in order."""
+        for arena in (self.ev_row, self.ev_gen, self.ev_time, self.ev_kind):
+            arena.assign(arena.data[index])
 
     def replay(
         self, cell: int, row: int, gen: int, start: float = 0.0

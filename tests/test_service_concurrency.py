@@ -232,6 +232,32 @@ class TestSharedDecisionMemo:
         assert all(shard.engine._memo is memo for shard in sharded._shards)
         sharded.close()
 
+    def test_shards_share_one_extension_table(self):
+        """One prewarm fills the extension entries and tables every
+        shard reads: ``cache_stats`` counts them once, as a single
+        engine's, and ``invalidate_caches`` empties them."""
+        alphabet = [AccessKey("exec", "rsw", server) for server in SERVERS]
+        single = AccessControlEngine(make_policy())
+        sharded = ShardedEngine(make_policy(), shards=16)
+        assert sharded.prewarm(alphabet) == single.prewarm(alphabet) == 4
+        entries = single.cache_stats().extension_entries
+        assert sharded.cache_stats().extension_entries == entries == 4
+        first = sharded._shards[0].engine
+        for shard in sharded._shards:
+            assert shard.engine._extension_cache is first._extension_cache
+            assert shard.engine._extension_tables is first._extension_tables
+        a, b = self._spread(sharded, 2)
+        for session in (a, b):
+            assert sharded.decide(session, alphabet[0], 1.0, history=None).granted
+        assert sharded.cache_stats().extension_entries == entries
+        sharded.invalidate_caches()
+        assert not first._extension_cache and not first._extension_tables
+        assert sharded.cache_stats().extension_entries == 0
+        assert sharded.decide(b, alphabet[1], 2.0, history=None).granted
+        assert sharded.cache_stats().extension_entries == 1
+        sharded.close()
+        single.close()
+
     def test_racing_shards_keep_one_record_per_value(self):
         """Threads on different shards make the same outcomes at the
         same moment, round after round on fresh memos: every decision
@@ -531,6 +557,86 @@ class TestProofBatch:
         assert eager.proof_batch.stats()["delivery_calls"] == 8 * 3
         assert batched.proof_batch.stats()["delivery_calls"] == 3
         assert batched.proof_batch.stats()["mean_batch_size"] == 8.0
+
+
+class TestIdDraws:
+    """Session and subject ids stay unique while threads authenticate
+    through a ``ShardedEngine`` and another thread bulk-opens, and each
+    shard's bulk block draws consecutive ids in arrival order.  The
+    blocks are small and many, so the authenticating threads' draws
+    fall often between two block draws."""
+
+    def test_authenticate_and_bulk_open_draw_unique_ids(self):
+        users = [f"u{i}" for i in range(40)]
+        policy = make_policy()
+        for name in users:
+            policy.add_user(name)
+            policy.assign_user(name, "r")
+        sharded = ShardedEngine(policy, shards=4)
+        threads_n, budget_s, rounds_max = 3, 1.5, 5000
+        singles: list[list] = [[] for _ in range(threads_n)]
+        blocks: list = []
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def authenticate(k):
+            try:
+                i = k
+                while not stop.is_set():
+                    session = sharded.authenticate(users[i % len(users)], 0.0)
+                    singles[k].append((session.session_id, session.subject_id))
+                    i += threads_n
+            except Exception as error:
+                errors.append(error)
+
+        def bulk_open():
+            try:
+                rng = random.Random(7)
+                deadline = time.monotonic() + budget_s
+                while time.monotonic() < deadline and len(blocks) < rounds_max:
+                    names = [rng.choice(users) for _ in range(rng.randint(2, 6))]
+                    rows = sharded.open_sessions(names, 0.0, roles=("r",))
+                    blocks.append((names, rows))
+            except Exception as error:
+                errors.append(error)
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=authenticate, args=(k,))
+                for k in range(threads_n)
+            ]
+            threads.append(threading.Thread(target=bulk_open))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert blocks and all(singles)
+        ids = [pair for made in singles for pair in made]
+        for names, rows_by_shard in blocks:
+            for shard, rows in rows_by_shard.items():
+                handles = [sharded.session_at(shard, int(row)) for row in rows]
+                assert [h.subject.user.name for h in handles] == [
+                    name for name in names if sharded.shard_index(name) == shard
+                ]
+                for pairs in (
+                    [h.session_id for h in handles],
+                    [h.subject_id for h in handles],
+                ):
+                    seqs = [int(pair.rsplit("-", 1)[1]) for pair in pairs]
+                    assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+                ids.extend((h.session_id, h.subject_id) for h in handles)
+        for column in zip(*ids):
+            assert len(set(column)) == len(column)
+        sharded.close()
 
 
 class TestStatsHygiene:

@@ -1165,6 +1165,185 @@ class TestStoreMechanics:
         assert (stats.vector_decisions, stats.vector_fallbacks) == (12, 0)
 
 
+class TestArenaCompaction:
+    """Closed occupancies' tracker events and observations, and
+    histories orphaned by ``set_observations``, leave the arenas at the
+    next compaction that falls due; live rows read the same across it."""
+
+    def test_session_churn_keeps_the_arenas_bounded(self):
+        """200 authenticate / activate / decide / observe / close cycles
+        of one user on one engine: with no session resident, the store
+        is no bigger than after the first cycle, and neither arena holds
+        what a compaction would drop."""
+        engine = AccessControlEngine(_policy([parse_constraint(COUNT_SRC)], [5.0]))
+        store = engine._store
+
+        def cycle(t):
+            session = engine.authenticate("u", t)
+            engine.activate_role(session, "r", t)
+            assert engine.decide(session, ACCESS, t + 0.5, history=None).granted
+            engine.observe(session, ACCESS)
+            engine.close_session(session, t + 1.0)
+
+        cycle(0.0)
+        nbytes = store.nbytes()
+        for k in range(1, 200):
+            cycle(2.0 * k)
+        assert engine.resident_sessions() == 0
+        assert store.nbytes() == nbytes
+        (tc,) = store._trackers.values()
+        assert tc.ev_row.count < session_store.COMPACT_MIN
+        assert store._obs_sym.count < session_store.COMPACT_MIN
+
+    def test_live_rows_read_the_same_across_compactions(self):
+        """Live sessions with tracker events, observations and a
+        replaced history: their timelines, ``observed``,
+        ``observed_len``, later observations and decisions read the
+        same after churn has compacted both arenas, and as their twins'
+        in an engine that never compacted."""
+        policy = _policy([parse_constraint(COUNT_SRC), None], [5.0, 20.0])
+        engine, twin_engine = AccessControlEngine(policy), AccessControlEngine(policy)
+
+        def populate(eng):
+            live = []
+            for k in range(3):
+                session = eng.authenticate("u", 0.0)
+                eng.activate_role(session, "r", 0.0)
+                for i in range(k + 2):
+                    eng.observe(session, AccessKey.of("exec", "r1", f"s{i}"))
+                eng.decide(session, ACCESS, 1.0, history=None)
+                eng.deactivate_role(session, "r", 2.0)
+                eng.activate_role(session, "r", 3.0)
+                live.append(session)
+            live[1].observed = live[1].observed[1:]
+            return live
+
+        def reads(sessions):
+            return [
+                (
+                    session.observed,
+                    session.observed_len(),
+                    {
+                        key: (
+                            tracker.valid_timeline(),
+                            tracker.active_timeline(),
+                            tracker.now,
+                            tracker.state(),
+                        )
+                        for key, tracker in session.trackers.items()
+                    },
+                )
+                for session in sessions
+            ]
+
+        live, twins = populate(engine), populate(twin_engine)
+        before = reads(live)
+        store = engine._store
+        for k in range(150):
+            t = 10.0 + k
+            session = engine.authenticate("u", t)
+            engine.activate_role(session, "r", t)
+            engine.observe(session, ACCESS)
+            engine.close_session(session, t)
+        assert store._obs_sym.kept == sum(len(s.observed) for s in live)
+        assert all(tc.ev_row.kept > 0 for tc in store._trackers.values())
+        assert store._obs_sym.count < 2 * session_store.COMPACT_MIN
+        assert reads(live) == before == reads(twins)
+        for eng, sessions in ((engine, live), (twin_engine, twins)):
+            for session in sessions:
+                eng.observe(session, AccessKey.of("exec", "r1", "s9"))
+        assert reads(live) == reads(twins)
+        got = [_norm(engine.decide(s, ACCESS, 200.0, history=None)) for s in live]
+        want = [
+            _norm(twin_engine.decide(s, ACCESS, 200.0, history=None)) for s in twins
+        ]
+        assert got == want
+        assert reads(live) == reads(twins)
+
+
+class TestLeanIdentity:
+    """A handle reads its identity from its row when asked; closing a
+    session freezes it into the handle before the row can be reused."""
+
+    @staticmethod
+    def _engine(sharded=False):
+        policy = _policy([parse_constraint(COUNT_SRC)], [5.0])
+        policy.add_user("v")
+        policy.assign_user("v", "r")
+        return _engine(policy, sharded)
+
+    @staticmethod
+    def _identity(session):
+        return (session.session_id, session.subject, session.start_time)
+
+    def test_unread_identity_survives_close_and_reuse(self):
+        """Handles whose identity was never read before their close
+        keep it after their rows are reused by a bulk open (which takes
+        free rows first) and by ``authenticate``."""
+        engine = self._engine()
+        store = engine._store
+        rows = engine.open_sessions(["u"] * 4, 1.0, roles=("r",))
+        handles = [engine.session_at(row) for row in rows]
+        # Throwaway handles read the rows; the cached ones stay unread.
+        expected = [self._identity(session_store.Session(store, r)) for r in rows]
+        assert len({identity[0] for identity in expected}) == 4
+        for handle in handles[:2]:
+            engine.close_session(handle, 2.0)
+        (reopened,) = engine.open_sessions(["v"], 3.0, roles=("r",))
+        recycled = engine.authenticate("v", 4.0)
+        assert [reopened, recycled._row] == [handles[1]._row, handles[0]._row]
+        assert [self._identity(h) for h in handles] == expected
+        for handle, new in zip(handles, (recycled, engine.session_at(reopened))):
+            assert new is not handle
+            assert new.subject.user.name == "v" and handle.subject.user.name == "u"
+            assert new.session_id != handle.session_id
+            assert new.subject_id != handle.subject_id
+            assert new.start_time > handle.start_time == 1.0
+
+    def test_session_at_is_cached_and_a_reused_row_gets_a_new_handle(self):
+        engine = self._engine()
+        rows = engine.open_sessions(["u"] * 2, 1.0, roles=("r",))
+        first = engine.session_at(rows[0])
+        assert engine.session_at(rows[0]) is first
+        assert engine.materialize(first.session_id) is first
+        before = self._identity(first)
+        engine.close_session(first, 2.0)
+        with pytest.raises(RbacError):
+            engine.session_at(rows[0])
+        second = engine.authenticate("v", 3.0)
+        assert second._row == rows[0]
+        assert engine.session_at(rows[0]) is second is not first
+        assert self._identity(first) == before
+        assert second.start_time == 3.0 and second.subject.user.name == "v"
+        assert second.session_id != before[0]
+        assert second.subject.subject_id != before[1].subject_id
+
+    def test_decisions_share_the_handle_subject_id(self):
+        """Scalar, swept and served decisions carry
+        ``handle.subject.subject_id``, and one session's decisions share
+        one string object."""
+        engine = self._engine(sharded=True)
+        names = ["u", "v"]
+        rows = engine.open_sessions(names, 1.0, roles=("r",))
+        a, b = (
+            engine.session_at(shard, int(row))
+            for shard, shard_rows in rows.items()
+            for row in shard_rows
+        )
+        decisions = [engine.decide(a, ACCESS, 2.0, history=None)]
+        decisions += engine.decide_batch(a, [ACCESS] * 3, 3.0, dt=0.5)
+        many = engine.decide_batch_many([(a, ACCESS), (b, ACCESS)] * 2, 5.0, dt=0.5)
+        decisions += many[0::2]
+        assert engine.cache_stats().vector_decisions >= 5
+        with DecisionService(engine, workers=1) as service:
+            served = service.submit_many([(a, ACCESS, 7.0), (a, ACCESS, 7.5)])
+            decisions += [request.result(timeout=10.0) for request in served]
+        assert len(decisions) == 8
+        assert {id(d.subject_id) for d in decisions} == {id(a.subject.subject_id)}
+        assert {d.subject_id for d in many[1::2]} == {b.subject.subject_id}
+        assert a.subject_id != b.subject_id
+
+
 class TestMemoryBudget:
     N = 20_000
 
@@ -1200,9 +1379,9 @@ class TestMemoryBudget:
     def test_touched_handle_bytes_within_budget(self):
         """What a touched session keeps beside its row: a handle per
         bulk-opened session, each read through every tracker's state
-        and its role set, retains at most 520 B — the handle, its
-        identity and its slot in the store's weak cache.  Views are
-        built per read and dropped."""
+        and its role set, retains at most 320 B — the handle and its
+        slot in the store's weak cache.  Its identity is read from the
+        row when asked for, and views are built per read and dropped."""
         engine, rows, _traced, _columns = self._bulk_open()
         rows = rows.tolist()
         handles = [None] * len(rows)
@@ -1220,7 +1399,7 @@ class TestMemoryBudget:
         current, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         per_handle = (current - base) / len(rows)
-        assert per_handle <= 520.0, per_handle
+        assert per_handle <= 320.0, per_handle
 
     def test_bytes_per_session_within_budget_with_timelines(self):
         """The same gate, with the timelines it pays for checked: a
