@@ -73,10 +73,10 @@ def _draw_ids(n: int) -> tuple[int, int]:
 
 def _factorize(names: Iterable[str]) -> tuple[list[str], np.ndarray]:
     """The distinct names in first-appearance order, and each name's
-    index among them — one pass at C speed."""
+    int32 index among them — one pass at C speed."""
     names = names if isinstance(names, (list, tuple)) else list(names)
     codes: dict[str, int] = collections.defaultdict(itertools.count().__next__)
-    index = np.fromiter(map(codes.__getitem__, names), np.intp, len(names))
+    index = np.fromiter(map(codes.__getitem__, names), np.int32, len(names))
     return list(codes), index
 
 
@@ -520,19 +520,21 @@ class AccessControlEngine:
         nothing.  Returns the opened row indices, in ``user_names``
         order (:meth:`session_at` materialises handles on demand)."""
         distinct, codes = _factorize(user_names)
-        role_objs, users = self._check_bulk_open(distinct, roles)
+        role_objs, users, plan = self._check_bulk_open(distinct, roles, t)
         return self._open_block(
-            users, range(len(users)), codes, t, role_objs,
-            self._tracker_plan(role_objs),
+            users, range(len(users)), codes, t, role_objs, plan
         )
 
     def _check_bulk_open(
-        self, names: Sequence[str], roles: Iterable[str]
-    ) -> tuple[tuple[Role, ...], list[User]]:
-        """Check a bulk open before anything is written: the role set
-        against DSD, each distinct name as a known user, and each
-        distinct assigned-role set as entitled to every role.  Returns
-        the roles and the users, parallel to ``names``."""
+        self, names: Sequence[str], roles: Iterable[str], t: float
+    ) -> tuple[tuple[Role, ...], list[User], dict[str, float]]:
+        """Check a bulk open at ``t`` before anything is written: the
+        role set against DSD, the instant against the trackers the open
+        activates (a NaN is refused as :meth:`activate_role` refuses
+        it), each distinct name as a known user, and each distinct
+        assigned-role set as entitled to every role.  Returns the
+        roles, the users, parallel to ``names``, and the tracker
+        plan."""
         role_objs = tuple(self.policy.role(name) for name in roles)
         role_fs = frozenset(role_objs)
         for constraint in self.policy.dsd_constraints:
@@ -541,6 +543,10 @@ class AccessControlEngine:
                     f"activating {sorted(r.name for r in role_objs)!r} "
                     f"violates DSD constraint {constraint.name!r}"
                 )
+        plan = self._tracker_plan(role_objs)
+        if plan:
+            # A tracker opened at t has its clock at t.
+            check_clock(t, t)
         users: list[User] = []
         # Assigned-role set -> the first role it is not entitled to.
         missing: dict[frozenset[Role], Role | None] = {}
@@ -560,7 +566,7 @@ class AccessControlEngine:
                         f"for role {role.name!r}"
                     )
             users.append(user)
-        return role_objs, users
+        return role_objs, users, plan
 
     def _tracker_plan(self, role_objs: Iterable[Role]) -> dict[str, float]:
         """A bulk open's trackers, key -> duration, in the first-creation
@@ -702,9 +708,9 @@ class AccessControlEngine:
         O(1) in history length.  Under owner scope the observation also
         counts against every companion session of the same user.
         Raises :class:`RbacError` on a closed session."""
-        access = AccessKey.of(access)
-        session.record_observation(access)
-        session.advance_monitors(access)
+        if type(access) is not AccessKey:
+            access = AccessKey.of(access)
+        session._store.observe(session.require_open(), access)
         if self.coordination_scope == "owner":
             owner = session.subject.user.name
             self._owner_observed.setdefault(owner, []).append(access)

@@ -6,20 +6,23 @@ per-engine **numpy columns** instead of per-session Python objects.  A
 per-session object graph costs hundreds of bytes to kilobytes (dict
 headers, list over-allocation, tracker instances, recorder lists); at
 the ROADMAP's "millions of users" scale that overhead *is* the memory
-bill.  The columnar layout brings a resident session down to a fixed
-set of scalar cells in its row, plus a cell index:
+bill.  A store row holds only who the session is, plus the index of
+the **cell** holding what the session has done:
 
 ::
 
-    row columns (one entry per session row)
-      start_time   f64   last_seen   f64   alive  u8   gen  i32
-      sid_seq      i64   subj_seq    i64
-      user_id      i32   principals_id i32  role_set_id i32
-      obs_head/obs_tail/obs_len/obs_ver     i32 (observation list)
-      cell         i32   (the tracker and monitor cell the row reads)
+    row columns (one entry per session row, 33 B)
+      alive        u8    gen           i32
+      sid_seq      i64   subj_seq      i64
+      user_id      i32   principals_id i32
+      cell         i32   (the cell the row reads)
 
     cells (one entry per cell id; cell 0 is the empty cell)
-      owner        i32   the row that owns the cell, or -1
+      session record (40 B; _SessionCells)
+        owner        i32   the row that owns the cell, or -1
+        start_time   f64   last_seen  f64   role_set i32 (interned)
+        obs_head/obs_tail/obs_len i32 (observation list)
+        obs_ver      i32   (times the log was replaced)
       per tracker key (lazily created; a
       repro.temporal.validity.TrackerCells: one 36 B record per cell)
         alloc u8  active u8  dur i16 (index into the key's distinct
@@ -43,29 +46,34 @@ tracker events and observations behind, and replacing a row's history
 such a close or replacement, an arena that holds at least
 :data:`COMPACT_MIN` entries and twice what its last compaction kept is
 compacted: tracker events whose (row, generation) is a live occupancy
-are kept in order, and each live row's observations are relinked in
+are kept in order, and each owned cell's observations are relinked in
 order at the front.  A compaction scans the arena once and follows a
 doubling of it, so it costs O(1) per entry amortised, and the decide
 and observe paths do no work for it.
 
-Rows that only restate their open state share one cell.  A fresh row
-reads the **empty cell** (every tracker free, every monitor -1); the
-rows of one bulk open (:meth:`SessionStore.open_block`) read one
-**template** cell holding the trackers that open activated.  Reads
-resolve the row's current cell and never allocate.  The row's first
-write to a tracker or monitor — an event, a clock advance, a tracker
-allocation, a monitor initialisation — copies the shared cell into a
-cell the row owns (:meth:`SessionStore._own_cell`), and the row points
-at its copy from then on.  Closing a row frees the cell it owns, and a
-template with the last row reading it, for reuse.  Cell columns grow
-with the cells in use, not with the rows: a million bulk-opened rows
-of which a few thousand are ever written hold a few thousand cells.
+Rows that only restate their open state share one cell.  The rows of
+one bulk open (:meth:`SessionStore.open_block`) read one **template**
+cell holding their start time, role set and the trackers that open
+activated; a closed row reads the **empty cell**.  Reads resolve the
+row's current cell and never allocate.  **Every write** to a row's
+cell — a last-seen advance (:meth:`SessionStore.touch`), a role-set
+change, an observation, a tracker event or clock advance, a tracker
+allocation, a monitor initialisation — goes through
+:meth:`SessionStore._own_cell`: the row's first write copies the
+shared cell into a cell the row owns, one element copy per cell
+column, and the row points at its copy from then on.  A scalar
+:meth:`SessionStore.open` owns a cell from the start.  Closing a row
+frees the cell it owns, and a template with the last row reading it,
+for reuse.  Cell columns grow with the cells in use, not with the
+rows: a million bulk-opened rows of which a few thousand are ever
+written hold a few thousand cells.
 
 Scalar callers never see the columns: a :class:`Session` is a
 **handle**, a reference into one row.  It holds the store, the row and
 the generation it was made for and the ``observed`` memo.  Its
-identity (``session_id``, ``subject``, ``start_time``) is read from the
-row when asked for; the :class:`~repro.rbac.model.Subject` is built on
+identity (``session_id``, ``subject``) is read from the row, and its
+``start_time`` from the row's cell, when asked for; the
+:class:`~repro.rbac.model.Subject` is built on
 its first read and kept, and deciding reads only the subject id string,
 cached on the handle.  Its ``trackers``, :meth:`Session.tracker` and
 ``active_roles`` build their views when read, and the caller drops
@@ -112,6 +120,7 @@ from repro.temporal.timeline import TimelineRecorder
 from repro.temporal.validity import (
     Arena,
     Column,
+    Records,
     Scheme,
     TrackerCells,
     ValidityTracker,
@@ -139,6 +148,36 @@ COMPACT_MIN = 128
 
 def _compaction_due(arena: Arena) -> bool:
     return arena.count >= max(COMPACT_MIN, 2 * arena.kept)
+
+
+#: One cell's session record: the row that owns the cell (-1 for the
+#: empty cell, a template or a free cell) and what its session has done
+#: beside its trackers and monitors.  40 bytes, so that copying a cell
+#: is one element copy per cell column.
+_SESSION_CELL = np.dtype(
+    [
+        ("owner", np.int32),
+        ("start_time", np.float64),
+        ("last_seen", np.float64),
+        ("role_set", np.int32),
+        ("obs_head", np.int32),
+        ("obs_tail", np.int32),
+        ("obs_len", np.int32),
+        ("obs_ver", np.int32),
+    ]
+)
+
+
+class _SessionCells(Records):
+    """The session records of the store's cells (the empty cell's:
+    no owner, no activity, the empty role set and an empty log)."""
+
+    __slots__ = _SESSION_CELL.names
+
+    def __init__(self, capacity: int):
+        super().__init__(
+            capacity, _SESSION_CELL, (-1, 0.0, -math.inf, 0, -1, -1, 0, 0)
+        )
 
 
 #: Widest monitor product a store column encodes: every state id must
@@ -214,9 +253,9 @@ class ColumnTracker(ValidityTracker):
 
     def _replay(self) -> tuple[TimelineRecorder, TimelineRecorder]:
         """A row opened in bulk replays its implied open events first."""
-        cell, row = self._cell(), self._row
+        cell = self._cell()
         return self._tc.replay(
-            cell, row, self._gen, float(self._store._start_time.data[row])
+            cell, self._row, self._gen, self._store._sc.start_time.item(cell)
         )
 
     # Bound here too: the ``benchmarks/e2e`` layer tracer wraps each
@@ -275,10 +314,11 @@ class Session:
     history.
 
     A handle holds its store, row and generation and the ``observed``
-    memo.  ``session_id``, ``subject`` and ``start_time`` are read from
-    the row when asked for; the ``subject`` is built on its first read
-    and kept, and :attr:`subject_id` caches its id string without
-    building it.  All state reads and writes go to the columns, so any
+    memo.  ``session_id`` and ``subject`` are read from the row, and
+    ``start_time`` from the row's cell, when asked for; the ``subject``
+    is built on its first read and kept, and :attr:`subject_id` caches
+    its id string without building it.  All state reads and writes go
+    to the columns, so any
     number of materialisations of the same session observe the same
     state (the store caches one handle per row while referenced).
     ``active_roles``, ``trackers`` and :meth:`tracker` build their views
@@ -300,7 +340,7 @@ class Session:
         "_subject_id",
         "_frozen",
         "_observed_view",
-        "_view_ver",
+        "_view_key",
         "view_rebuilds",
         "__weakref__",
     )
@@ -311,7 +351,7 @@ class Session:
         self._gen = store._gen.data.item(row)
         self._subject = self._subject_id = self._frozen = None
         self._observed_view: tuple[AccessKey, ...] | None = None
-        self._view_ver = -1
+        self._view_key: tuple[int, int] | None = None
         self.view_rebuilds = 0
 
     @property
@@ -324,7 +364,7 @@ class Session:
     def start_time(self) -> float:
         if self._frozen is not None:
             return self._frozen[1]
-        return self._store._start_time.data.item(self._row)
+        return self._store.start_time(self._row)
 
     @property
     def subject_id(self) -> str:
@@ -364,9 +404,10 @@ class Session:
         :class:`~repro.errors.RbacError` once the session has been
         closed: a closed session must not be re-armed with roles or fed
         observations."""
-        if not self._is_open():
+        row = self._row
+        if self._store._gen.data.item(row) != self._gen:
             raise RbacError(f"session {self.session_id!r} is closed")
-        return self._row
+        return row
 
     @property
     def active_roles(self) -> _RoleSetView:
@@ -411,10 +452,10 @@ class Session:
         basis of incremental spatial checking."""
         if not self._is_open():
             return ()
-        ver = int(self._store._obs_ver.data[self._row])
-        if self._observed_view is None or self._view_ver != ver:
+        key = self._store.observed_key(self._row)
+        if self._view_key != key:
             self._observed_view = tuple(self._store.observed_list(self._row))
-            self._view_ver = ver
+            self._view_key = key
             self.view_rebuilds += 1
         return self._observed_view
 
@@ -425,10 +466,10 @@ class Session:
     def observed_len(self) -> int:
         if not self._is_open():
             return 0
-        return self._store._obs_len.data.item(self._row)
+        return self._store.observed_len(self._row)
 
     def record_observation(self, access: AccessKey) -> None:
-        self._store.append_observation(self.require_open(), access)
+        self._store.extend_observations(self.require_open(), (access,))
 
     def record_observations(self, accesses: Iterable[AccessKey]) -> None:
         self._store.extend_observations(self.require_open(), accesses)
@@ -437,12 +478,11 @@ class Session:
     def last_seen(self) -> float:
         if not self._is_open():
             return -math.inf
-        return float(self._store._last_seen.data[self._row])
+        return self._store.last_seen(self._row)
 
     def touch(self, t: float) -> None:
-        cells = self._store._last_seen.data
-        if self._is_open() and t > cells.item(self._row):
-            cells[self._row] = t
+        if self._is_open():
+            self._store.touch(self._row, t)
 
     def role_set(self) -> frozenset:
         """The interned active-role frozenset (no per-call copy)."""
@@ -453,9 +493,6 @@ class Session:
     def create_tracker(self, key: str, duration: float) -> ColumnTracker:
         self._store.alloc_tracker(self.require_open(), key, duration)
         return self.tracker(key)
-
-    def advance_monitors(self, access: AccessKey) -> None:
-        self._store.step_monitors_row(self.require_open(), access)
 
     def monitor_entry(self, constraint):
         return self._store.monitor_entry(self.require_open(), constraint)
@@ -486,38 +523,24 @@ class SessionStore:
     def __init__(self, scheme: Scheme):
         self.scheme = scheme
         capacity = _INITIAL_ROWS
-        self._start_time = Column(capacity, np.float64)
-        self._last_seen = Column(capacity, np.float64, fill=-math.inf)
         self._alive = Column(capacity, np.uint8)
         self._gen = Column(capacity, np.int32)
         self._sid_seq = Column(capacity, np.int64, fill=-1)
         self._subj_seq = Column(capacity, np.int64, fill=-1)
         self._user_id = Column(capacity, np.int32, fill=-1)
         self._principals_id = Column(capacity, np.int32, fill=-1)
-        self._role_set_id = Column(capacity, np.int32)
-        self._obs_head = Column(capacity, np.int32, fill=-1)
-        self._obs_tail = Column(capacity, np.int32, fill=-1)
-        self._obs_len = Column(capacity, np.int32)
-        self._obs_ver = Column(capacity, np.int32)
         self._cell = Column(capacity, np.int32, fill=EMPTY_CELL)
         self._row_columns: list[Column] = [
-            self._start_time,
-            self._last_seen,
             self._alive,
             self._gen,
             self._sid_seq,
             self._subj_seq,
             self._user_id,
             self._principals_id,
-            self._role_set_id,
-            self._obs_head,
-            self._obs_tail,
-            self._obs_len,
-            self._obs_ver,
             self._cell,
         ]
         # Interning tables.  Index 0 of the role sets is the empty set
-        # (every fresh row's default).
+        # (the empty cell's).
         self._users: list[User] = []
         self._user_codes: dict[User, int] = {}
         self._principal_sets: list[frozenset] = []
@@ -529,11 +552,10 @@ class SessionStore:
         # Observation arena: linked list of interned symbol ids.
         self._obs_sym = Arena(np.int32, fill=-1)
         self._obs_next = Arena(np.int32, fill=-1)
-        # Cells: the owning row of each (-1 for the empty cell, a
-        # template or a free cell), and every tracker key's and
+        # Cells: the session records, and every tracker key's and
         # monitor's columns, created lazily.  Cell 0 is the empty cell.
-        self._owner = Column(_INITIAL_CELLS, np.int32, fill=-1)
-        self._cell_columns: list[Column] = [self._owner]
+        self._sc = _SessionCells(_INITIAL_CELLS)
+        self._cell_columns: list[Column] = [self._sc]
         self._trackers: dict[str, TrackerCells] = {}
         self._monitors: dict[object, _MonitorColumn] = {}
         self._cells = 1  # high-water cell mark
@@ -584,7 +606,7 @@ class SessionStore:
 
     def own_cells(self) -> int:
         """Rows that own a cell: written since they were opened."""
-        return int(np.count_nonzero(self._owner.data[: self._cells] >= 0))
+        return int(np.count_nonzero(self._sc.owner[: self._cells] >= 0))
 
     # -- cells ---------------------------------------------------------------
 
@@ -594,35 +616,43 @@ class SessionStore:
             cell = self._free_cells.pop()
         else:
             cell = self._cells
-            if cell == self._owner.data.size:
+            if cell == self._sc.data.size:
                 for column in self._cell_columns:
                     column.grow(2 * cell)
             self._cells = cell + 1
         for column in self._cell_columns:
-            column.data[cell] = column.data[source]
+            raw = column.raw
+            raw[cell] = raw[source]
         return cell
 
     def _own_cell(self, row: int) -> int:
         """The cell ``row`` writes: its own, or — on its first write —
         a copy of the shared cell it has read until now, which the row
-        then points at.  Every write to a row's tracker or monitor
-        cells comes through here, so no write reaches a shared cell."""
+        then points at.  Every write to a row's cell comes through
+        here, so no write reaches a shared cell.  Resolve it before
+        reading a field view or a column's ``.data``: the copy may grow,
+        and so replace, the arrays."""
         shared = self._cell.data.item(row)
-        if self._owner.data.item(shared) == row:
+        if self._sc.owner.item(shared) == row:
             return shared
         cell = self._new_cell(shared)
-        self._owner.data[cell] = row
+        self._sc.owner[cell] = row
         self._cell.data[row] = cell
-        self._release(row, shared)
+        self._leave_shared(shared)
         return cell
 
     def _release(self, row: int, cell: int) -> None:
         """Drop ``row``'s hold on ``cell``: a cell the row owns is
         freed, and a template with the last row reading it."""
-        if self._owner.data.item(cell) == row:
-            self._owner.data[cell] = -1
+        if self._sc.owner.item(cell) == row:
+            self._sc.owner[cell] = -1
             self._free_cells.append(cell)
-            return
+        else:
+            self._leave_shared(cell)
+
+    def _leave_shared(self, cell: int) -> None:
+        """One row less reads the shared ``cell``: a template with no
+        row left is freed (the empty cell never is)."""
         rows = self._template_rows.get(cell)
         if rows is None:  # the empty cell
             return
@@ -631,6 +661,33 @@ class SessionStore:
         else:
             del self._template_rows[cell]
             self._free_cells.append(cell)
+
+    # -- per-row reads (the row's current cell; nothing allocated) -----------
+
+    def start_time(self, row: int) -> float:
+        return self._sc.start_time.item(self._cell.data.item(row))
+
+    def last_seen(self, row: int) -> float:
+        return self._sc.last_seen.item(self._cell.data.item(row))
+
+    def observed_len(self, row: int) -> int:
+        return self._sc.obs_len.item(self._cell.data.item(row))
+
+    def observed_key(self, row: int) -> tuple[int, int]:
+        """The row's log replacements and length: logs of equal keys
+        are equal, since between replacements a log only grows."""
+        cell = self._cell.data.item(row)
+        return self._sc.obs_ver.item(cell), self._sc.obs_len.item(cell)
+
+    def touch(self, row: int, t: float) -> None:
+        """Advance the row's last-seen instant to ``t`` if ``t`` is
+        later (a NaN never is)."""
+        sc = self._sc
+        cell = self._cell.data.item(row)
+        if t > sc.last_seen.item(cell):
+            if sc.owner.item(cell) != row:
+                cell = self._own_cell(row)
+            sc.last_seen[cell] = t
 
     # -- interning ----------------------------------------------------------
 
@@ -668,10 +725,12 @@ class SessionStore:
         return code
 
     def role_set(self, row: int) -> frozenset:
-        return self._role_sets[self._role_set_id.data.item(row)]
+        return self._role_sets[self._sc.role_set.item(self._cell.data.item(row))]
 
     def set_role_set(self, row: int, roles: frozenset) -> None:
-        self._role_set_id.data[row] = self._intern_role_set(frozenset(roles))
+        code = self._intern_role_set(frozenset(roles))
+        cell = self._own_cell(row)
+        self._sc.role_set[cell] = code
 
     # -- rows ----------------------------------------------------------------
 
@@ -694,21 +753,16 @@ class SessionStore:
     ) -> int:
         """Open a session row for ``user`` at ``t``; returns the row.
         The row keeps the numbers of its session and subject ids, and
-        :meth:`subject_of` builds the subject from them."""
+        :meth:`subject_of` builds the subject from them.  It owns a copy
+        of the empty cell with its start time in it."""
         row = self._alloc_row()
-        self._start_time.data[row] = t
-        self._last_seen.data[row] = t
         self._alive.data[row] = 1
         self._sid_seq.data[row] = sid_seq
+        self._subj_seq.data[row] = subj_seq
         self._user_id.data[row] = self._intern_user(user)
         self._principals_id.data[row] = self._intern_principals(principals)
-        self._role_set_id.data[row] = 0
-        self._obs_head.data[row] = -1
-        self._obs_tail.data[row] = -1
-        self._obs_len.data[row] = 0
-        self._obs_ver.data[row] = 0
-        self._cell.data[row] = EMPTY_CELL
-        self._subj_seq.data[row] = subj_seq
+        cell = self._own_cell(row)  # a free row reads the empty cell
+        self._sc.start_time[cell] = self._sc.last_seen[cell] = t
         self._resident += 1
         return row
 
@@ -723,10 +777,11 @@ class SessionStore:
         trackers: Mapping[str, float],
     ) -> np.ndarray:
         """Bulk-open ``len(sid_seqs)`` rows with vectorized column
-        fills (the bulk load path), all reading one template cell with
-        the ``trackers`` (key → duration) allocated and activated at
-        ``t`` — what ``create_tracker`` + ``activate(t)`` leaves, minus
-        the two timeline events, which ``OPEN_ACTIVE`` implies.  A row
+        fills (the bulk load path), all reading one template cell that
+        holds ``t`` as start and last-seen time, the role set and the
+        ``trackers`` (key → duration) allocated and activated at ``t``
+        — what ``create_tracker`` + ``activate(t)`` leaves, minus the
+        two timeline events, which ``OPEN_ACTIVE`` implies.  A row
         copies the template on its first write.  All other inputs are
         parallel integer sequences; interning codes come from the
         scalar helpers.  Free rows are taken first, in the order
@@ -751,30 +806,21 @@ class SessionStore:
             sl = rows
         else:
             sl = slice(first, end)
-        self._start_time.data[sl] = t
-        self._last_seen.data[sl] = t
         self._alive.data[sl] = 1
         self._sid_seq.data[sl] = sid_seqs
         self._subj_seq.data[sl] = subj_seqs
         self._user_id.data[sl] = user_codes
         self._principals_id.data[sl] = principal_codes
-        self._role_set_id.data[sl] = role_set_code
-        self._obs_head.data[sl] = -1
-        self._obs_tail.data[sl] = -1
-        self._obs_len.data[sl] = 0
-        self._obs_ver.data[sl] = 0
-        cell = EMPTY_CELL
-        if trackers:
-            cell = self._new_cell(EMPTY_CELL)
-            self._template_rows[cell] = n
-            for key, duration in trackers.items():
-                tc = self._tracker_columns(key)
-                tc.allocate(cell, duration, t)
-                tc.alloc[cell] = TrackerCells.OPEN_ACTIVE
-                tc.active[cell] = 1
-                tc.expiry[cell] = (
-                    math.inf if math.isinf(duration) else t + duration
-                )
+        cell = self._new_cell(EMPTY_CELL)
+        self._template_rows[cell] = n
+        self._sc.start_time[cell] = self._sc.last_seen[cell] = t
+        self._sc.role_set[cell] = role_set_code
+        for key, duration in trackers.items():
+            tc = self._tracker_columns(key)
+            tc.allocate(cell, duration, t)
+            tc.alloc[cell] = TrackerCells.OPEN_ACTIVE
+            tc.active[cell] = 1
+            tc.expiry[cell] = math.inf if math.isinf(duration) else t + duration
         self._cell.data[sl] = cell
         self._resident += n
         return rows
@@ -785,9 +831,9 @@ class SessionStore:
         bump turns every handle and tracker view of the occupancy into a
         closed session's, and the handle is evicted so the row's next
         occupant gets a fresh one.  The row columns keep their values
-        until :meth:`open` rewrites them all; the row's hold on its cell
-        is released here, and it reads the empty cell.  An arena the
-        close leaves due is compacted.  A stale ``gen`` (the session is
+        until an open rewrites them all; the row's hold on its cell is
+        released here, and it reads the empty cell.  An arena the close
+        leaves due is compacted.  A stale ``gen`` (the session is
         already closed) is a no-op."""
         if self._gen.data.item(row) != gen:
             return
@@ -798,8 +844,10 @@ class SessionStore:
         self._alive.data[row] = 0
         self._gen.data[row] += 1
         cell = self._cell.data.item(row)
-        # Only a row that owns a cell has recorded tracker events.
-        wrote = self._owner.data.item(cell) == row
+        # Only a row that owns a cell has recorded tracker events or
+        # observations.
+        wrote = self._sc.owner.item(cell) == row
+        observed = self._sc.obs_len.item(cell)
         self._release(row, cell)
         self._cell.data[row] = EMPTY_CELL
         self._free.append(row)
@@ -807,8 +855,8 @@ class SessionStore:
             for tc in self._trackers.values():
                 if _compaction_due(tc.ev_row):
                     self._compact_events(tc)
-        if self._obs_len.data.item(row) and _compaction_due(self._obs_sym):
-            self._compact_observations()
+            if observed and _compaction_due(self._obs_sym):
+                self._compact_observations()
 
     def register_handle(self, row: int, handle: Session) -> None:
         self._handles[row] = handle
@@ -849,63 +897,94 @@ class SessionStore:
 
     def latest_activity(self) -> float | None:
         """The latest ``last_seen`` over live rows (``None`` when no
-        row is live)."""
-        n = self._n
-        alive = self._alive.data[:n] == 1
-        if not alive.any():
+        row is live), read from the cells they read: the owned cells
+        and the templates (a live row never reads the empty cell)."""
+        if not self._resident:
             return None
-        return float(self._last_seen.data[:n][alive].max())
+        sc, m = self._sc, self._cells
+        live = sc.owner[:m] >= 0
+        live[list(self._template_rows)] = True
+        return float(sc.last_seen[:m][live].max())
 
     def idle_rows(self, now: float, idle_for: float) -> np.ndarray:
-        """Live rows idle for at least ``idle_for`` as of ``now``."""
+        """Live rows idle for at least ``idle_for`` as of ``now``:
+        the idle cells, then the live rows reading one."""
+        idle = now - self._sc.last_seen[: self._cells] >= idle_for
         n = self._n
         alive = self._alive.data[:n] == 1
-        idle = alive & (now - self._last_seen.data[:n] >= idle_for)
-        return np.nonzero(idle)[0]
+        return np.flatnonzero(alive & idle[self._cell.data[:n]])
 
     # -- observations --------------------------------------------------------
 
-    def append_observation(self, row: int, access: AccessKey) -> None:
-        index = self._obs_sym.append(self._symbol_code(access))
-        self._obs_next.append(-1)
-        tail = int(self._obs_tail.data[row])
+    def observe(self, row: int, access: AccessKey) -> None:
+        """Append ``access`` to the row's log and advance its
+        initialised monitors by it: the engine's ``observe``, with the
+        row's cell resolved once."""
+        sc = self._sc
+        cell = self._cell.data.item(row)
+        if sc.owner.item(cell) != row:
+            cell = self._own_cell(row)
+        code = self._symbol_codes.get(access)
+        if code is None:
+            code = self._symbol_code(access)
+        # Both arenas' appends in one step: the successor slot past the
+        # count already holds the fill, -1.
+        sym, nxt = self._obs_sym, self._obs_next
+        index = sym.count
+        if index == sym.data.size:
+            sym.reserve(1)
+            nxt.reserve(1)
+        sym.data[index] = code
+        sym.count = nxt.count = index + 1
+        tail = sc.obs_tail.item(cell)
         if tail >= 0:
-            self._obs_next.data[tail] = index
+            nxt.data[tail] = index
         else:
-            self._obs_head.data[row] = index
-        self._obs_tail.data[row] = index
-        self._obs_len.data[row] += 1
-        self._obs_ver.data[row] += 1
+            sc.obs_head[cell] = index
+        sc.obs_tail[cell] = index
+        sc.obs_len[cell] = sc.obs_len.item(cell) + 1
+        # Only an owned cell holds initialised monitors: init_monitor
+        # writes through _own_cell.
+        for mc in self._monitors.values():
+            value = mc.col.data.item(cell)
+            if value >= 0:
+                mc.col.data[cell] = mc.encode(
+                    mc.compiled.step(mc.decode(value), access)
+                )
 
     def extend_observations(self, row: int, accesses: Iterable[AccessKey]) -> None:
-        """Append many observations with one version bump (the
-        per-commit-batch invalidation of the memo-churn fix)."""
+        """Append observations to the row's log.  The nodes are linked
+        first, from the log's tail in the cell the row reads, and the
+        cell written last, through :meth:`_own_cell`, if anything was
+        appended."""
+        tail = self._sc.obs_tail.item(self._cell.data.item(row))
         appended = 0
-        tail = int(self._obs_tail.data[row])
         for access in accesses:
             index = self._obs_sym.append(self._symbol_code(access))
             self._obs_next.append(-1)
             if tail >= 0:
                 self._obs_next.data[tail] = index
-            else:
-                self._obs_head.data[row] = index
             tail = index
             appended += 1
         if appended:
-            self._obs_tail.data[row] = tail
-            self._obs_len.data[row] += appended
-            self._obs_ver.data[row] += 1
+            cell = self._own_cell(row)
+            sc = self._sc
+            if sc.obs_head.item(cell) < 0:
+                sc.obs_head[cell] = self._obs_sym.count - appended
+            sc.obs_tail[cell] = tail
+            sc.obs_len[cell] = sc.obs_len.item(cell) + appended
 
     def set_observations(
         self, row: int, accesses: Iterable[AccessKey | tuple[str, str, str]]
     ) -> None:
         """Replace the row's log (the ``observed`` setter / rescind
-        path).  Clears the row's monitor states — they were advanced
-        over the old history."""
-        self._obs_head.data[row] = -1
-        self._obs_tail.data[row] = -1
-        self._obs_len.data[row] = 0
-        self._obs_ver.data[row] += 1
+        path), bumping its replacement count.  Clears the row's monitor
+        states — they were advanced over the old history."""
+        cell = self._own_cell(row)
+        sc = self._sc
+        sc.obs_head[cell] = sc.obs_tail[cell] = -1
+        sc.obs_len[cell] = 0
+        sc.obs_ver[cell] = sc.obs_ver.item(cell) + 1
         self.extend_observations(
             row,
             (a if type(a) is AccessKey else AccessKey.of(a) for a in accesses),
@@ -915,16 +994,17 @@ class SessionStore:
             self._compact_observations()
 
     def _compact_observations(self) -> None:
-        """Relink every live row's observations, in order, at the
-        front of the arena, and drop every other node."""
+        """Relink every owned cell's observations, in order, at the
+        front of the arena, and drop every other node (a shared cell
+        holds no log)."""
         nxt = self._obs_next.data[: self._obs_next.count].tolist()
-        head = self._obs_head.data
-        n = self._n
-        rows = np.flatnonzero((self._alive.data[:n] == 1) & (head[:n] >= 0))
+        sc = self._sc
+        m = self._cells
+        cells = np.flatnonzero((sc.owner[:m] >= 0) & (sc.obs_head[:m] >= 0))
         order: list[int] = []
         firsts: list[int] = []
         lasts: list[int] = []
-        for index in head[rows].tolist():
+        for index in sc.obs_head[cells].tolist():
             firsts.append(len(order))
             while index >= 0:
                 order.append(index)
@@ -934,15 +1014,15 @@ class SessionStore:
         links = np.arange(1, len(order) + 1, dtype=np.int32)
         links[lasts] = -1
         self._obs_next.assign(links)
-        head[rows] = firsts
-        self._obs_tail.data[rows] = lasts
+        sc.obs_head[cells] = firsts
+        sc.obs_tail[cells] = lasts
 
     def observed_list(self, row: int) -> list[AccessKey]:
         out: list[AccessKey] = []
         symbols = self._symbols
         sym = self._obs_sym.data
         nxt = self._obs_next.data
-        index = int(self._obs_head.data[row])
+        index = self._sc.obs_head.item(self._cell.data.item(row))
         while index >= 0:
             out.append(symbols[sym[index]])
             index = int(nxt[index])
@@ -950,11 +1030,13 @@ class SessionStore:
 
     def rescind_server(self, server: str) -> int:
         """Drop every observation at ``server`` from every live row
-        (the coalition-eviction path).  Returns observations removed."""
+        (the coalition-eviction path).  Returns observations removed.
+        Only a row that owns its cell has observations."""
+        sc = self._sc
+        m = self._cells
+        owned = (sc.owner[:m] >= 0) & (sc.obs_len[:m] > 0)
         removed = 0
-        for row in self.alive_rows().tolist():
-            if not self._obs_len.data[row]:
-                continue
+        for row in np.sort(sc.owner[:m][owned]).tolist():
             log = self.observed_list(row)
             kept = [a for a in log if a.server != server]
             if len(kept) != len(log):
@@ -981,7 +1063,7 @@ class SessionStore:
         if mc is None:
             if compiled.state_space() > MAX_MONITOR_PRODUCT:
                 return (compiled, states)
-            mc = _MonitorColumn(compiled, self._owner.data.size)
+            mc = _MonitorColumn(compiled, self._sc.data.size)
             self._monitors[constraint] = mc
             self._cell_columns.append(mc.col)
         # Resolved first: the copy may grow (replace) the column arrays.
@@ -1000,24 +1082,11 @@ class SessionStore:
         value = mc.col.data.item(self._cell.data.item(row))
         return value if value >= 0 else None
 
-    def step_monitors_row(self, row: int, access: AccessKey) -> None:
-        """Advance every initialised monitor cell of ``row`` by one
-        access (the ``observe`` hot path).  Only a cell the row owns
-        holds an initialised monitor — :meth:`init_monitor` writes
-        through :meth:`_own_cell` — so this never copies."""
-        cell = self._cell.data.item(row)
-        for mc in self._monitors.values():
-            value = mc.col.data.item(cell)
-            if value >= 0:
-                mc.col.data[cell] = mc.encode(
-                    mc.compiled.step(mc.decode(value), access)
-                )
-
     def clear_monitor_row(self, row: int) -> None:
         """Uninitialise the row's monitors; a row reading a shared cell
         has none to clear."""
         cell = self._cell.data.item(row)
-        if self._owner.data.item(cell) == row:
+        if self._sc.owner.item(cell) == row:
             for mc in self._monitors.values():
                 mc.col.data[cell] = -1
 
@@ -1036,7 +1105,7 @@ class SessionStore:
     def _tracker_columns(self, key: str) -> TrackerCells:
         tc = self._trackers.get(key)
         if tc is None:
-            tc = TrackerCells(self._owner.data.size)
+            tc = TrackerCells(self._sc.data.size)
             self._trackers[key] = tc
             self._cell_columns.append(tc)
         return tc
@@ -1044,6 +1113,6 @@ class SessionStore:
     def alloc_tracker(self, row: int, key: str, duration: float) -> None:
         """Allocate one tracker cell in the fresh (inactive) state a
         standalone tracker's constructor produces."""
-        self._tracker_columns(key).allocate(
-            self._own_cell(row), duration, float(self._start_time.data[row])
-        )
+        tc = self._tracker_columns(key)
+        cell = self._own_cell(row)
+        tc.allocate(cell, duration, self._sc.start_time.item(cell))

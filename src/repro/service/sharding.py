@@ -166,9 +166,9 @@ class ShardedEngine:
         materialises handles on demand."""
         distinct, codes = _factorize(user_names)
         # Shards share the policy and engine settings: any one checks.
-        first = self._shards[0].engine
-        role_objs, users = first._check_bulk_open(distinct, roles)
-        plan = first._tracker_plan(role_objs)
+        role_objs, users, plan = self._shards[0].engine._check_bulk_open(
+            distinct, roles, t
+        )
         # The narrowest shard index type: a stable sort of 8- or 16-bit
         # keys is a radix sort.
         user_shard = np.fromiter(
@@ -177,9 +177,9 @@ class ShardedEngine:
             len(distinct),
         )
         row_shard = user_shard[codes]
-        order = np.argsort(row_shard, kind="stable")
         ends = np.cumsum(np.bincount(row_shard, minlength=len(self._shards)))
-        codes = codes[order]
+        codes = codes[np.argsort(row_shard, kind="stable")]
+        del row_shard  # freed before the shards open their rows
         out: dict[int, np.ndarray] = {}
         lo = 0
         for index, hi in enumerate(ends.tolist()):

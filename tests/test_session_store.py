@@ -17,9 +17,11 @@ session representation.  The reference is the definitions-level oracle
   must follow the oracle's Eq. 4.1 integral step for step (state,
   budget, expiry, clock and both timelines);
 * bulk opens, the cells bulk-opened rows share until their first
-  write, the observed-view memo, idle expiry, ``AccessKey`` interning,
-  row recycling, closed-handle and refused-close guards and the memory
-  budget.
+  write (a row holds only its identity; its start and last-seen times,
+  role set and observation log live in its cell, beside its trackers
+  and monitors), the observed-view memo, idle expiry, ``AccessKey``
+  interning, row recycling, closed-handle and refused-close guards and
+  the memory budget.
 """
 
 from __future__ import annotations
@@ -475,6 +477,24 @@ class TestBulkOpen:
             with pytest.raises(RbacError):
                 handle.require_open()
 
+    def test_bulk_open_at_nan_is_refused(self):
+        """A bulk open that would activate trackers at a NaN instant is
+        refused with the error ``activate_role`` gives there, before any
+        shard opens a row; one that activates none opens, as
+        ``authenticate`` does."""
+        policy = _policy([parse_constraint(COUNT_SRC)], [5.0])
+        scalar = AccessControlEngine(policy)
+        session = scalar.authenticate("u", math.nan)
+        with pytest.raises(TemporalError) as scalar_error:
+            scalar.activate_role(session, "r", math.nan)
+        for engine in (AccessControlEngine(policy), ShardedEngine(policy, shards=4)):
+            with pytest.raises(TemporalError) as error:
+                engine.open_sessions(["u"] * 8, math.nan, roles=("r",))
+            assert str(error.value) == str(scalar_error.value)
+            assert engine.resident_sessions() == 0
+            engine.open_sessions(["u"] * 2, math.nan)
+            assert engine.resident_sessions() == 2
+
     def test_bulk_open_rejects_unknown_role_and_user(self):
         """A refused bulk open opens nothing — on a sharded engine too,
         where the unentitled user ``h`` routes to the last shard
@@ -585,24 +605,27 @@ class TestSharedCells:
         TestBulkOpen._assert_twins(bulk, twins)
 
     def test_rescind_and_clear_write_nothing_shared(self):
-        """Rows with observations but no write still read the template
-        after ``rescind_server`` empties their histories and
-        ``clear_monitor_row`` clears them; nothing shared changes."""
-        bulk_engine, bulk, scalar_engine, twins = self._pair(4)
+        """An observation is a write, so observed rows own their cells;
+        ``rescind_server`` emptying their histories and
+        ``clear_monitor_row`` clearing them allocate no cell and leave
+        the empty cell and the template an unobserved block-mate reads
+        unchanged, and every row decides as its scalar twin."""
+        bulk_engine, bulk, scalar_engine, twins = self._pair(5)
         store = bulk_engine._store
         rows = [s._row for s in bulk]
         for engine, sessions in ((bulk_engine, bulk), (scalar_engine, twins)):
-            for session in sessions:
+            for session in sessions[:4]:
                 engine.observe(session, ACCESS)
             engine.decide(sessions[3], ACCESS, 2.0, history=None)
-        shared = self._shared(store, rows[:3])
-        assert store.own_cells() == 1
+        shared = self._shared(store, rows[4:])
+        cells = (store._cells, store.own_cells())
+        assert cells[1] == 4
         assert bulk_engine.rescind_server("s1") == scalar_engine.rescind_server("s1") == 4
         for row in rows[:3]:
             store.clear_monitor_row(row)
-        assert store.own_cells() == 1
-        assert self._shared(store, rows[:3]) == shared
-        assert len({store._cell.data[row] for row in rows[:3]}) == 1
+        assert (store._cells, store.own_cells()) == cells
+        assert self._shared(store, rows[4:]) == shared
+        assert len({store._cell.data[row] for row in rows}) == 5
         got = [bulk_engine.decide(s, ACCESS, 3.0, history=None) for s in bulk]
         want = [scalar_engine.decide(s, ACCESS, 3.0, history=None) for s in twins]
         assert [_norm(d) for d in got] == [_norm(d) for d in want]
@@ -666,6 +689,179 @@ class TestSharedCells:
             assert engine.decide(session, ACCESS, t + 1.0, history=None).granted
         assert store.own_cells() == 1
         assert (store._cells, cell_bytes()) == before
+
+
+class TestLeanRow:
+    """A row holds only who the session is; its start and last-seen
+    times, role set and observation log live in the cell it reads, so
+    reads resolve the cell and allocate nothing, and every first write
+    copies a bulk open's template into a cell the row owns."""
+
+    @staticmethod
+    def _reads(session):
+        """Everything a session reads beside its identity."""
+        return (
+            session.start_time,
+            session.last_seen,
+            session.role_set(),
+            session.observed,
+            session.observed_len(),
+            {
+                key: (
+                    tracker.state(),
+                    tracker.now,
+                    tracker.valid_timeline(),
+                    tracker.active_timeline(),
+                )
+                for key, tracker in session.trackers.items()
+            },
+        )
+
+    @staticmethod
+    def _cells(store):
+        return (store._cells, store.own_cells(), store.nbytes())
+
+    def test_reads_and_expiry_scans_allocate_nothing(self):
+        """Reading untouched rows, and ``idle_rows`` /
+        ``latest_activity`` / ``expire_sessions`` over touched and
+        untouched rows, allocate no cell and leave every row reading
+        the cell it read; the scans find what the rows' scalar twins
+        imply."""
+        bulk_engine, bulk, scalar_engine, twins = TestSharedCells._pair(60)
+        store = bulk_engine._store
+        for engine, sessions in ((bulk_engine, bulk), (scalar_engine, twins)):
+            for k in range(0, 60, 6):
+                engine.decide(sessions[k], ACCESS, 2.0 + k, history=None)
+                engine.observe(sessions[k], ACCESS)
+        untouched = [s for k, s in enumerate(bulk) if k % 6]
+        before = self._cells(store)
+        read_cells = store._cell.data[: store._n].copy()
+        assert before[1] == 10
+        for session, twin in zip(bulk, twins):
+            assert self._reads(session) == self._reads(twin)
+        for session in untouched:
+            assert (session.start_time, session.last_seen) == (1.0, 1.0)
+            assert session.observed == () and session.observed_len() == 0
+        assert bulk_engine.latest_activity() == scalar_engine.latest_activity() == 56.0
+        idle = store.idle_rows(56.0, 30.0)
+        assert idle.tolist() == sorted(
+            [s._row for s in untouched] + [s._row for s in bulk[:30:6]]
+        )
+        assert self._cells(store) == before
+        assert (store._cell.data[: store._n] == read_cells).all()
+        expired = bulk_engine.expire_sessions(idle_for=30.0)
+        assert expired == scalar_engine.expire_sessions(idle_for=30.0) == len(idle)
+        assert store._cells == before[0] and store.own_cells() == 5
+        survivors = range(30, 60, 6)
+        for k in survivors:
+            assert self._reads(bulk[k]) == self._reads(twins[k])
+        got = [bulk_engine.decide(bulk[k], ACCESS, 70.0, history=None) for k in survivors]
+        want = [
+            scalar_engine.decide(twins[k], ACCESS, 70.0, history=None)
+            for k in survivors
+        ]
+        assert [_norm(d) for d in got] == [_norm(d) for d in want]
+
+    @staticmethod
+    def _touch(engine, session):
+        session.touch(3.0)
+
+    @staticmethod
+    def _observe(engine, session):
+        engine.observe(session, ACCESS)
+
+    @staticmethod
+    def _set_observed(engine, session):
+        session.observed = [ACCESS, AccessKey.of("exec", "r1", "s2")]
+
+    @staticmethod
+    def _change_roles(engine, session):
+        session.active_roles = ()
+
+    @staticmethod
+    def _activate_role(engine, session):
+        engine.activate_role(session, "r", 3.0)
+
+    @pytest.mark.parametrize(
+        "write",
+        ["_touch", "_observe", "_set_observed", "_change_roles", "_activate_role"],
+    )
+    def test_first_write_copies_the_template(self, write):
+        """A first write — ``touch``, ``observe``, the ``observed``
+        setter, a role-set change, ``activate_role`` (on rows opened
+        with no role, so it writes the role set and allocates trackers)
+        — copies the template into a cell the row owns: the template
+        is unchanged, the block-mates keep reading it, and every row
+        reads, decides and keeps reading as its scalar twin."""
+        roles = () if write == "_activate_role" else ("r",)
+        policy = _policy([parse_constraint(COUNT_SRC), None], [5.0, 20.0])
+        bulk_engine, scalar_engine = AccessControlEngine(policy), AccessControlEngine(policy)
+        rows = bulk_engine.open_sessions(["u"] * 4, 1.0, roles=roles)
+        bulk = [bulk_engine.session_at(row) for row in rows]
+        twins = []
+        for _ in range(4):
+            twin = scalar_engine.authenticate("u", 1.0)
+            for role in roles:
+                scalar_engine.activate_role(twin, role, 1.0)
+            twins.append(twin)
+        store = bulk_engine._store
+        (template,) = set(store._cell.data[rows].tolist())
+        shared = TestSharedCells._shared(store, rows)
+        for engine, session in ((bulk_engine, bulk[0]), (scalar_engine, twins[0])):
+            getattr(self, write)(engine, session)
+        assert store.own_cells() == 1
+        assert store._cell.data[rows[0]] != template
+        assert store._cell.data[rows[1:]].tolist() == [template] * 3
+        # (``activate_role`` adds the tracker columns it allocates.)
+        assert TestSharedCells._shared(store, rows[1:])[: len(shared)] == shared
+        for session, twin in zip(bulk, twins):
+            assert self._reads(session) == self._reads(twin)
+        for t in (4.0, 9.0):
+            got = [bulk_engine.decide(s, ACCESS, t, history=None) for s in bulk]
+            want = [scalar_engine.decide(s, ACCESS, t, history=None) for s in twins]
+            assert [_norm(d) for d in got] == [_norm(d) for d in want]
+        for session, twin in zip(bulk, twins):
+            assert self._reads(session) == self._reads(twin)
+
+    def test_compaction_keeps_every_live_log(self):
+        """Observation compaction relinks the logs held in owned cells:
+        observed bulk rows, a replaced history and a touched row with
+        an empty log read the same across churn that compacts the
+        arena, and as their twins in an engine that never compacted;
+        unobserved block-mates keep reading the template."""
+        policy = _policy([parse_constraint(COUNT_SRC)], [None])
+        engine, twin_engine = AccessControlEngine(policy), AccessControlEngine(policy)
+
+        def populate(eng):
+            rows = eng.open_sessions(["u"] * 6, 0.0, roles=("r",))
+            sessions = [eng.session_at(row) for row in rows]
+            for k, session in enumerate(sessions[:4]):
+                for i in range(k + 1):
+                    eng.observe(session, AccessKey.of("exec", "r1", f"s{i}"))
+            sessions[2].observed = sessions[2].observed[1:]
+            sessions[4].touch(1.0)
+            return sessions
+
+        live, twins = populate(engine), populate(twin_engine)
+        store = engine._store
+        template = store._cell.data[live[5]._row]
+        before = [TestLeanRow._reads(s) for s in live]
+        for k in range(150):
+            session = engine.authenticate("u", 10.0 + k)
+            engine.observe(session, ACCESS)
+            engine.close_session(session, 10.0 + k)
+        assert store._obs_sym.kept == sum(s.observed_len() for s in live) == 9
+        assert store._obs_sym.count < 2 * session_store.COMPACT_MIN
+        assert [TestLeanRow._reads(s) for s in live] == before
+        assert before == [TestLeanRow._reads(s) for s in twins]
+        assert store._cell.data[live[5]._row] == template
+        assert live[4].observed == () and live[5].observed == ()
+        for eng, sessions in ((engine, live), (twin_engine, twins)):
+            for session in sessions:
+                eng.observe(session, AccessKey.of("exec", "r1", "s9"))
+        assert [TestLeanRow._reads(s) for s in live] == [
+            TestLeanRow._reads(s) for s in twins
+        ]
 
 
 class TestObservedViewMemo:
@@ -1372,9 +1568,9 @@ class TestMemoryBudget:
     def test_bytes_per_session_within_budget(self):
         """The store gate, in miniature: marginal store overhead for a
         bulk-opened population (capacity reserved so doubling slack is
-        excluded) must stay within 100 B/session."""
+        excluded) must stay within 40 B/session."""
         _engine, _rows, traced, columns = self._bulk_open()
-        assert max(traced, columns) <= 100.0, (traced, columns)
+        assert max(traced, columns) <= 40.0, (traced, columns)
 
     def test_touched_handle_bytes_within_budget(self):
         """What a touched session keeps beside its row: a handle per
@@ -1407,7 +1603,7 @@ class TestMemoryBudget:
         row, not stored, so the event arenas stay empty and the rows
         still replay their open-time switches."""
         engine, rows, traced, columns = self._bulk_open()
-        assert max(traced, columns) <= 100.0, (traced, columns)
+        assert max(traced, columns) <= 40.0, (traced, columns)
         arenas = list(engine._store._trackers.values())
         assert arenas
         assert all(tc.ev_row.count == 0 for tc in arenas)
