@@ -25,8 +25,9 @@ measures what that buys:
   block's start time, role set and trackers sit in one template cell.
 * **touched handles** — the drive's touched sessions get handles,
   each read through its trackers and role set under ``tracemalloc``;
-  what they retain per session gates the ≤ 320 B budget.  Reads copy
-  no cell, so this holds only the handles.  The handles are made once
+  what they retain per session gates the ≤ 256 B budget.  Reads copy
+  no cell, so this holds only the handles and their weak references
+  in the store's handle registry.  The handles are made once
   untraced first, and the wall µs per ``session_at`` is reported
   (``drive.handle_us_per_touched_session``).
 * **throughput at scale** — the diurnal Zipf stream is driven through
@@ -81,7 +82,7 @@ BYTES_PER_SESSION_BUDGET = 40.0
 DRIVEN_BYTES_PER_SESSION_BUDGET = 55.0
 
 #: What a touched session's handle may keep beside its row.
-HANDLE_BYTES_BUDGET = 320.0
+HANDLE_BYTES_BUDGET = 256.0
 
 
 def _reset_counters() -> None:

@@ -267,7 +267,8 @@ class AccessControlEngine:
         self.audit = AuditLog()
         # Handles are views — the columns are the state — so dropping
         # every reference to a session does not lose it (the store
-        # caches live handles per row; materialize() finds one by id).
+        # registers live handles per row; materialize() finds one by
+        # id).
         self._store = SessionStore(scheme)
         # Owner-scope state: combined histories (list-backed, O(1)
         # append) and monitor caches keyed by user name.
@@ -428,21 +429,8 @@ class AccessControlEngine:
         paper's subject creation after certificate validation)."""
         user = self.policy.user(user_name)
         sid, seq = _draw_ids(1)
-        row = self._store.open(
-            user, frozenset(principals) | {f"user:{user_name}"}, t, sid, seq
-        )
-        return self._handle(row)
-
-    def _handle(self, row: int) -> Session:
-        """The (cached) handle for a live store row."""
-        store = self._store
-        handle = store.handle_for(row)
-        if handle is None:
-            if not store._alive.data.item(row):
-                raise RbacError(f"no live session at store row {row}")
-            handle = Session(store, row)
-            store.register_handle(row, handle)
-        return handle
+        row = self._store.open(user, principals, t, sid, seq)
+        return self._store.handle(row)
 
     def materialize(self, session_id: str) -> Session:
         """The live session with ``session_id`` — a (possibly fresh)
@@ -453,12 +441,13 @@ class AccessControlEngine:
         row = self._store.row_of_session_id(session_id)
         if row is None:
             raise RbacError(f"unknown session {session_id!r}")
-        return self._handle(row)
+        return self._store.handle(row)
 
     def session_at(self, row: int) -> Session:
         """The handle for store row ``row`` — the bulk loader's O(1)
-        alternative to :meth:`materialize`."""
-        return self._handle(int(row))
+        alternative to :meth:`materialize`.  Raises :class:`RbacError`
+        unless ``row`` is an integer naming a live row."""
+        return self._store.handle(row)
 
     def resident_sessions(self) -> int:
         """How many sessions are currently resident."""
@@ -599,20 +588,14 @@ class AccessControlEngine:
             return np.empty(0, dtype=np.int64)
         store = self._store
         user_codes = np.zeros(len(users), dtype=np.int32)
-        principal_codes = np.zeros(len(users), dtype=np.int32)
         for m in members:
-            user = users[m]
-            user_codes[m] = store._intern_user(user)
-            principal_codes[m] = store._intern_principals(
-                frozenset({f"user:{user.name}"})
-            )
+            user_codes[m] = store._intern_user(users[m])
         sid, seq = _draw_ids(n)
         return store.open_block(
             t,
             np.arange(sid, sid + n, dtype=np.int64),
             np.arange(seq, seq + n, dtype=np.int64),
             user_codes[codes],
-            principal_codes[codes],
             store._intern_role_set(frozenset(role_objs)),
             tracker_plan,
         )

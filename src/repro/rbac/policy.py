@@ -77,17 +77,19 @@ class Policy:
 
     def assign_user(self, user_name: str, role_name: str) -> None:
         """Add ``(user, role)`` to UA, enforcing SSD against the
-        inheritance closure of the user's assigned roles."""
+        inheritance closure of the user's assigned roles (computed only
+        when an SSD constraint exists)."""
         user = self.user(user_name)
         role = self.role(role_name)
-        proposed = self._user_roles.get(user, set()) | {role}
-        closure = self.hierarchy.closure(proposed)
-        for constraint in self.ssd_constraints:
-            if constraint.violated_by(closure):
-                raise PolicyError(
-                    f"assigning {role_name!r} to {user_name!r} violates "
-                    f"SSD constraint {constraint.name!r}"
-                )
+        if self.ssd_constraints:
+            proposed = self._user_roles.get(user, set()) | {role}
+            closure = self.hierarchy.closure(proposed)
+            for constraint in self.ssd_constraints:
+                if constraint.violated_by(closure):
+                    raise PolicyError(
+                        f"assigning {role_name!r} to {user_name!r} "
+                        f"violates SSD constraint {constraint.name!r}"
+                    )
         self._user_roles.setdefault(user, set()).add(role)
         self._bump()
 

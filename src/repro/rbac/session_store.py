@@ -14,7 +14,8 @@ the **cell** holding what the session has done:
     row columns (one entry per session row, 33 B)
       alive        u8    gen           i32
       sid_seq      i64   subj_seq      i64
-      user_id      i32   principals_id i32
+      user_id      i32   principals_id i32 (the principals beyond
+                                            the user's own; 0: none)
       cell         i32   (the cell the row reads)
 
     cells (one entry per cell id; cell 0 is the empty cell)
@@ -65,8 +66,13 @@ column, and the row points at its copy from then on.  A scalar
 :meth:`SessionStore.open` owns a cell from the start.  Closing a row
 frees the cell it owns, and a template with the last row reading it,
 for reuse.  Cell columns grow with the cells in use, not with the
-rows: a million bulk-opened rows of which a few thousand are ever
-written hold a few thousand cells.
+rows, and by a quarter at a time: a million bulk-opened rows of which
+a few thousand are ever written hold a few thousand cells.
+
+Every subject holds its user's own principal, ``user:<name>``, so a
+row's principals code names only the principals beyond it, and
+:meth:`SessionStore.subject_of` adds it back; a bulk open's subjects
+have no others, and intern nothing beyond their user.
 
 Scalar callers never see the columns: a :class:`Session` is a
 **handle**, a reference into one row.  It holds the store, the row and
@@ -83,16 +89,23 @@ tracker cells (checked step by step against the definitions-level
 oracle's Eq. 4.1 integral in ``tests/test_session_store.py``, and
 decisions against the same oracle in ``tests/test_spec_oracle.py``).
 A view points at the store or the handle, and no handle points at a
-view, so no handle sits in a reference cycle.  Handles are cached per
-row in a ``WeakValueDictionary`` — a cache only: dropping every handle
-loses nothing, and a dropped handle leaves it by reference count, not
-at a collection.  Closing a session frees its row at once: the cached
-handle's identity is frozen into it, the row's generation is bumped
-and the handle evicted, and the next open may reuse the row.  A handle
-or tracker view keeps the generation it was made for, and each
-accessor compares it with the row's once: a handle of an earlier
-generation reads as a closed session (no roles, trackers or history)
-under the identity it opened with, and raises
+view, so no handle sits in a reference cycle.
+:meth:`SessionStore.handle` finds or makes a live row's handle in one
+call, and registers it in a plain dict of weak references, one per row
+— a registry only: dropping every handle loses nothing, and a dropped
+handle is freed by reference count, not at a collection.  Its dead
+reference leaves the registry when the row is closed or materialised
+again, or in a sweep once the registry has doubled since the last one,
+so the registry holds fewer than twice the handles live at that sweep
+(at least 64).  No weak-reference callback writes it: only the
+engine's thread does (a sharded engine's under the shard lock),
+whichever thread drops a handle.  Closing a session frees its row at
+once: the registered handle's identity is frozen into it, the row's
+generation is bumped and its registry entry dropped, and the next open
+may reuse the row.  A handle or tracker view keeps the generation it
+was made for, and each accessor compares it with the row's once: a
+handle of an earlier generation reads as a closed session (no roles,
+trackers or history) under the identity it opened with, and raises
 :class:`~repro.errors.RbacError` on every write, and a tracker view of
 an earlier generation raises on every method.
 
@@ -109,6 +122,7 @@ bulk-opened row nothing.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, MutableSet
 
@@ -137,6 +151,10 @@ __all__ = ["SessionStore", "Session", "ColumnTracker"]
 _INITIAL_ROWS = 64
 _INITIAL_CELLS = 64
 
+#: The fewest entries the handle registry holds before a sweep drops
+#: its dead references (it must also have doubled since the last one).
+_SWEEP_MIN = 64
+
 #: The shared empty cell: every tracker ``FREE``, every monitor -1.
 EMPTY_CELL = 0
 
@@ -148,6 +166,11 @@ COMPACT_MIN = 128
 
 def _compaction_due(arena: Arena) -> bool:
     return arena.count >= max(COMPACT_MIN, 2 * arena.kept)
+
+
+def _user_principal(user: User) -> str:
+    """The principal every subject of ``user`` holds."""
+    return f"user:{user.name}"
 
 
 #: One cell's session record: the row that owns the cell (-1 for the
@@ -320,14 +343,14 @@ class Session:
     its id string without building it.  All state reads and writes go
     to the columns, so any
     number of materialisations of the same session observe the same
-    state (the store caches one handle per row while referenced).
+    state (the store registers one handle per row while referenced).
     ``active_roles``, ``trackers`` and :meth:`tracker` build their views
     when read; the handle keeps none, so it sits in no reference cycle.
     Once the session is closed, the handle reads as a closed session —
     no roles, trackers or history, and :meth:`touch` does nothing — and
     every write raises :class:`~repro.errors.RbacError`, even after the
     row has been reused.  Its identity stays that of the session it
-    opened: :meth:`SessionStore.close` freezes it into the cached
+    opened: :meth:`SessionStore.close` freezes it into the registered
     handle before the row can be reused.  ``view_rebuilds`` counts
     ``observed`` tuple-view materialisations — the regression meter for
     the memo-churn fix."""
@@ -539,12 +562,13 @@ class SessionStore:
             self._principals_id,
             self._cell,
         ]
-        # Interning tables.  Index 0 of the role sets is the empty set
-        # (the empty cell's).
+        # Interning tables.  Index 0 of the principal sets is the empty
+        # set (no principal beyond the user's own), and index 0 of the
+        # role sets the empty set (the empty cell's).
         self._users: list[User] = []
         self._user_codes: dict[User, int] = {}
-        self._principal_sets: list[frozenset] = []
-        self._principal_codes: dict[frozenset, int] = {}
+        self._principal_sets: list[frozenset] = [frozenset()]
+        self._principal_codes: dict[frozenset, int] = {frozenset(): 0}
         self._role_sets: list[frozenset] = [frozenset()]
         self._role_set_codes: dict[frozenset, int] = {frozenset(): 0}
         self._symbols: list[AccessKey] = []
@@ -562,9 +586,9 @@ class SessionStore:
         self._free_cells: list[int] = []
         # Template cell -> rows still reading it.
         self._template_rows: dict[int, int] = {}
-        self._handles: "weakref.WeakValueDictionary[int, Session]" = (
-            weakref.WeakValueDictionary()
-        )
+        # Handle registry: row -> weak reference to its handle.
+        self._handles: dict[int, weakref.ref] = {}
+        self._sweep_at = _SWEEP_MIN
         self._free: list[int] = []
         self._n = 0  # high-water row mark
         self._resident = 0
@@ -617,8 +641,10 @@ class SessionStore:
         else:
             cell = self._cells
             if cell == self._sc.data.size:
+                # By a quarter, not double: at most a fifth of the cell
+                # bytes is slack, and copies stay O(1) per cell amortised.
                 for column in self._cell_columns:
-                    column.grow(2 * cell)
+                    column.grow(cell + max(_INITIAL_CELLS, cell // 4))
             self._cells = cell + 1
         for column in self._cell_columns:
             raw = column.raw
@@ -746,21 +772,23 @@ class SessionStore:
     def open(
         self,
         user: User,
-        principals: frozenset,
+        principals: Iterable[str],
         t: float,
         sid_seq: int,
         subj_seq: int,
     ) -> int:
         """Open a session row for ``user`` at ``t``; returns the row.
-        The row keeps the numbers of its session and subject ids, and
+        The row keeps the numbers of its session and subject ids and
+        the code of ``principals`` beyond the user's own, and
         :meth:`subject_of` builds the subject from them.  It owns a copy
         of the empty cell with its start time in it."""
+        extras = frozenset(principals) - {_user_principal(user)}
         row = self._alloc_row()
         self._alive.data[row] = 1
         self._sid_seq.data[row] = sid_seq
         self._subj_seq.data[row] = subj_seq
         self._user_id.data[row] = self._intern_user(user)
-        self._principals_id.data[row] = self._intern_principals(principals)
+        self._principals_id.data[row] = self._intern_principals(extras)
         cell = self._own_cell(row)  # a free row reads the empty cell
         self._sc.start_time[cell] = self._sc.last_seen[cell] = t
         self._resident += 1
@@ -772,7 +800,6 @@ class SessionStore:
         sid_seqs,
         subj_seqs,
         user_codes,
-        principal_codes,
         role_set_code: int,
         trackers: Mapping[str, float],
     ) -> np.ndarray:
@@ -784,7 +811,8 @@ class SessionStore:
         two timeline events, which ``OPEN_ACTIVE`` implies.  A row
         copies the template on its first write.  All other inputs are
         parallel integer sequences; interning codes come from the
-        scalar helpers.  Free rows are taken first, in the order
+        scalar helpers.  Each subject's principals are its user's own
+        alone.  Free rows are taken first, in the order
         :meth:`open` would take them, then rows from the high-water
         mark.  Returns the opened row indices, parallel to the
         inputs."""
@@ -810,7 +838,7 @@ class SessionStore:
         self._sid_seq.data[sl] = sid_seqs
         self._subj_seq.data[sl] = subj_seqs
         self._user_id.data[sl] = user_codes
-        self._principals_id.data[sl] = principal_codes
+        self._principals_id.data[sl] = 0
         cell = self._new_cell(EMPTY_CELL)
         self._template_rows[cell] = n
         self._sc.start_time[cell] = self._sc.last_seen[cell] = t
@@ -827,17 +855,18 @@ class SessionStore:
 
     def close(self, row: int, gen: int) -> None:
         """Close the row's ``gen`` occupancy and free the row at once:
-        the cached handle's identity is frozen into it, the generation
+        the live handle's identity is frozen into it, the generation
         bump turns every handle and tracker view of the occupancy into a
-        closed session's, and the handle is evicted so the row's next
-        occupant gets a fresh one.  The row columns keep their values
-        until an open rewrites them all; the row's hold on its cell is
-        released here, and it reads the empty cell.  An arena the close
-        leaves due is compacted.  A stale ``gen`` (the session is
-        already closed) is a no-op."""
+        closed session's, and the row leaves the handle registry, so its
+        next occupant gets a fresh handle.  The row columns keep their
+        values until an open rewrites them all; the row's hold on its
+        cell is released here, and it reads the empty cell.  An arena
+        the close leaves due is compacted.  A stale ``gen`` (the session
+        is already closed) is a no-op."""
         if self._gen.data.item(row) != gen:
             return
-        handle = self._handles.pop(row, None)
+        ref = self._handles.pop(row, None)
+        handle = ref() if ref is not None else None
         if handle is not None:
             handle._freeze()
         self._resident -= 1
@@ -858,19 +887,55 @@ class SessionStore:
             if observed and _compaction_due(self._obs_sym):
                 self._compact_observations()
 
-    def register_handle(self, row: int, handle: Session) -> None:
-        self._handles[row] = handle
+    def handle(self, row: int) -> Session:
+        """The handle of live row ``row``: the registered one while it
+        is referenced, else a new one, registered.  Raises
+        :class:`~repro.errors.RbacError` unless ``row`` is an integer
+        naming a live row.  A registered row is live (a close drops its
+        entry), so the hit path checks nothing more."""
+        try:
+            row = operator.index(row)
+        except TypeError:
+            raise RbacError(f"store row {row!r} is not an integer") from None
+        handles = self._handles
+        ref = handles.get(row)
+        if ref is not None:
+            handle = ref()
+            if handle is not None:
+                return handle
+        if not (0 <= row < self._n and self._alive.data.item(row)):
+            raise RbacError(f"no live session at store row {row}")
+        handle = Session(self, row)
+        handles[row] = weakref.ref(handle)
+        if len(handles) >= self._sweep_at:
+            self._sweep_handles()
+        return handle
+
+    def _sweep_handles(self) -> None:
+        """Drop the registry's dead references.  The next sweep falls
+        due once the registry has doubled (and holds at least
+        :data:`_SWEEP_MIN`), so between calls it holds fewer than
+        ``max(_SWEEP_MIN, 2 * live)`` entries, ``live`` being the
+        handles referenced at the last sweep, and sweeping costs O(1)
+        per registration amortised."""
+        handles = self._handles
+        for row in [row for row, ref in handles.items() if ref() is None]:
+            del handles[row]
+        self._sweep_at = max(_SWEEP_MIN, 2 * len(handles))
 
     def handle_for(self, row: int) -> Session | None:
-        return self._handles.get(row)
+        """Row ``row``'s registered handle, while it is referenced."""
+        ref = self._handles.get(row)
+        return ref() if ref is not None else None
 
     def subject_of(self, row: int, subject_id: str) -> Subject:
         """The subject of the row's occupancy, whose id is
-        ``subject_id``."""
+        ``subject_id``: its user's own principal and those its
+        principals code names."""
+        user = self._users[self._user_id.data.item(row)]
+        extras = self._principal_sets[self._principals_id.data.item(row)]
         return Subject(
-            self._users[self._user_id.data.item(row)],
-            self._principal_sets[self._principals_id.data.item(row)],
-            subject_id=subject_id,
+            user, extras | {_user_principal(user)}, subject_id=subject_id
         )
 
     def row_of_session_id(self, session_id: str) -> int | None:

@@ -32,6 +32,7 @@ need no locks of their own.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Iterable
 
@@ -194,8 +195,21 @@ class ShardedEngine:
         return out
 
     def session_at(self, shard_index: int, row: int) -> Session:
-        """The session handle at ``row`` of shard ``shard_index``."""
-        shard = self._shards[shard_index]
+        """The session handle at ``row`` of shard ``shard_index``.
+        Raises :class:`ServiceError` for a shard index outside
+        ``range(shard_count)``, and
+        :class:`~repro.errors.RbacError` unless ``row`` names a live
+        row of that shard."""
+        try:
+            index = operator.index(shard_index)
+        except TypeError:
+            index = -1
+        if not 0 <= index < len(self._shards):
+            raise ServiceError(
+                f"shard index {shard_index!r} is not in "
+                f"range({len(self._shards)})"
+            )
+        shard = self._shards[index]
         with shard.lock:
             return shard.engine.session_at(row)
 

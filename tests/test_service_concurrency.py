@@ -29,7 +29,7 @@ from repro.coalition.network import Coalition, constant_latency, uniform_latency
 from repro.coalition.proofs import ProofRegistry
 from repro.coalition.resource import Resource
 from repro.coalition.server import CoalitionServer
-from repro.errors import ChannelError, CoalitionError, ServiceError
+from repro.errors import ChannelError, CoalitionError, RbacError, ServiceError
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
@@ -636,6 +636,127 @@ class TestIdDraws:
                 ids.extend((h.session_id, h.subject_id) for h in handles)
         for column in zip(*ids):
             assert len(set(column)) == len(column)
+        sharded.close()
+
+
+class TestHandleRegistry:
+    """Threads materialise, hold and drop handles of shared rows of a
+    ``ShardedEngine`` while another thread closes and reopens rows.
+    Each store's handle registry changes only under its shard lock: one
+    handle per occupancy while it is held, a closed occupancy's held
+    handle frozen, and the registry within twice the handles held."""
+
+    def test_handles_stay_one_per_occupancy_under_churn(self):
+        shards_n, rows_per_shard, threads_n, hold = 4, 256, 8, 4
+        budget_s, passes_min = 1.5, 100
+        policy = make_policy()
+        for i in range(64):
+            policy.add_user(f"u{i}")
+            policy.assign_user(f"u{i}", "r")
+        sharded = ShardedEngine(policy, shards=shards_n)
+        owner: dict[int, str] = {}
+        for i in range(64):
+            owner.setdefault(sharded.shard_index(f"u{i}"), f"u{i}")
+        assert len(owner) == shards_n
+        slots = []
+        ids = {}  # (shard, row, gen) -> session id
+        for shard, name in owner.items():
+            (rows,) = sharded.open_sessions(
+                [name] * rows_per_shard, 0.0, roles=("r",)
+            ).values()
+            for row in rows.tolist():
+                handle = sharded.session_at(shard, row)
+                ids[(shard, row, handle._gen)] = handle.session_id
+                slots.append((shard, row))
+        stores = [shard.engine._store for shard in sharded._shards]
+        # Handles alive at once: each materialiser's held ones and its
+        # two in hand, and the churn thread's two.
+        bound = max(64, 2 * (threads_n * (hold + 2) + 2))
+        stop = threading.Event()
+        errors: list[BaseException] = []
+        passes = [0] * threads_n
+        held: list[list] = [[] for _ in range(threads_n)]
+        frozen: list[tuple] = []
+        sizes: list[int] = []
+
+        def materialise(k):
+            rng = random.Random(100 + k)
+            mine = held[k]
+            try:
+                while not stop.is_set() or passes[k] < passes_min:
+                    shard, row = rng.choice(slots)
+                    try:
+                        first = sharded.session_at(shard, row)
+                        mine.append((shard, row, first))
+                        if len(mine) > hold:
+                            del mine[rng.randrange(len(mine))]
+                        again = sharded.session_at(shard, row)
+                    except RbacError:  # closed, not yet reopened
+                        continue
+                    if again._gen == first._gen and again is not first:
+                        raise AssertionError(f"two handles of {shard, row}")
+                    passes[k] += 1
+            except Exception as error:
+                errors.append(error)
+
+        def churn():
+            rng = random.Random(7)
+            t = 0.0
+            try:
+                while not stop.is_set():
+                    t += 1.0
+                    shard, row = rng.choice(slots)
+                    handle = sharded.session_at(shard, row)
+                    before = (handle.session_id, handle.subject_id, handle.start_time)
+                    sharded.close_session(handle, t)
+                    (reopened,) = sharded.open_sessions(
+                        [owner[shard]], t, roles=("r",)
+                    )[shard].tolist()
+                    if reopened != row:
+                        raise AssertionError(f"row {reopened} reopened, not {row}")
+                    new = sharded.session_at(shard, row)
+                    ids[(shard, row, new._gen)] = new.session_id
+                    frozen.append((handle, before))
+                    del frozen[:-32]
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=materialise, args=(k,))
+                for k in range(threads_n)
+            ]
+            threads.append(threading.Thread(target=churn))
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + budget_s
+            while time.monotonic() < deadline and not errors:
+                sizes.extend(len(store._handles) for store in stores)
+                time.sleep(0.001)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert min(passes) >= passes_min and len(frozen) > 1
+        # Handles of one occupancy held at once are one object, and
+        # each reads the identity of the occupancy it was made for,
+        # frozen into it if the occupancy has been closed since.
+        by_occupancy: dict[tuple, set] = {}
+        for shard, row, handle in (entry for mine in held for entry in mine):
+            by_occupancy.setdefault((shard, row, handle._gen), set()).add(id(handle))
+            assert handle.session_id == ids[(shard, row, handle._gen)]
+        assert all(len(handles) == 1 for handles in by_occupancy.values())
+        for handle, before in frozen:
+            assert not handle._is_open()
+            assert (handle.session_id, handle.subject_id, handle.start_time) == before
+        sizes.extend(len(store._handles) for store in stores)
+        assert max(sizes) <= bound, (max(sizes), bound)
         sharded.close()
 
 

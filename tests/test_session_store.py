@@ -38,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests.strategies as strategies
-from repro.errors import RbacError, TemporalError
+from repro.errors import RbacError, ServiceError, TemporalError
 from repro.rbac import session_store
 from repro.rbac.audit import Decision
 from repro.rbac.engine import AccessControlEngine
@@ -604,6 +604,24 @@ class TestSharedCells:
         assert bulk_engine._store.own_cells() == n
         TestBulkOpen._assert_twins(bulk, twins)
 
+    def test_cell_columns_grow_by_a_quarter(self):
+        """Cell columns grow by at most a quarter (at least 64 cells)
+        when the cells run out, so their capacity stays within 1.25
+        times the cells in use plus 64, every column alike."""
+        n = 1500
+        engine = AccessControlEngine(_policy([None], [5.0]))
+        store = engine._store
+        rows = engine.open_sessions(["u"] * n, 1.0, roles=("r",)).tolist()
+        sizes = set()
+        for i, row in enumerate(rows):
+            store.touch(row, 2.0 + i)
+            capacity = store._sc.data.size
+            assert capacity <= 1.25 * store._cells + 64, (store._cells, capacity)
+            assert {c.data.size for c in store._cell_columns} == {capacity}
+            sizes.add(capacity)
+        assert store.own_cells() == n and len(sizes) > 5
+        assert [store.last_seen(row) for row in rows] == [2.0 + i for i in range(n)]
+
     def test_rescind_and_clear_write_nothing_shared(self):
         """An observation is a write, so observed rows own their cells;
         ``rescind_server`` emptying their histories and
@@ -1096,6 +1114,23 @@ class TestStoreMechanics:
             gc.enable()
         assert engine.session_at(row).role_set()
 
+    def test_registry_sweeps_only_dead_references(self):
+        """Dropped handles leave the store's handle registry in a sweep
+        once it has doubled since the last, so it stays under twice
+        the handles live at a sweep (at least 64): those held and the
+        one being made.  Held handles stay registered, so
+        ``session_at`` keeps returning them."""
+        engine = self._engine()
+        store = engine._store
+        rows = engine.open_sessions(["u"] * 1000, 0.0).tolist()
+        held = [engine.session_at(row) for row in rows[:40]]
+        for row in rows[40:]:
+            assert engine.session_at(row).subject_id
+            assert len(store._handles) < 2 * (len(held) + 1)
+        assert [engine.session_at(row) for row in rows[:40]] == held
+        assert all(a is b for a, b in zip(map(engine.session_at, rows), held))
+        assert [store.handle_for(row) for row in rows[40:]] == [None] * 960
+
     def test_rows_recycle_with_generation_bump(self):
         engine = self._engine()
         first = engine.authenticate("u", 0.0)
@@ -1514,6 +1549,39 @@ class TestLeanIdentity:
         assert second.session_id != before[0]
         assert second.subject.subject_id != before[1].subject_id
 
+    def test_session_at_accepts_only_live_rows(self):
+        """A row that is negative, past the high-water mark, not an
+        integer or not live has no handle, so a row never gets a
+        second live handle beside its registered one.  A shard index
+        outside ``range(shard_count)`` is refused as well."""
+        engine = self._engine()
+        rows = engine.open_sessions(["u"] * 64, 1.0, roles=("r",)).tolist()
+        last = engine.session_at(rows[-1])
+        engine.close_session(engine.session_at(rows[0]), 2.0)
+        for row in (-1, -64, 64, 10**6, 2.7, "3", None, rows[0]):
+            with pytest.raises(RbacError):
+                engine.session_at(row)
+        assert engine.session_at(np.int64(rows[1])) is engine.session_at(rows[1])
+        assert engine.session_at(rows[-1]) is last
+        # The next open takes the closed row, and the last row's
+        # registered handle still reads its own session.
+        assert engine.authenticate("v", 3.0)._row == rows[0]
+        assert engine._store.handle_for(rows[-1]) is last
+        assert last.session_id == f"session-{engine._store._sid_seq.data[rows[-1]]}"
+
+        sharded = ShardedEngine(engine.policy, shards=4)
+        by_shard = sharded.open_sessions(["u", "v"] * 8, 1.0, roles=("r",))
+        shard, shard_rows = next(iter(by_shard.items()))
+        handle = sharded.session_at(shard, int(shard_rows[0]))
+        assert sharded.session_at(shard, int(shard_rows[0])) is handle
+        for index in (-1, 4, 7, 1.0, None):
+            with pytest.raises(ServiceError):
+                sharded.session_at(index, int(shard_rows[0]))
+        with pytest.raises(RbacError):
+            sharded.session_at(shard, -1)
+        sharded.close()
+        engine.close()
+
     def test_decisions_share_the_handle_subject_id(self):
         """Scalar, swept and served decisions carry
         ``handle.subject.subject_id``, and one session's decisions share
@@ -1538,6 +1606,63 @@ class TestLeanIdentity:
         assert {id(d.subject_id) for d in decisions} == {id(a.subject.subject_id)}
         assert {d.subject_id for d in many[1::2]} == {b.subject.subject_id}
         assert a.subject_id != b.subject_id
+
+
+class TestImpliedPrincipal:
+    """A row's principals code names only the principals beyond its
+    user's own, which :meth:`SessionStore.subject_of` adds back."""
+
+    def test_subject_principals_on_every_open_path(self):
+        engine = AccessControlEngine(_policy([None], [None]))
+        (row,) = engine.open_sessions(["u"], 0.0, roles=("r",))
+        opened = {
+            "bulk": engine.session_at(row),
+            "plain": engine.authenticate("u", 0.0),
+            "extras": engine.authenticate("u", 0.0, {"NapletPrincipal", "x"}),
+            "own": engine.authenticate("u", 0.0, ["user:u", "x"]),
+        }
+        assert {k: s.subject.principals for k, s in opened.items()} == {
+            "bulk": frozenset({"user:u"}),
+            "plain": frozenset({"user:u"}),
+            "extras": frozenset({"NapletPrincipal", "x", "user:u"}),
+            "own": frozenset({"user:u", "x"}),
+        }
+        store = engine._store
+        codes = [store._principals_id.data.item(s._row) for s in opened.values()]
+        assert codes[:2] == [0, 0]
+        assert store._principal_sets[codes[3]] == frozenset({"x"})
+        # A frozen identity keeps its principals past the row's reuse.
+        extras = opened["extras"]
+        engine.close_session(extras, 1.0)
+        assert engine.authenticate("u", 2.0)._row == extras._row
+        assert extras.subject.principals == {"NapletPrincipal", "x", "user:u"}
+
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_bulk_open_interns_no_principal_set(self, shards):
+        policy = _policy([None], [None])
+        names = [f"w{i}" for i in range(1000)]
+        for name in names:
+            policy.add_user(name)
+            policy.assign_user(name, "r")
+        if shards:
+            engine = ShardedEngine(policy, shards=shards)
+            stores = [shard.engine._store for shard in engine._shards]
+        else:
+            engine = AccessControlEngine(policy)
+            stores = [engine._store]
+        rows = engine.open_sessions(names * 2, 0.0, roles=("r",))
+        for store in stores:
+            assert store._principal_sets == [frozenset()]
+            assert len(store._users) == len(set(store._users))
+        assert sum(len(store._users) for store in stores) == 1000
+        if shards:
+            shard, shard_rows = next(iter(rows.items()))
+            session = engine.session_at(shard, int(shard_rows[-1]))
+        else:
+            session = engine.session_at(rows[-1])
+        name = session.subject.user.name
+        assert session.subject.principals == {f"user:{name}"}
+        engine.close()
 
 
 class TestMemoryBudget:
@@ -1575,9 +1700,10 @@ class TestMemoryBudget:
     def test_touched_handle_bytes_within_budget(self):
         """What a touched session keeps beside its row: a handle per
         bulk-opened session, each read through every tracker's state
-        and its role set, retains at most 320 B — the handle and its
-        slot in the store's weak cache.  Its identity is read from the
-        row when asked for, and views are built per read and dropped."""
+        and its role set, retains at most 256 B — the handle, its weak
+        reference and its slot in the store's handle registry.  Its
+        identity is read from the row when asked for, and views are
+        built per read and dropped."""
         engine, rows, _traced, _columns = self._bulk_open()
         rows = rows.tolist()
         handles = [None] * len(rows)
@@ -1595,7 +1721,7 @@ class TestMemoryBudget:
         current, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         per_handle = (current - base) / len(rows)
-        assert per_handle <= 320.0, per_handle
+        assert per_handle <= 256.0, per_handle
 
     def test_bytes_per_session_within_budget_with_timelines(self):
         """The same gate, with the timelines it pays for checked: a
