@@ -14,7 +14,6 @@ __all__ = [
     "TraceModelError",
     "AutomatonError",
     "ConstraintError",
-    "AlphabetError",
     "TemporalError",
     "RbacError",
     "PolicyError",
@@ -65,14 +64,6 @@ class AutomatonError(ReproError):
 
 class ConstraintError(ReproError):
     """Semantic error in a spatial constraint (bad bounds, empty selection...)."""
-
-
-class AlphabetError(ConstraintError):
-    """An access was interned against a compiled alphabet that does not
-    contain it.  Raised by the table-driven decision core
-    (:mod:`repro.srac.compiled`) instead of a bare ``KeyError`` so
-    callers can catch one library type; the vectorized engine treats it
-    as "fall back to the scalar path for this batch"."""
 
 
 class TemporalError(ReproError):

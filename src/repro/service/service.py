@@ -397,12 +397,12 @@ class DecisionService:
         at low load does not regress; ``0`` disables coalescing waits
         altogether (drains still batch whatever is already queued).
     prewarm:
-        ``True`` (or a request alphabet iterable) compiles every policy
-        constraint, its live sets *and its SRAC transition tables* at
-        construction via :meth:`ShardedEngine.prewarm`, eliminating the
-        cold-start spike on the first batch.  Pass the expected request
-        alphabet for full coverage — with ``True`` alone, only the
-        constraints' own universes are warmed.
+        ``True`` (or a request alphabet iterable) interns every policy
+        constraint's state table and the live masks of its request
+        universes at construction via :meth:`ShardedEngine.prewarm`,
+        eliminating the cold-start spike on the first batch.  Pass the
+        expected request alphabet for full coverage — with ``True``
+        alone, only the constraints' own universes are warmed.
     coalition:
         Optional :class:`~repro.coalition.Coalition` to track: every
         shard engine stamps decisions with its membership epoch, and

@@ -21,9 +21,9 @@ key** (the owner's user name by default), so:
   policy version that every shard shares, so equal outcomes decided on
   different shards are one record.  Its entries are pure functions of
   their keys, inserted with ``setdefault``, so racing shards agree;
-* so are the ``(constraint, access)`` extension entries and transition
-  tables: the shards share one copy of each table, and one prewarm
-  fills it.
+* so are the ``(constraint, access)`` extension entries — each a
+  process-wide state table and a live mask: the shards share one
+  copy of the memo, and one prewarm fills it.
 
 Per-shard state (sessions, validity trackers, candidate cache, audit
 log) is touched only under the shard lock, so the engine internals
@@ -87,14 +87,13 @@ class ShardedEngine:
             _Shard(i, AccessControlEngine(policy, **engine_kwargs))
             for i in range(shards)
         ]
-        # One attribution and outcome memo, and one extension entry and
-        # table memo, for every shard: a value decided on several
-        # shards is one record, and one prewarm warms every shard.
+        # One attribution and outcome memo, and one extension entry
+        # memo, for every shard: a value decided on several shards is
+        # one record, and one prewarm warms every shard.
         first = self._shards[0].engine
         for shard in self._shards[1:]:
             shard.engine._memo = first._memo
             shard.engine._extension_cache = first._extension_cache
-            shard.engine._extension_tables = first._extension_tables
         self.policy = policy
         # Routing by store: every handle references its shard's store,
         # so ``shard_of`` is one lookup — no per-session route stamp or
@@ -376,9 +375,9 @@ class ShardedEngine:
         self, alphabet: Iterable[AccessKey | tuple[str, str, str]] = ()
     ) -> int:
         """Prewarm every shard at once: the shards share their
-        extension entry and table memos, so one engine fills them (see
-        :meth:`AccessControlEngine.prewarm`), and the compilation and
-        live-set fixpoints behind them are process-global.  Returns the
+        extension entry memo, so one engine fills it (see
+        :meth:`AccessControlEngine.prewarm`), and the state tables and
+        live-set fixpoints behind it are process-global.  Returns the
         number of (constraint, access) entries warmed."""
         shard = self._shards[0]
         with shard.lock:

@@ -245,13 +245,12 @@ class TestSharedDecisionMemo:
         first = sharded._shards[0].engine
         for shard in sharded._shards:
             assert shard.engine._extension_cache is first._extension_cache
-            assert shard.engine._extension_tables is first._extension_tables
         a, b = self._spread(sharded, 2)
         for session in (a, b):
             assert sharded.decide(session, alphabet[0], 1.0, history=None).granted
         assert sharded.cache_stats().extension_entries == entries
         sharded.invalidate_caches()
-        assert not first._extension_cache and not first._extension_tables
+        assert not first._extension_cache
         assert sharded.cache_stats().extension_entries == 0
         assert sharded.decide(b, alphabet[1], 2.0, history=None).granted
         assert sharded.cache_stats().extension_entries == 1

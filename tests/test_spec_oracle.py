@@ -50,7 +50,7 @@ from repro.rbac.session_store import ColumnTracker
 from repro.service import DecisionService, ShardedEngine
 from repro.srac import reachability
 from repro.srac.ast import constraint_alphabet
-from repro.srac.compiled import TransitionTable
+from repro.srac.compiled import StateTable
 from repro.srac.parser import parse_constraint
 from repro.srac.trace_check import trace_satisfies
 from repro.temporal.validity import CODE_VALID, Scheme
@@ -515,13 +515,12 @@ class TestOracleHarness:
         spatial verdict live, or every temporal code VALID — and the
         harness must fail."""
         if breakage == "live-mask":
-            original = TransitionTable.__init__
-
-            def broken(self, *args, **kwargs):
-                original(self, *args, **kwargs)
-                self.live = np.ones_like(self.live)
-
-            monkeypatch.setattr(TransitionTable, "__init__", broken)
+            # The one mask builder: decide and the sweep both read it.
+            monkeypatch.setattr(
+                StateTable,
+                "_build_mask",
+                lambda self, universe: b"\x01" * self.n_states,
+            )
         else:
             monkeypatch.setattr(
                 ColumnTracker,

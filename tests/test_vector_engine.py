@@ -12,10 +12,8 @@ decisions are *right* is checked against the definitions-level oracle
 in ``tests/test_spec_oracle.py``.)
 
 Ineligible batches must *fall back*, not fail: the fallback paths are
-driven both through configuration (owner scope, a product over the
-reachability budget, explicit history, ``observe_granted``) and
-through forced :class:`~repro.errors.AlphabetError` interning
-failures.
+driven through configuration (owner scope, a product over the
+reachability budget, explicit history, ``observe_granted``).
 
 The audit log keeps every decision, so what one decision retains is
 gated too (``TestRetainedDecisions``): bytes per swept and per scalar
@@ -39,13 +37,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests.strategies as strategies
-from repro.errors import AlphabetError, ReproError
+from repro.errors import ReproError
 from repro.obs.provenance import CandidateProvenance, DecisionProvenance
 from repro.rbac.audit import AuditLog, Decision, Outcome
 from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
-from repro.srac.compiled import TransitionTable, compile_table
+from repro.srac.compiled import StateTable
+from repro.srac.monitors import compile_constraint
 from repro.srac.parser import parse_constraint
 from repro.service.sharding import ShardedEngine
 from repro.traces.trace import AccessKey
@@ -259,23 +258,6 @@ class TestFallbacks:
             assert vec[0].cache_stats().vector_fallbacks == 6
             _assert_equivalent(vec, sc)
 
-    def test_alphabet_error_falls_back_not_raises(self, monkeypatch):
-        """A forced interning failure mid-prepare must degrade to the
-        scalar loop, not surface (prepare leaves no session state)."""
-        constraint = parse_constraint(COUNT_SRC)
-        vec, sc = _build_engines([constraint], [None])
-
-        def boom(self, access):
-            raise AlphabetError(f"access {access} outside table alphabet")
-
-        monkeypatch.setattr(TransitionTable, "intern", boom)
-        got = vec[0].decide_batch(vec[1], self._grant_batch(), t=1.0, dt=1.0)
-        monkeypatch.undo()
-        want = _decide_loop(sc[0], sc[1], self._grant_batch(), t=1.0, dt=1.0)
-        assert [_norm(d) for d in got] == [_norm(d) for d in want]
-        assert vec[0].cache_stats().vector_fallbacks == 6
-        _assert_equivalent(vec, sc)
-
     def test_stale_time_falls_back(self):
         """A batch starting behind an existing tracker's clock cannot be
         swept (tracker queries must stay monotone) — and the scalar
@@ -299,45 +281,20 @@ class TestFallbacks:
 
 
 class TestAlphabetInterning:
-    def test_intern_raises_typed_error(self):
-        constraint = parse_constraint(CHAIN_SRC)
-        universe = (
-            AccessKey("exec", "r1", "s1"),
-            AccessKey("exec", "r1", "s2"),
-        )
-        table = compile_table(constraint, universe, cache=False)
-        assert table is not None
-        foreign = AccessKey("write", "r9", "s9")
-        with pytest.raises(AlphabetError) as err:
-            table.intern(foreign)
-        assert isinstance(err.value, ReproError)
-        assert not isinstance(err.value, KeyError)
-        assert "r9" in str(err.value)
-
-    def test_intern_many_raises_typed_error(self):
-        constraint = parse_constraint(CHAIN_SRC)
-        universe = (
-            AccessKey("exec", "r1", "s1"),
-            AccessKey("exec", "r1", "s2"),
-        )
-        table = compile_table(constraint, universe, cache=False)
-        with pytest.raises(AlphabetError):
-            table.intern_many(
-                [AccessKey("exec", "r1", "s1"), AccessKey("read", "r2", "s3")]
-            )
-
     def test_step_ids_matches_monitor_steps(self):
         constraint = parse_constraint(COUNT_SRC)
         universe = tuple(
             AccessKey("exec", "r1", s) for s in ("s1", "s2", "s3")
         )
-        table = compile_table(constraint, universe, cache=False)
+        compiled = compile_constraint(constraint, cache=False)
+        table = StateTable(compiled)
         state = table.initial
         for access in universe * 3:
-            state = int(table.trans[state, table.intern(access)])
-        assert 0 <= state < table.trans.shape[0]
+            state = table.step(state, access)
+        assert 0 <= state < table.n_states
+        assert table.decode(state) == compiled.run(universe * 3)
         # Counting 9 accesses against count(0, 3) leaves a dead state.
-        assert not bool(table.live[state])
+        assert not table.live_mask(universe)[state]
 
 
 class TestBatchMany:
