@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from repro.errors import ConstraintError
 from repro.srac.ast import (
@@ -73,6 +73,13 @@ class Monitor:
         """Number of distinct states (complexity accounting)."""
         raise NotImplementedError
 
+    def label(self, access: AccessKey) -> Hashable:
+        """What :meth:`step` reads of ``access``: two accesses have
+        equal labels exactly when they step every state alike.  By
+        default the step function itself; the atomic monitors return a
+        few booleans instead."""
+        return tuple(self.step(s, access) for s in range(self.size()))
+
     def run(self, trace: Sequence[AccessKey]) -> int:
         """Fold a whole trace from the initial state."""
         state = self.initial()
@@ -101,6 +108,9 @@ class AtomMonitor(Monitor):
     def size(self) -> int:
         return 2
 
+    def label(self, access: AccessKey) -> Hashable:
+        return access == self.access
+
 
 @dataclass(frozen=True)
 class OrderedMonitor(Monitor):
@@ -125,6 +135,9 @@ class OrderedMonitor(Monitor):
 
     def size(self) -> int:
         return 3
+
+    def label(self, access: AccessKey) -> Hashable:
+        return (access == self.first, access == self.second)
 
 
 @dataclass(frozen=True)
@@ -159,6 +172,11 @@ class CountMonitor(Monitor):
 
     def size(self) -> int:
         return self._cap() + 1
+
+    def label(self, access: AccessKey) -> Hashable:
+        # Capped at 0, the counter has one state: every access steps it
+        # alike.
+        return self._cap() > 0 and self.matcher(access)
 
 
 class CompiledConstraint:
