@@ -16,8 +16,8 @@ service (``repro.service``) removes both costs:
   batches.
 
 The headline workload is the **warm cache-hit path**: every decision
-is a candidate-cache hit + one monitor step + a live-set membership
-test, with an emulated propagation round trip of ``latency_ms`` per
+is a candidate-cache hit + one state-id step + a live-mask read,
+with an emulated propagation round trip of ``latency_ms`` per
 flush (batch of ``FLUSH_BATCH`` in the service, every single access in
 the baseline — exactly the synchronous-call-per-access pattern the
 service replaces).  A pure-CPU section (no propagation) is also

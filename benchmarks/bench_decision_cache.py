@@ -1,4 +1,4 @@
-"""EXP-CACHE — the compiled-constraint cache + coreachability layer.
+"""EXP-CACHE — the state-table cache and its live masks.
 
 A coalition server replays the same kind of request over and over
 against one policy, so per-decision compilation and BFS satisfiability
@@ -6,16 +6,15 @@ searches are pure waste: the policy is constant.  This benchmark
 measures the repeated-decision workload three ways:
 
 * **baseline** — the pre-cache spatial check as an explicit loop: per
-  decision, a fresh constraint compilation
-  (``compile_constraint(..., cache=False)``), a replay of the history
-  plus the request, and a BFS over the request universe
-  (``satisfiable_extension_states(..., use_cache=False)``).  It skips
-  the engine's candidate lookup, decision building and audit, so it
-  is a lower bound on what an uncached engine would cost;
+  decision, a fresh constraint compilation (``compile_constraint``), a
+  replay of the history plus the request, and a BFS over the request
+  universe (``satisfiable_extension_states(..., use_cache=False)``).
+  It skips the engine's candidate lookup, decision building and audit,
+  so it is a lower bound on what an uncached engine would cost;
 * **cold** — the engine's very first decision, which pays the one-off
-  compile + live-set precomputation;
-* **warm** — the engine in incremental mode: one monitor step plus an
-  O(1) live-set membership per decision.
+  state-table and live-mask build;
+* **warm** — the engine in incremental mode: one state-id step plus one
+  live-mask read per decision.
 
 The baseline's verdicts are verified equal to the warm engine's before
 any number is reported, and the engine's cache hit-rates are printed.
@@ -44,7 +43,7 @@ from repro.traces.trace import AccessKey
 #: A counting bound + an ordering obligation.  The bound is generous
 #: enough never to deny this workload, yet keeps the monitor product
 #: (1002 × 3 states) well inside the reachability budget, so the warm
-#: path is a pure live-set membership test.
+#: path is a pure live-mask read.
 CONSTRAINT_SRC = (
     "count(0, 1000, [res = rsw]) & (exec rsw @ s0 >> exec rsw @ s1)"
 )
@@ -93,7 +92,7 @@ def decide_baseline(n: int) -> list[bool]:
     verdicts = []
     for i in range(n):
         access = AccessKey(*_request(i))
-        compiled = compile_constraint(CONSTRAINT, cache=False)
+        compiled = compile_constraint(CONSTRAINT)
         states = compiled.run(HISTORY + (access,))
         universe = tuple(
             dict.fromkeys((*constraint_alphabet(CONSTRAINT), access))
@@ -185,9 +184,9 @@ def print_report(report: dict) -> None:
     print(f"{'baseline (pre-cache)':<26}{report['baseline_rate']:>13.0f}")
     print(f"{'warm (cached)':<26}{report['warm_rate']:>13.0f}")
     print(f"cold first decision: {report['cold_first_ms']:.2f} ms "
-          f"(compile + live-set build)")
+          f"(state-table + live-mask build)")
     print(f"warm speedup over baseline: {report['speedup']:.1f}x")
-    print(f"live-set hit rate: {report['live_hit_rate']:.1%} "
+    print(f"live-mask hit rate: {report['live_hit_rate']:.1%} "
           f"({report['fallbacks']} BFS fallbacks)")
     print("counters:", report["stats"])
 

@@ -52,7 +52,6 @@ from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
 from repro.srac import reachability
-from repro.srac.compiled import table_cache_counters
 from repro.srac.parser import parse_constraint
 from repro.traces.trace import AccessKey
 
@@ -304,8 +303,8 @@ def retained_bytes_per_decision(n: int) -> dict[str, float]:
 
 
 def cold_compile_ms() -> float:
-    """First vectorized batch on cold process caches: table build +
-    live-set precomputation + sweep of a tiny batch."""
+    """First vectorized batch on cold process caches: state-table and
+    live-mask build + sweep of a tiny batch."""
     reachability.clear_caches()
     engine, session = _engine()
     with closing(engine):
@@ -321,7 +320,7 @@ def measure(n: int = 50_000) -> dict:
     vector = rate_batch(n)
     many = rate_many(n)
     retained = retained_bytes_per_decision(min(n, 20_000))
-    hits, misses, fallbacks, entries = table_cache_counters()
+    srac = reachability.cache_stats()
     return {
         "n": n,
         "verified_identical": compared,
@@ -331,12 +330,7 @@ def measure(n: int = 50_000) -> dict:
         "many_rate": many,
         "speedup_vs_decide": vector / naive,
         "retained_bytes_per_decision": retained,
-        "table_cache": {
-            "hits": hits,
-            "misses": misses,
-            "fallbacks": fallbacks,
-            "entries": entries,
-        },
+        "table_cache": srac.as_dict(),
     }
 
 
@@ -352,7 +346,7 @@ def print_report(report: dict) -> None:
     print(f"vector speedup: {report['speedup_vs_decide']:.1f}x over decide()")
     print(
         f"cold first batch: {report['cold_first_batch_ms']:.2f} ms "
-        f"(table + live-set build)"
+        f"(table + live-mask build)"
     )
     retained = report["retained_bytes_per_decision"]
     print(
@@ -366,9 +360,9 @@ def check_acceptance(report: dict, smoke: bool = False) -> None:
     """Hard gates.  The retained-bytes budgets hold in both modes.  Smoke
     mode (CI) uses conservative throughput floors — shared runners are
     slow and noisy; the full run asserts the design targets.  The
-    decisions read interned state tables (``entries``), none of which
-    refused a live mask over the state budget (``fallbacks``)."""
-    assert report["table_cache"]["entries"] > 0, report["table_cache"]
+    decisions read interned state tables' live masks (``live_sets``),
+    and no table refused a mask over the state budget (``fallbacks``)."""
+    assert report["table_cache"]["live_sets"] > 0, report["table_cache"]
     assert report["table_cache"]["fallbacks"] == 0, report["table_cache"]
     retained = report["retained_bytes_per_decision"]
     assert retained["swept"] <= SWEPT_BUDGET_B, retained

@@ -271,7 +271,7 @@ def exp_rbac() -> None:
 
 
 def exp_cache() -> None:
-    header("EXP-CACHE  compiled-constraint cache + coreachability layer")
+    header("EXP-CACHE  state-table cache + live masks")
     from bench_decision_cache import HISTORY_LEN, SERVERS, measure
 
     report = measure(n=1000)
@@ -281,9 +281,9 @@ def exp_cache() -> None:
     print(f"{'baseline (pre-cache)':<26}{report['baseline_rate']:>13.0f}")
     print(f"{'warm (cached)':<26}{report['warm_rate']:>13.0f}")
     print(f"cold first decision: {report['cold_first_ms']:.2f} ms "
-          f"(compile + live-set build)")
+          f"(state-table + live-mask build)")
     print(f"warm speedup over baseline: {report['speedup']:.1f}x")
-    print(f"live-set hit rate: {report['live_hit_rate']:.1%} "
+    print(f"live-mask hit rate: {report['live_hit_rate']:.1%} "
           f"({report['fallbacks']} BFS fallbacks)")
 
 

@@ -108,8 +108,8 @@ class CoalitionServer:
         ``(op, resource, server)`` key per supported operation of each
         hosted resource, in deterministic order.  Feed this to
         :meth:`~repro.rbac.engine.AccessControlEngine.prewarm` so the
-        compile and live-set caches are hot before the first request
-        arrives."""
+        state tables and their live masks are built before the first
+        request arrives."""
         return tuple(
             AccessKey(op, resource.name, self.name)
             for resource in sorted(self.resources, key=lambda r: r.name)

@@ -166,7 +166,7 @@ class EngineCacheStats:
     """Snapshot of the engine's caching layers for one report:
     candidate-permission lookups (hits/misses of the per
     (policy-version, role-set, access) cache) plus the process-level
-    SRAC compile/reachability counters
+    SRAC table-cache counters
     (:class:`repro.srac.reachability.CacheStats`)."""
 
     candidate_hits: int
@@ -348,8 +348,8 @@ class AccessControlEngine:
             "engine.decide.max_s": self._obs_decide_max_s,
             "engine.candidate_cache.hits": self._candidate_hits,
             "engine.candidate_cache.misses": self._candidate_misses,
-            "engine.live_set.hits": self._live_hits,
-            "engine.live_set.fallbacks": self._live_fallbacks,
+            "engine.live_mask.hits": self._live_hits,
+            "engine.live_mask.fallbacks": self._live_fallbacks,
             "engine.vector.decisions": self._vector_decisions,
             "engine.vector.fallbacks": self._vector_fallbacks,
         }
@@ -969,7 +969,7 @@ class AccessControlEngine:
         (validity trackers require monotone time).  The default
         ``history=None`` uses incremental mode — the intended use for
         server-side stream replay, where each decision is a cached
-        monitor step plus a live-set lookup.  With ``observe_granted``
+        state-id step plus a live-mask read.  With ``observe_granted``
         every granted access is fed back via :meth:`observe` before the
         next request is decided, modelling a client that performs each
         access it is granted.

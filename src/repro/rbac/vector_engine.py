@@ -273,7 +273,7 @@ def prepare_sweep(
         # Commit bookkeeping: candidate j was *examined* by a request
         # unless an earlier candidate granted it, exactly the scalar
         # loop's prefix.  Examined candidates pin their tracker to the
-        # latest examined instant and count a live-set hit each.
+        # latest examined instant and count a live-mask hit each.
         # (Plain lists: the groups a micro-batched service drains are
         # small enough that numpy fixed costs dominate masked reductions.)
         granted_list = granted_at.tolist()

@@ -4,7 +4,7 @@ Layers (bottom-up):
 
 * :class:`~repro.service.sharding.ShardedEngine` — sessions partitioned
   across N :class:`~repro.rbac.engine.AccessControlEngine` shards by
-  stable hash; process-global compiled-constraint and live-set caches
+  stable hash; the process-global state tables and their live masks
   shared by all shards.
 * :class:`~repro.service.batching.ProofBatch` — coalesced,
   latency-model-aware cross-server execution-proof propagation with an

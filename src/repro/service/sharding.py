@@ -12,11 +12,11 @@ key** (the owner's user name by default), so:
 * every session of one user lands on the *same* shard, which keeps the
   owner-coordination scope (combined companion histories, Section 1)
   correct without cross-shard synchronisation;
-* the expensive read-mostly artifacts — interned compiled constraints
-  and precomputed live sets (:mod:`repro.srac.monitors`,
-  :mod:`repro.srac.reachability`) — remain **process-global**: they
-  are immutable once built and their tables are lock-guarded, so all
-  shards share one copy and one warm-up;
+* the expensive read-mostly artifacts — the interned state tables and
+  their live masks (:mod:`repro.srac.compiled`) — remain
+  **process-global**: every entry is a pure function of its key and
+  the table cache is lock-guarded, so all shards share one copy and
+  one warm-up;
 * the interned decision attribution and outcomes are one memo per
   policy version that every shard shares, so equal outcomes decided on
   different shards are one record.  Its entries are pure functions of
@@ -377,7 +377,7 @@ class ShardedEngine:
         """Prewarm every shard at once: the shards share their
         extension entry memo, so one engine fills it (see
         :meth:`AccessControlEngine.prewarm`), and the state tables and
-        live-set fixpoints behind it are process-global.  Returns the
+        live masks behind it are process-global.  Returns the
         number of (constraint, access) entries warmed."""
         shard = self._shards[0]
         with shard.lock:

@@ -43,17 +43,13 @@ from repro.srac.monitors import (
     CountMonitor,
     Monitor,
     OrderedMonitor,
-    clear_compile_cache,
-    compile_cache_counters,
     compile_constraint,
 )
 from repro.srac.reachability import (
     CacheStats,
     cache_stats,
     clear_caches,
-    live_set,
     reset_cache_stats,
-    satisfiable_states,
 )
 from repro.srac.parser import parse_constraint, parse_selection
 from repro.srac.printer import unparse_constraint, unparse_selection
@@ -99,11 +95,7 @@ __all__ = [
     "CacheStats",
     "cache_stats",
     "clear_caches",
-    "clear_compile_cache",
-    "compile_cache_counters",
-    "live_set",
     "reset_cache_stats",
-    "satisfiable_states",
     "AtomMonitor",
     "CompiledConstraint",
     "CountMonitor",

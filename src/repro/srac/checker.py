@@ -40,8 +40,8 @@ from typing import Literal, Sequence
 from repro.errors import ConstraintError
 from repro.sral.ast import Program
 from repro.srac.ast import Constraint
+from repro.srac.compiled import state_table
 from repro.srac.monitors import CompiledConstraint, compile_constraint
-from repro.srac.reachability import satisfiable_states
 from repro.traces.model import program_traces
 from repro.traces.trace import AccessKey
 
@@ -118,7 +118,7 @@ def check_program_stats(
     """
     if mode not in ("forall", "exists"):
         raise ConstraintError(f"unknown check mode {mode!r}")
-    compiled: CompiledConstraint = compile_constraint(constraint)
+    compiled = state_table(constraint).compiled
     monitor_start = compiled.run(tuple(AccessKey(*a) for a in history))
 
     nfa = program_traces(program).nfa
@@ -220,35 +220,18 @@ def satisfiable_extension_states(
     states (e.g. the engine's per-session cache) skip the history
     replay entirely.
 
-    With ``use_cache`` (the default) the answer is a membership lookup
-    in the precomputed coreachable set of the monitor product
-    (:mod:`repro.srac.reachability`); products beyond the state budget
-    — and calls with ``use_cache=False`` — run the explicit BFS below.
+    With ``use_cache`` (the default) the answer is one read of the
+    constraint's state-table live mask at the vector's id; over the
+    state budget, and with ``use_cache=False``, the bounded BFS
+    (:meth:`~repro.srac.monitors.CompiledConstraint.reaches_acceptance`)
+    answers.
     """
     if use_cache:
-        verdict = satisfiable_states(compiled, states, alphabet)
-        if verdict is not None:
-            return verdict
-    symbols = tuple(dict.fromkeys(AccessKey(*a) for a in alphabet))
-    seen = {states}
-    queue: deque[tuple[int, ...]] = deque([states])
-    explored = 0
-    while queue:
-        current = queue.popleft()
-        explored += 1
-        if explored > max_configurations:
-            raise ConstraintError(
-                f"satisfiability search exceeded {max_configurations} "
-                "monitor configurations"
-            )
-        if compiled.evaluate(current):
-            return True
-        for symbol in symbols:
-            nxt = compiled.step(current, symbol)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+        table = state_table(compiled.constraint)
+        mask = table.live_mask(alphabet)
+        if mask is not None:
+            return mask[table.encode(states)] != 0
+    return compiled.reaches_acceptance(states, alphabet, max_configurations)
 
 
 def satisfiable_extension(
@@ -272,12 +255,14 @@ def satisfiable_extension(
     history, mode="exists")`` for the given alphabet, but implemented
     directly on the monitor product (no program automaton needed).
 
-    Compilation goes through the process-level interned cache, so
-    repeated calls for one policy constraint compile it exactly once;
-    ``use_cache=False`` bypasses both the compile cache and the
-    precomputed live set (fresh compile + explicit BFS).
+    ``use_cache=False`` compiles afresh and runs the BFS instead of
+    reading the constraint's interned state table.
     """
-    compiled = compile_constraint(constraint, cache=use_cache)
+    compiled = (
+        state_table(constraint).compiled
+        if use_cache
+        else compile_constraint(constraint)
+    )
     start = compiled.run(tuple(AccessKey(*a) for a in history))
     return satisfiable_extension_states(
         compiled, start, alphabet, max_configurations, use_cache=use_cache

@@ -1,4 +1,5 @@
-"""Per-constraint state tables: the one stepped form of a monitor product.
+"""Per-constraint state tables: the one stepped form of a monitor product,
+and the one SRAC cache.
 
 :class:`~repro.srac.monitors.CompiledConstraint` holds a constraint's
 product state as a tuple of small monitor states and advances it in
@@ -19,50 +20,59 @@ steps ids and says which of them can still reach acceptance:
   than the budget) an access is stepped through the tuple monitors
   without a column.
 * :meth:`StateTable.live_mask` is one byte per id, 1 where some word
-  over the given universe drives the id to acceptance.  It is built
-  from the :mod:`repro.srac.reachability` coreachability fixpoint — no
-  second liveness algorithm — and interned per universe on the table.
-  A product over :data:`~repro.srac.reachability.DEFAULT_STATE_BUDGET`
-  states has no mask (``None``): callers step its id as any other and
-  ask :meth:`StateTable.searches_to_acceptance`, the bounded search
-  from the id's monitor vector.
+  over the given universe drives the id to acceptance.  It is one
+  backward search over the table's own columns, from the accepting
+  ids, and it is interned per *set of classes* the universe steps
+  through: universes no monitor tells apart share one mask.  A product
+  over :data:`DEFAULT_STATE_BUDGET` states has no mask (``None``):
+  callers step its id as any other and ask
+  :meth:`StateTable.searches_to_acceptance`, the bounded search from
+  the id's monitor vector, remembered per (class set, id).
 
 Tables are interned process-wide per constraint by :func:`state_table`,
-like the compile cache they build on, and
-:func:`repro.srac.reachability.clear_caches` drops them.  Two tables of
-one constraint number its states alike, so they compare equal.  Every
-entry of a table's memos steps or answers correctly for its key, and
-entries are inserted with ``setdefault``, so the shards of a service
-share tables without a lock of their own.
+the only interning of a constraint in the process; one lock guards the
+table cache and its counters (:func:`cache_stats`, :func:`clear_caches`,
+also importable from :mod:`repro.srac.reachability`).  Two tables of
+one constraint number its states alike, so they compare equal.  Every entry of a table's memos steps or answers correctly for
+its key, and entries are inserted with ``setdefault``, so the shards of
+a service share tables without a lock of their own.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
 from repro.srac.ast import Constraint
-from repro.srac.checker import satisfiable_extension_states
 from repro.srac.monitors import CompiledConstraint, compile_constraint
-from repro.srac.reachability import DEFAULT_STATE_BUDGET, _compute_live
 from repro.traces.trace import AccessKey
 
 __all__ = [
     "DEFAULT_CELL_BUDGET",
+    "DEFAULT_STATE_BUDGET",
+    "CacheStats",
     "StateTable",
+    "cache_stats",
+    "clear_caches",
+    "reset_cache_stats",
     "state_table",
-    "clear_table_cache",
-    "table_cache_counters",
 ]
+
+#: Products with more states than this get no live mask; their ids
+#: are answered by the bounded search instead.
+DEFAULT_STATE_BUDGET = 100_000
 
 #: The most column cells (4 bytes each) one table keeps: 16 MB.
 DEFAULT_CELL_BUDGET = 4_000_000
 
-# Accesses a table remembers the column of; past it the index is
-# cleared wholesale (the columns stay, keyed by class).
+# Accesses a table remembers the column of, and over-budget verdicts it
+# remembers; past it either memo is cleared wholesale (the columns
+# stay, keyed by class).
 _ACCESSES_MAX = 4096
 
 
@@ -72,14 +82,14 @@ class StateTable:
     Attributes
     ----------
     constraint, compiled:
-        The source constraint and its interned monitor-vector form.
+        The source constraint and its monitor-vector form.
     sizes, strides:
         Each monitor's state count and its stride in the mixed radix.
     n_states:
         ``Π sizes``: every id in ``range(n_states)`` is a state (the
-        full Cartesian product, as the coreachability fixpoint
-        enumerates it, since history-induced states need not be
-        reachable over a request universe).
+        full Cartesian product, which the live masks answer whole,
+        since history-induced states need not be reachable over a
+        request universe).
     initial:
         The id of the all-initial monitor vector.
 
@@ -98,6 +108,8 @@ class StateTable:
         "_columns",
         "_classes",
         "_masks",
+        "_accepting",
+        "_searched",
     )
 
     def __init__(self, compiled: CompiledConstraint):
@@ -112,10 +124,13 @@ class StateTable:
         self.initial = self.encode(compiled.initial())
         self._hash = hash(self.constraint)
         # access -> its class's column, or () once the cell budget is
-        # spent; class (per-monitor labels) -> column.
+        # spent; class (per-monitor labels) -> column; class set -> live
+        # mask; (class set, id) -> over-budget verdict.
         self._columns: dict[AccessKey, array | tuple] = {}
         self._classes: dict[tuple, array] = {}
-        self._masks: dict[frozenset[AccessKey], bytes] = {}
+        self._masks: dict[frozenset[tuple], bytes] = {}
+        self._accepting: np.ndarray | None = None
+        self._searched: dict[tuple[frozenset[tuple], int], bool] = {}
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -159,119 +174,200 @@ class StateTable:
             state = step(state, access)
         return state
 
+    def _label(self, access: AccessKey) -> tuple:
+        """``access``'s class: its monitors' labels."""
+        return tuple(monitor.label(access) for monitor in self.compiled.monitors)
+
+    def _classes_of(self, universe: Iterable[AccessKey]) -> dict[tuple, AccessKey]:
+        """An access of each class ``universe`` steps through."""
+        return {self._label(key): key for key in map(AccessKey._make, universe)}
+
     def _column(self, access: AccessKey) -> array | tuple:
         """The column of ``access``'s class, built if no access of the
         class has been stepped yet, or ``()`` when the table's cells are
         spent."""
         key = AccessKey(*access)
-        monitors = self.compiled.monitors
-        label = tuple(monitor.label(key) for monitor in monitors)
+        label = self._label(key)
         column = self._classes.get(label)
         if column is None:
             # Racing shards may each add one column past the budget.
             if (len(self._classes) + 1) * self.n_states > DEFAULT_CELL_BUDGET:
                 column = ()
             else:
-                # Monitor by monitor, MSB first: position prev·n_i + s
-                # holds the successor code prev_code + step_i(s)·stride_i.
-                ids = np.zeros(1, dtype=np.int64)
-                for monitor, size, stride in zip(
-                    monitors, self.sizes, self.strides
-                ):
-                    moved = np.fromiter(
-                        (monitor.step(s, key) for s in range(size)),
-                        np.int64,
-                        size,
-                    )
-                    ids = (ids[:, None] + moved * stride).ravel()
-                column = self._classes.setdefault(
-                    label, array("i", ids.astype(np.int32).tobytes())
-                )
+                column = self._classes.setdefault(label, self._new_column(key))
         if len(self._columns) >= _ACCESSES_MAX:
             self._columns.clear()
         return self._columns.setdefault(access, column)
+
+    def _new_column(self, access: AccessKey) -> array:
+        """Every id's successor under ``access``, monitor by monitor,
+        MSB first: position prev·n_i + s holds the successor code
+        prev_code + step_i(s)·stride_i."""
+        ids = np.zeros(1, dtype=np.int64)
+        for monitor, size, stride in zip(
+            self.compiled.monitors, self.sizes, self.strides
+        ):
+            moved = np.fromiter(
+                (monitor.step(s, access) for s in range(size)), np.int64, size
+            )
+            ids = (ids[:, None] + moved * stride).ravel()
+        return array("i", ids.astype(np.int32).tobytes())
 
     # -- liveness -------------------------------------------------------------
 
     def live_mask(self, universe: Iterable[AccessKey]) -> bytes | None:
         """One byte per id: 1 where some word over ``universe`` drives
-        the id to acceptance.  Interned per universe; ``None`` over the
-        state budget."""
-        global _table_hits, _table_misses, _table_fallbacks
+        the id to acceptance.  Interned per set of classes the universe
+        steps through; ``None`` over the state budget."""
         if self.n_states > DEFAULT_STATE_BUDGET:
-            with _cache_lock:
-                _table_fallbacks += 1
+            _count("fallbacks")
             return None
-        key = frozenset(universe)
+        classes = self._classes_of(universe)
+        key = frozenset(classes)
         mask = self._masks.get(key)
         if mask is not None:
-            with _cache_lock:
-                _table_hits += 1
+            _count("reachability_hits")
             return mask
-        with _cache_lock:
-            _table_misses += 1
-        return self._masks.setdefault(key, self._build_mask(key))
+        _count("reachability_misses")
+        return self._masks.setdefault(key, self._build_mask(classes))
 
     def searches_to_acceptance(
         self, state: int, universe: Iterable[AccessKey]
     ) -> bool:
         """The bounded search from ``state``'s monitor vector: the
-        liveness of an id over the state budget, which has no mask."""
-        return satisfiable_extension_states(
-            self.compiled, self.decode(state), tuple(universe), use_cache=False
-        )
+        liveness of an id over the state budget, which has no mask.
+        Remembered per (class set, id), since accesses of one class
+        step every vector alike."""
+        classes = self._classes_of(universe)
+        key = (frozenset(classes), state)
+        verdict = self._searched.get(key)
+        if verdict is None:
+            verdict = self.compiled.reaches_acceptance(
+                self.decode(state), classes.values()
+            )
+            if len(self._searched) >= _ACCESSES_MAX:
+                self._searched.clear()
+            verdict = self._searched.setdefault(key, verdict)
+        return verdict
 
-    def _build_mask(self, universe: Iterable[AccessKey]) -> bytes:
-        """The live mask, from one run of the coreachability fixpoint;
-        only the mask is kept."""
-        live = _compute_live(self.compiled, [AccessKey(*a) for a in universe])
-        mask = np.zeros(self.n_states, dtype=np.uint8)
-        if live:
-            vectors = np.array(list(live), dtype=np.int64)
-            mask[vectors @ np.asarray(self.strides, dtype=np.int64)] = 1
-        return mask.tobytes()
+    def _build_mask(self, classes: dict[tuple, AccessKey]) -> bytes:
+        """The live mask over ``classes``' columns: a backward search
+        from the accepting ids over each id's predecessors.  A column
+        past the cell budget is built for the search and not kept."""
+        n = self.n_states
+        if self._accepting is None:
+            self._accepting = self._accepting_ids()
+        marks = np.zeros(n, dtype=np.uint8)
+        marks[self._accepting] = 1
+        live = bytearray(marks)
+        frontier = self._accepting.tolist()
+        if classes:
+            # Predecessor lists as CSR: the (predecessor, successor)
+            # edges of every column, self-loops dropped, sorted by
+            # successor.
+            successors = np.concatenate(
+                [
+                    np.frombuffer(self._column(a) or self._new_column(a), np.int32)
+                    for a in classes.values()
+                ]
+            )
+            predecessors = np.tile(np.arange(n, dtype=np.int32), len(classes))
+            moved = successors != predecessors
+            successors, predecessors = successors[moved], predecessors[moved]
+            order = np.argsort(successors)
+            starts = np.searchsorted(successors[order], np.arange(n + 1)).tolist()
+            before = predecessors[order].tolist()
+            while frontier:
+                state = frontier.pop()
+                for predecessor in before[starts[state] : starts[state + 1]]:
+                    if not live[predecessor]:
+                        live[predecessor] = 1
+                        frontier.append(predecessor)
+        return bytes(live)
+
+    def _accepting_ids(self) -> np.ndarray:
+        """Every id whose monitor vector satisfies the constraint: each
+        monitor's acceptance bit gathered over the ids, and the
+        skeleton decided on the bit arrays."""
+        ids = np.arange(self.n_states)
+        bits = [
+            np.fromiter(map(monitor.accepting, range(size)), bool, size)[
+                ids // stride % size
+            ]
+            for monitor, size, stride in zip(
+                self.compiled.monitors, self.sizes, self.strides
+            )
+        ]
+        verdicts = self.compiled.holds(bits)
+        return np.flatnonzero(np.broadcast_to(verdicts, (self.n_states,)))
 
 
-# Process-level table cache, same discipline as the compile and
-# live-set caches: keyed by constraint, guarded by a lock, cleared
-# wholesale past the cap.
+# -- the process-wide cache ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CacheStats:
+    """Snapshot of the SRAC cache: ``compile_*`` counts state tables
+    served from / built into the cache, ``reachability_*`` live masks
+    served / built, ``fallbacks`` live masks refused over the state
+    budget, and ``live_sets`` the masks the interned tables hold."""
+
+    compile_hits: int
+    compile_misses: int
+    reachability_hits: int
+    reachability_misses: int
+    fallbacks: int
+    live_sets: int
+
+    def as_dict(self) -> dict[str, int]:
+        return asdict(self)
+
+
+# Keyed by constraint, cleared wholesale past the cap.  One lock guards
+# the dict and the counters (named as the CacheStats fields they feed);
+# tables are built outside it, and the first insert wins a race.
 _TABLE_CACHE_MAX = 1024
 _cache_lock = threading.Lock()
-_table_cache: dict[Constraint, StateTable] = {}
-_table_hits = 0
-_table_misses = 0
-_table_fallbacks = 0
+_tables: dict[Constraint, StateTable] = {}
+_counts: Counter[str] = Counter()
+
+
+def _count(name: str) -> None:
+    with _cache_lock:
+        _counts[name] += 1
 
 
 def state_table(constraint: Constraint) -> StateTable:
     """The interned :class:`StateTable` of ``constraint``."""
-    global _table_hits, _table_misses
     with _cache_lock:
-        table = _table_cache.get(constraint)
-        if table is not None:
-            _table_hits += 1
-            return table
-        _table_misses += 1
+        table = _tables.get(constraint)
+        _counts["compile_misses" if table is None else "compile_hits"] += 1
+    if table is not None:
+        return table
     fresh = StateTable(compile_constraint(constraint))
     with _cache_lock:
-        if len(_table_cache) >= _TABLE_CACHE_MAX:
-            _table_cache.clear()
-        return _table_cache.setdefault(constraint, fresh)
+        if len(_tables) >= _TABLE_CACHE_MAX:
+            _tables.clear()
+        return _tables.setdefault(constraint, fresh)
 
 
-def clear_table_cache() -> None:
-    """Drop every interned table and zero the counters."""
-    global _table_hits, _table_misses, _table_fallbacks
+def cache_stats() -> CacheStats:
+    """The counters, and the live masks the interned tables hold."""
     with _cache_lock:
-        _table_cache.clear()
-        _table_hits = 0
-        _table_misses = 0
-        _table_fallbacks = 0
+        counts = {field.name: _counts[field.name] for field in fields(CacheStats)}
+        counts["live_sets"] = sum(len(table._masks) for table in _tables.values())
+        return CacheStats(**counts)
 
 
-def table_cache_counters() -> tuple[int, int, int, int]:
-    """``(hits, misses, fallbacks, entries)``: tables and live masks
-    served from / added to the cache, live masks refused over the state
-    budget, and interned tables."""
+def reset_cache_stats() -> None:
+    """Zero the counters; the tables and their masks stay."""
     with _cache_lock:
-        return _table_hits, _table_misses, _table_fallbacks, len(_table_cache)
+        _counts.clear()
+
+
+def clear_caches() -> None:
+    """Drop every interned table, with its columns and masks, and zero
+    the counters: the big hammer for tests and policy hot-reloads."""
+    with _cache_lock:
+        _tables.clear()
+        _counts.clear()

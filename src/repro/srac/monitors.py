@@ -20,9 +20,9 @@ atomic form      states  meaning of acceptance
 
 from __future__ import annotations
 
-import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.errors import ConstraintError
 from repro.srac.ast import (
@@ -47,8 +47,6 @@ __all__ = [
     "CountMonitor",
     "CompiledConstraint",
     "compile_constraint",
-    "clear_compile_cache",
-    "compile_cache_counters",
 ]
 
 
@@ -253,22 +251,27 @@ class CompiledConstraint:
 
     def evaluate(self, states: tuple[int, ...]) -> bool:
         """Decide the constraint for a monitor-state vector."""
-        bits = tuple(
-            m.accepting(s) for m, s in zip(self.monitors, states)
+        return self.holds(
+            [m.accepting(s) for m, s in zip(self.monitors, states)]
         )
 
-        def ev(node) -> bool:
+    def holds(self, bits: Sequence):
+        """The skeleton over each monitor's acceptance bit: Python bools,
+        or numpy bool arrays decided element-wise (a constant skeleton
+        stays a bool)."""
+
+        def ev(node):
             tag = node[0]
             if tag == "const":
                 return node[1]
             if tag == "bit":
                 return bits[node[1]]
-            if tag == "not":
-                return not ev(node[1])
+            if tag == "not":  # ``^ True`` negates a bool and an array alike
+                return ev(node[1]) ^ True
             if tag == "and":
-                return ev(node[1]) and ev(node[2])
+                return ev(node[1]) & ev(node[2])
             if tag == "or":
-                return ev(node[1]) or ev(node[2])
+                return ev(node[1]) | ev(node[2])
             if tag == "iff":
                 return ev(node[1]) == ev(node[2])
             raise AssertionError(tag)  # pragma: no cover
@@ -278,6 +281,37 @@ class CompiledConstraint:
     def satisfied_by(self, trace: Sequence[AccessKey]) -> bool:
         """Convenience: run + evaluate."""
         return self.evaluate(self.run(trace))
+
+    def reaches_acceptance(
+        self,
+        states: tuple[int, ...],
+        alphabet: Iterable[AccessKey | tuple[str, str, str]],
+        max_configurations: int = 1_000_000,
+    ) -> bool:
+        """The bounded search: can any word over ``alphabet`` drive
+        ``states`` to acceptance?  A BFS over the vectors reachable from
+        ``states``, raising :class:`ConstraintError` past
+        ``max_configurations``."""
+        symbols = tuple(dict.fromkeys(AccessKey(*a) for a in alphabet))
+        seen = {states}
+        queue: deque[tuple[int, ...]] = deque([states])
+        explored = 0
+        while queue:
+            current = queue.popleft()
+            explored += 1
+            if explored > max_configurations:
+                raise ConstraintError(
+                    f"satisfiability search exceeded {max_configurations} "
+                    "monitor configurations"
+                )
+            if self.evaluate(current):
+                return True
+            for symbol in symbols:
+                nxt = self.step(current, symbol)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return False
 
     def state_space(self) -> int:
         """Product of the monitors' state counts — the worst-case number
@@ -289,67 +323,8 @@ class CompiledConstraint:
         return total
 
 
-# Process-level interned compile cache.  Constraint ASTs are frozen
-# (hashable, structurally compared) and a CompiledConstraint is
-# immutable after __init__, so one compiled artifact per distinct
-# constraint can be shared by every session, engine and checker call
-# in the process.  The cache is cleared wholesale when it exceeds
-# _COMPILE_CACHE_MAX (correctness is unaffected — only the interning).
-# All lookups, insertions and counter updates happen under _cache_lock
-# so the cache can be shared by the engine shards of
-# :mod:`repro.service` (compilation itself runs outside the lock; a
-# racing duplicate compilation is harmless because the artifact is a
-# pure function of the constraint).
-_COMPILE_CACHE_MAX = 4096
-_cache_lock = threading.Lock()
-_compile_cache: dict[Constraint, CompiledConstraint] = {}
-_compile_hits = 0
-_compile_misses = 0
-
-
-def compile_constraint(
-    constraint: Constraint, cache: bool = True
-) -> CompiledConstraint:
-    """Compile ``constraint`` into a monitor vector + boolean skeleton.
-
-    With ``cache`` (the default) structurally identical constraints
-    return one shared, interned :class:`CompiledConstraint` — compile
-    once per policy, not once per session or per call.  Pass
-    ``cache=False`` to force a fresh compilation (used by the
-    equivalence tests that compare cached against uncached behaviour).
-    Thread-safe: concurrent callers may both compile a fresh
-    constraint, but exactly one artifact wins the interning race.
-    """
-    global _compile_hits, _compile_misses
-    if not cache:
-        return CompiledConstraint(constraint)
-    with _cache_lock:
-        compiled = _compile_cache.get(constraint)
-        if compiled is not None:
-            _compile_hits += 1
-            return compiled
-        _compile_misses += 1
-    fresh = CompiledConstraint(constraint)
-    with _cache_lock:
-        compiled = _compile_cache.get(constraint)
-        if compiled is not None:
-            return compiled
-        if len(_compile_cache) >= _COMPILE_CACHE_MAX:
-            _compile_cache.clear()
-        _compile_cache[constraint] = fresh
-    return fresh
-
-
-def clear_compile_cache() -> None:
-    """Drop every interned compilation and reset the hit/miss counters."""
-    global _compile_hits, _compile_misses
-    with _cache_lock:
-        _compile_cache.clear()
-        _compile_hits = 0
-        _compile_misses = 0
-
-
-def compile_cache_counters() -> tuple[int, int, int]:
-    """``(hits, misses, entries)`` of the process-level compile cache."""
-    with _cache_lock:
-        return _compile_hits, _compile_misses, len(_compile_cache)
+def compile_constraint(constraint: Constraint) -> CompiledConstraint:
+    """Compile ``constraint`` into a monitor vector + boolean skeleton,
+    afresh: the interned form is its
+    :func:`~repro.srac.compiled.state_table`'s ``compiled``."""
+    return CompiledConstraint(constraint)

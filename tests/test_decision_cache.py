@@ -1,8 +1,8 @@
-"""The compiled-constraint cache and coreachability precomputation:
-live-set verdicts must equal the uncached BFS path, engine decisions
-must agree with the definitions-level oracle (``tests/spec_oracle.py``),
-caches must invalidate when the policy changes, and the counters must
-account for the hot path."""
+"""The state-table cache and its live masks: cached verdicts must
+equal the uncached BFS path, engine decisions must agree with the
+definitions-level oracle (``tests/spec_oracle.py``), caches must
+invalidate when the policy changes, and the counters must account for
+the hot path."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +14,7 @@ from repro.rbac.engine import AccessControlEngine
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
 from repro.srac import reachability
+from repro.srac.compiled import state_table
 from repro.srac.checker import (
     satisfiable_extension,
     satisfiable_extension_states,
@@ -53,64 +54,78 @@ def make_engine(constraint_src="count(0, 5, [res = rsw])", **kwargs):
 
 class TestCompileCache:
     def test_interned_per_constraint(self):
+        """One table, and one compilation, per constraint: the table
+        is the only interned form."""
         reachability.clear_caches()
         c1 = parse_constraint("count(0, 5, [res = rsw])")
         c2 = parse_constraint("count(0, 5, [res = rsw])")
-        assert compile_constraint(c1) is compile_constraint(c2)
+        table = state_table(c1)
+        assert state_table(c2) is table
+        assert state_table(c2).compiled is table.compiled
+        assert compile_constraint(c1) is not table.compiled
         stats = reachability.cache_stats()
         assert stats.compile_misses == 1
-        assert stats.compile_hits == 1
-
-    def test_cache_false_is_fresh(self):
-        c = parse_constraint("count(0, 5, [res = rsw])")
-        assert compile_constraint(c, cache=False) is not compile_constraint(
-            c, cache=False
-        )
+        assert stats.compile_hits == 2
 
     def test_clear(self):
         reachability.clear_caches()
         c = parse_constraint("exec rsw @ s1")
-        first = compile_constraint(c)
+        first = state_table(c)
         reachability.clear_caches()
-        assert compile_constraint(c) is not first
+        assert state_table(c) is not first
         assert reachability.cache_stats().compile_misses == 1
+
+    def test_an_engine_decision_counts_its_table_and_mask(self):
+        """The engine's first decision builds one table and one mask; a
+        decision on another access of the same class adds hits only."""
+        reachability.clear_caches()
+        engine, session = make_engine()
+        engine.decide(session, ("exec", "rsw", "s1"), 1.0, history=None)
+        first = engine.cache_stats().srac
+        assert (first.compile_misses, first.reachability_misses) == (1, 1)
+        engine.decide(session, ("exec", "rsw", "s2"), 2.0, history=None)
+        second = engine.cache_stats().srac
+        assert (second.compile_misses, second.reachability_misses) == (1, 1)
+        assert second.compile_hits > first.compile_hits
+        assert second.reachability_hits == first.reachability_hits + 1
+        assert second.fallbacks == 0
+        engine.close()
 
 
 class TestLiveSetSemantics:
     def test_live_set_matches_bfs_simple(self):
         constraint = parse_constraint("count(0, 2, [res = rsw])")
-        compiled = compile_constraint(constraint, cache=False)
+        compiled = compile_constraint(constraint)
         universe = (AccessKey("exec", "rsw", "s1"),)
-        live = reachability.live_set(compiled, universe)
         # Count monitor states: 0..3; 3 = saturated over the bound.
+        verdicts = []
         for state in range(4):
             expected = satisfiable_extension_states(
                 compiled, (state,), universe, use_cache=False
             )
-            assert ((state,) in live) == expected
+            cached = satisfiable_extension_states(compiled, (state,), universe)
+            assert cached == expected
+            verdicts.append(cached)
+        assert verdicts == [True, True, True, False]
 
     def test_budget_exceeded_returns_none_and_counts_fallback(self):
         reachability.clear_caches()
         constraint = parse_constraint("count(0, 100000, [res = rsw])")
-        compiled = compile_constraint(constraint, cache=False)
+        compiled = compile_constraint(constraint)
         universe = (AccessKey("exec", "rsw", "s1"),)
-        assert compiled.state_space() > 50
-        assert reachability.live_set(compiled, universe, state_budget=50) is None
-        # The None outcome is cached; queries report fallback.
-        verdict = reachability.satisfiable_states(
-            compiled, (0,), universe, state_budget=50
-        )
-        assert verdict is None
-        assert reachability.cache_stats().fallbacks >= 1
-        # And the BFS fallback in the checker still answers correctly.
+        assert compiled.state_space() > reachability.DEFAULT_STATE_BUDGET
+        # No mask over the budget: the search answers, counted once.
         assert satisfiable_extension_states(compiled, (0,), universe)
+        stats = reachability.cache_stats()
+        assert (stats.fallbacks, stats.reachability_misses) == (1, 0)
+        assert state_table(constraint).live_mask(universe) is None
 
     def test_query_state_outside_alphabet_reachable_set(self):
         """History accesses outside the request alphabet can put
         monitors into states the alphabet alone cannot reach; the
         full-product live set must still answer correctly."""
         constraint = parse_constraint("count(0, 1, [res = rsw])")
-        compiled = compile_constraint(constraint, cache=False)
+        compiled = compile_constraint(constraint)
         # Request alphabet selects nothing the counter matches.
         universe = (AccessKey("read", "r1", "s1"),)
         # History drove the counter over the bound (state 2): dead.
@@ -131,7 +146,7 @@ class TestLiveSetSemantics:
     def test_property_cached_equals_bfs(self, constraint, history):
         """For random constraints and history-induced states the
         precomputed live-set verdict is bit-identical to the BFS."""
-        compiled = compile_constraint(constraint, cache=False)
+        compiled = compile_constraint(constraint)
         states = compiled.run(history)
         for universe in (ALPHABET, ALPHABET[:2], ()):
             bfs = satisfiable_extension_states(

@@ -37,7 +37,7 @@ from repro.rbac.audit import Decision
 from repro.rbac.model import Permission
 from repro.rbac.policy import Policy
 from repro.service import DecisionService, ShardedEngine
-from repro.srac.compiled import clear_table_cache, table_cache_counters
+from repro.srac import reachability
 from repro.srac.parser import parse_constraint
 from repro.traces.trace import AccessKey
 
@@ -588,33 +588,69 @@ class TestRequestObject:
 
 class TestPrewarm:
     def test_prewarm_compiles_tables_with_zero_misses_after(self):
-        clear_table_cache()
+        reachability.clear_caches()
         engine, sessions = build_engine()
         with DecisionService(
             engine, workers=2, queue_depth=4096,
             max_batch=64, max_wait_s=0.001, prewarm=EXEC,
         ) as service:
-            _hits, misses_after_init, fallbacks0, entries = (
-                table_cache_counters()
-            )
-            assert entries > 0  # prewarm actually compiled tables
+            after_init = reachability.cache_stats()
+            assert after_init.live_sets > 0  # prewarm actually built masks
             futures = submit_wave(service, sessions)
             assert service.drain(timeout=60.0)
             stats = service.service_stats()
-            _hits, misses_after_load, fallbacks1, _ = table_cache_counters()
+            after_load = reachability.cache_stats()
         assert all(f.exception() is None for f in futures)
         # Serving traffic after prewarm never misses the table cache.
-        assert misses_after_load == misses_after_init
-        assert fallbacks1 == fallbacks0
+        assert after_load.compile_misses == after_init.compile_misses
+        assert after_load.reachability_misses == after_init.reachability_misses
+        assert after_load.fallbacks == after_init.fallbacks
         assert stats.vector_decisions > 0
 
     def test_prewarm_true_warms_constraint_universes(self):
-        clear_table_cache()
+        reachability.clear_caches()
         engine, _sessions = build_engine()
         with DecisionService(engine, prewarm=True):
-            _hits, misses, _fallbacks, entries = table_cache_counters()
-        assert entries > 0
-        assert misses > 0  # the construction-time compile is the miss
+            stats = reachability.cache_stats()
+        assert stats.live_sets > 0
+        assert stats.compile_misses > 0  # the construction-time build is the miss
+
+    def test_prewarm_builds_one_mask_per_class_set(self):
+        """The end-to-end benchmark's policy shape over 200 servers:
+        every exec (and every read) access steps its constraint alike,
+        so 400 warmed entries share two masks."""
+        policy = Policy()
+        policy.add_user("u")
+        policy.add_role("r")
+        for name, op, resource, source in (
+            ("exec-rsw", "exec", "rsw", "count(0, 3, [res = rsw])"),
+            ("read-rsw", "read", "rsw", "exec rsw @ s0 >> exec rsw @ s1"),
+            ("write-log", "write", "log", None),
+        ):
+            policy.add_permission(
+                Permission(
+                    name, op=op, resource=resource,
+                    spatial_constraint=source and parse_constraint(source),
+                )
+            )
+            policy.assign_permission("r", name)
+        policy.assign_user("u", "r")
+        alphabet = [
+            AccessKey(op, "log" if op == "write" else "rsw", f"s{server}")
+            for op in ("exec", "read", "write")
+            for server in range(200)
+        ]
+        reachability.clear_caches()
+        engine = ShardedEngine(policy, shards=2)
+        try:
+            assert engine.prewarm(alphabet) == 400
+            stats = engine.cache_stats()
+        finally:
+            engine.close()
+        assert stats.extension_entries == 400
+        assert (stats.srac.compile_misses, stats.srac.reachability_misses) == (2, 2)
+        assert stats.srac.live_sets == 2
+        assert stats.srac.fallbacks == 0
 
     def test_prewarm_validation_still_applies(self):
         engine, _sessions = build_engine()

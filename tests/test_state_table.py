@@ -7,8 +7,8 @@ request universe.  These properties tie it back to the tuple monitors
 it is compiled from (:class:`~repro.srac.monitors.CompiledConstraint`)
 and to the uncached BFS, over random constraints — selections the
 concrete syntax cannot print included — and over accesses inside and
-outside each constraint's alphabet.  The last class pins the
-reachability budget: a caller's budget decides for that caller alone.
+outside each constraint's alphabet.  The last classes pin the one
+table cache's counters and the over-budget search's memo.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from repro.srac import compiled as srac_compiled
 from repro.srac import reachability
 from repro.srac.ast import constraint_alphabet
 from repro.srac.checker import satisfiable_extension_states
-from repro.srac.compiled import StateTable, state_table, table_cache_counters
-from repro.srac.monitors import Monitor, compile_constraint
+from repro.srac.compiled import StateTable, state_table
+from repro.srac.monitors import CompiledConstraint, Monitor, compile_constraint
 from repro.srac.parser import parse_constraint
 from repro.traces.trace import AccessKey
 
@@ -37,7 +37,7 @@ SMALL = 96
 
 
 def _fresh(constraint) -> tuple:
-    compiled = compile_constraint(constraint, cache=False)
+    compiled = compile_constraint(constraint)
     return compiled, StateTable(compiled)
 
 
@@ -93,7 +93,7 @@ class TestSteps:
     def test_labels_part_accesses_as_the_step_functions_do(
         self, constraint, trace
     ):
-        compiled = compile_constraint(constraint, cache=False)
+        compiled = compile_constraint(constraint)
         accesses = list(
             dict.fromkeys((*trace, *constraint_alphabet(constraint), FOREIGN))
         )
@@ -150,15 +150,24 @@ class TestLiveMask:
 
     def test_only_the_mask_stays_resident(self):
         reachability.clear_caches()
-        _compiled, table = _fresh(parse_constraint("count(0, 2, [res = r1])"))
-        table.live_mask((AccessKey("exec", "r1", "s1"),))
-        assert reachability.cache_stats().live_sets == 0
+        table = state_table(parse_constraint("count(0, 2, [res = r1])"))
+        mask = table.live_mask((AccessKey("exec", "r1", "s1"),))
+        assert reachability.cache_stats().live_sets == 1
+        assert list(table._masks.values()) == [mask]
 
     def test_masks_are_interned_per_universe(self):
-        _compiled, table = _fresh(parse_constraint("count(0, 2, [res = r1])"))
+        """Per set of classes the universe steps through: universes no
+        monitor tells apart share one mask."""
+        reachability.clear_caches()
+        table = state_table(parse_constraint("count(0, 2, [res = r1])"))
         a, b = AccessKey("exec", "r1", "s1"), AccessKey("exec", "r1", "s2")
+        other = AccessKey("read", "r2", "s1")  # not counted: another class
         assert table.live_mask((a, b)) is table.live_mask((b, a, a))
-        assert table.live_mask((a,)) is not table.live_mask((a, b))
+        assert table.live_mask((a,)) is table.live_mask((b,))
+        assert table.live_mask((a, other)) is not table.live_mask((a,))
+        stats = reachability.cache_stats()
+        assert (stats.reachability_misses, stats.reachability_hits) == (2, 4)
+        assert stats.live_sets == 2
 
 
 class TestInterning:
@@ -166,12 +175,21 @@ class TestInterning:
         reachability.clear_caches()
         constraint = parse_constraint("count(0, 3, [res = r1])")
         table = state_table(constraint)
-        assert state_table(parse_constraint("count(0, 3, [res = r1])")) is table
+        again = state_table(parse_constraint("count(0, 3, [res = r1])"))
+        assert again is table and again.compiled is table.compiled
         table.live_mask(())
-        hits, misses, fallbacks, entries = table_cache_counters()
-        assert (hits, misses, fallbacks, entries) == (1, 2, 0, 1)
+        assert reachability.cache_stats() == reachability.CacheStats(
+            compile_hits=1,
+            compile_misses=1,
+            reachability_hits=0,
+            reachability_misses=1,
+            fallbacks=0,
+            live_sets=1,
+        )
         reachability.clear_caches()
-        assert table_cache_counters() == (0, 0, 0, 0)
+        assert reachability.cache_stats() == reachability.CacheStats(
+            0, 0, 0, 0, 0, 0
+        )
         fresh = state_table(constraint)
         assert fresh is not table
         # Tables of one constraint number its states alike: equal.
@@ -185,7 +203,9 @@ class TestInterning:
         table = state_table(wide)
         assert table.n_states > budget
         assert table.live_mask(()) is None
-        assert table_cache_counters() == (0, 1, 1, 1)
+        stats = reachability.cache_stats()
+        assert (stats.compile_misses, stats.fallbacks) == (1, 1)
+        assert stats.reachability_misses == stats.live_sets == 0
         access = AccessKey("exec", "r1", "s1")
         assert table.decode(table.fold([access] * 3)) == (3,)
 
@@ -208,38 +228,60 @@ def _engine(source: str) -> tuple:
     return engine, session
 
 
-class TestStateBudget:
-    SOURCE = "count(0, 100, [res = rsw])"  # 102 states
-    UNIVERSE = (AccessKey("exec", "rsw", "s1"),)
+class TestOverBudgetSearch:
+    """A product over the state budget has no mask; its ids are
+    answered by the bounded search, remembered per (class set, id)."""
+
+    SOURCE = "count(0, 20, [res = rsw]) & ~(exec rsw @ s2)"
 
     @pytest.fixture(autouse=True)
-    def _clean(self):
+    def _small_budget(self, monkeypatch):
         reachability.clear_caches()
+        monkeypatch.setattr(srac_compiled, "DEFAULT_STATE_BUDGET", 10)
+        self.searches = []
+        search = CompiledConstraint.reaches_acceptance
+
+        def counted(compiled, states, alphabet, *args):
+            alphabet = tuple(alphabet)
+            self.searches.append((states, alphabet))
+            return search(compiled, states, alphabet, *args)
+
+        monkeypatch.setattr(CompiledConstraint, "reaches_acceptance", counted)
         yield
         reachability.clear_caches()
 
-    def test_a_small_budget_call_does_not_poison_later_callers(self):
-        compiled = compile_constraint(parse_constraint(self.SOURCE))
-        assert reachability.live_set(compiled, self.UNIVERSE, state_budget=50) is None
-        assert reachability.satisfiable_states(
-            compiled, (0,), self.UNIVERSE, state_budget=50
-        ) is None
-        assert reachability.live_set(compiled, self.UNIVERSE) is not None
-        assert reachability.satisfiable_states(compiled, (0,), self.UNIVERSE) is True
+    def test_a_repeated_denial_searches_once(self):
         engine, session = _engine(self.SOURCE)
+        engine.observe(session, AccessKey("exec", "rsw", "s2"))
         access = AccessKey("exec", "rsw", "s1")
-        assert engine.decide(session, access, 1.0, history=None).granted
+        for i in range(3):
+            assert not engine.decide(session, access, 1.0 + i, history=None).granted
+        assert len(self.searches) == 1
         stats = engine.cache_stats()
-        assert (stats.live_hits, stats.live_fallbacks) == (1, 0)
+        assert (stats.live_hits, stats.live_fallbacks) == (0, 3)
         engine.close()
 
-    def test_a_small_budget_caller_is_refused_a_cached_live_set(self):
-        compiled = compile_constraint(parse_constraint(self.SOURCE))
-        assert reachability.live_set(compiled, self.UNIVERSE) is not None
-        assert reachability.satisfiable_states(compiled, (0,), self.UNIVERSE) is True
-        assert reachability.live_set(compiled, self.UNIVERSE, state_budget=50) is None
-        fallbacks = reachability.cache_stats().fallbacks
-        assert reachability.satisfiable_states(
-            compiled, (0,), self.UNIVERSE, state_budget=50
-        ) is None
-        assert reachability.cache_stats().fallbacks == fallbacks + 1
+    def test_another_class_set_is_searched_again(self):
+        table = state_table(parse_constraint(self.SOURCE))
+        assert table.live_mask(()) is None
+        dead = table.fold([AccessKey("exec", "rsw", "s2")])
+        counted = (AccessKey("exec", "rsw", "s1"),)
+        alike = (AccessKey("exec", "rsw", "s3"), AccessKey("exec", "rsw", "s1"))
+        other = (AccessKey("read", "r1", "s1"),)
+        assert table.searches_to_acceptance(table.initial, counted)
+        assert not table.searches_to_acceptance(dead, counted)
+        assert not table.searches_to_acceptance(dead, alike)
+        assert len(self.searches) == 2
+        assert not table.searches_to_acceptance(dead, other)
+        assert len(self.searches) == 3
+        assert self.searches[-1] == (table.decode(dead), other)
+
+    def test_the_verdict_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(srac_compiled, "_ACCESSES_MAX", 2)
+        table = state_table(parse_constraint(self.SOURCE))
+        universe = (AccessKey("exec", "rsw", "s1"),)
+        for state in range(5):
+            # The atom's monitor is last: an odd id has seen exec rsw @ s2.
+            assert table.searches_to_acceptance(state, universe) == (state % 2 == 0)
+        assert len(self.searches) == 5
+        assert len(table._searched) <= 2

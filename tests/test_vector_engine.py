@@ -286,7 +286,7 @@ class TestAlphabetInterning:
         universe = tuple(
             AccessKey("exec", "r1", s) for s in ("s1", "s2", "s3")
         )
-        compiled = compile_constraint(constraint, cache=False)
+        compiled = compile_constraint(constraint)
         table = StateTable(compiled)
         state = table.initial
         for access in universe * 3:
