@@ -15,7 +15,12 @@ lowers that loop onto per-constraint state tables and validity cells:
   per (candidate, group), memoised ``Decision`` prototypes,
   per-request cost = one clone;
 * **multi-session sweep** — :meth:`decide_batch_many` over an
-  interleaved stream from many sessions (the sharded drain shape).
+  interleaved stream from many sessions (the sharded drain shape);
+* **service-shaped probe** — µs per request of one
+  :meth:`decide_batch_many` micro-batch of G sessions × k requests
+  (128×1, 128×2, 8×32 and 1×256, round-robin over the servers)
+  against a twin engine's :meth:`decide` loop over the same requests,
+  medians of alternating reps.  A report, not a gate.
 
 Beside throughput it reports what each decision costs to keep: the
 audit log retains every one, so ``retained_bytes_per_decision`` (by
@@ -41,9 +46,11 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import json
 import pathlib
 import random
+import statistics
 import time
 import tracemalloc
 from contextlib import closing
@@ -236,6 +243,82 @@ def rate_many(n: int, sessions: int = 8) -> float:
         )
 
 
+#: Service micro-batch shapes: (sessions, requests per session).
+SERVICE_SHAPES = ((128, 1), (128, 2), (8, 32), (1, 256))
+
+#: Requests each timed rep of a shape decides (whole batches).
+SERVICE_REP_REQUESTS = 2048
+
+
+def _service_batch(engine, sessions: int, per_session: int):
+    """``sessions`` fresh sessions on ``engine`` and one micro-batch of
+    ``sessions × per_session`` requests, interleaved across sessions in
+    arrival order and round-robin over the servers."""
+    pool = []
+    for _ in range(sessions):
+        s = engine.authenticate("u", 0.0)
+        engine.activate_role(s, "r", 0.0)
+        pool.append(s)
+    n = sessions * per_session
+    return [(pool[i % sessions], _request(i)) for i in range(n)]
+
+
+def service_probe(reps: int) -> dict[str, dict[str, float]]:
+    """µs per request of ``decide_batch_many`` micro-batches against
+    a twin engine's per-request ``decide`` loop, in one process, with
+    the cyclic GC off: each rep times both sides over
+    :data:`SERVICE_REP_REQUESTS` requests, in alternating order, and
+    the medians over the reps are reported."""
+    out = {}
+    for sessions, per_session in SERVICE_SHAPES:
+        swept, _ = _engine()
+        looped, _ = _engine()
+        batch = _service_batch(swept, sessions, per_session)
+        loop_batch = _service_batch(looped, sessions, per_session)
+        n = len(batch)
+        rounds = max(1, SERVICE_REP_REQUESTS // n)
+        # One later instant per batch keeps every tracker time-monotone.
+        clock = itertools.count(1.0)
+
+        def sweep():
+            for _ in range(rounds):
+                swept.decide_batch_many(batch, t=next(clock), dt=0.001)
+
+        def loop():
+            for _ in range(rounds):
+                t = next(clock)
+                for session, access in loop_batch:
+                    looped.decide(session, access, t, history=None)
+                    t += 0.001
+
+        sweep()  # warm both engines' caches and memos
+        loop()
+        us_per_req: dict = {sweep: [], loop: []}
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for rep in range(reps):
+                for side in (sweep, loop) if rep % 2 == 0 else (loop, sweep):
+                    start = time.perf_counter()
+                    side()
+                    us_per_req[side].append(
+                        (time.perf_counter() - start) / (rounds * n) * 1e6
+                    )
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+            swept.close()
+            looped.close()
+        sweep_us = statistics.median(us_per_req[sweep])
+        decide_us = statistics.median(us_per_req[loop])
+        out[f"{sessions}x{per_session}"] = {
+            "sweep_us_per_req": sweep_us,
+            "decide_us_per_req": decide_us,
+            "speedup": decide_us / sweep_us,
+        }
+    return out
+
+
 #: Retained-bytes budgets per decision (the test suite's gates).
 SWEPT_BUDGET_B = 100
 SCALAR_BUDGET_B = 100
@@ -313,13 +396,14 @@ def cold_compile_ms() -> float:
         return (time.perf_counter() - start) * 1e3
 
 
-def measure(n: int = 50_000) -> dict:
+def measure(n: int = 50_000, probe_reps: int = 15) -> dict:
     compared = verify_identical()
     cold_ms = cold_compile_ms()
     naive = rate_naive(n)
     vector = rate_batch(n)
     many = rate_many(n)
     retained = retained_bytes_per_decision(min(n, 20_000))
+    probe = service_probe(probe_reps)
     srac = reachability.cache_stats()
     return {
         "n": n,
@@ -330,6 +414,7 @@ def measure(n: int = 50_000) -> dict:
         "many_rate": many,
         "speedup_vs_decide": vector / naive,
         "retained_bytes_per_decision": retained,
+        "service_probe": probe,
         "table_cache": srac.as_dict(),
     }
 
@@ -353,6 +438,13 @@ def print_report(report: dict) -> None:
         f"retained per decision: {retained['swept']:.1f} B swept, "
         f"{retained['scalar']:.1f} B scalar"
     )
+    print("service-shaped micro-batches (median µs per request):")
+    print(f"{'sessions x requests':<22}{'sweep':>9}{'decide()':>10}{'ratio':>8}")
+    for shape, row in report["service_probe"].items():
+        print(
+            f"{shape:<22}{row['sweep_us_per_req']:>9.2f}"
+            f"{row['decide_us_per_req']:>10.2f}{row['speedup']:>7.1f}x"
+        )
     print("table cache:", report["table_cache"])
 
 
@@ -386,7 +478,7 @@ def main() -> None:
     )
     args = parser.parse_args()
     n = 5_000 if args.smoke else 50_000
-    report = measure(n)
+    report = measure(n, probe_reps=3 if args.smoke else 15)
     print_report(report)
     ARTIFACT.parent.mkdir(exist_ok=True)
     ARTIFACT.write_text(json.dumps(report, indent=2, sort_keys=True))

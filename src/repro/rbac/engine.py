@@ -120,10 +120,13 @@ _Examined = tuple[CandidateProvenance, tuple[CandidateProvenance], str]
 
 
 class _DecisionMemo:
-    """The interned attribution and outcomes of one policy version.
+    """The candidates, interned attribution and outcomes of one policy
+    version.
 
-    ``examined`` holds :meth:`AccessControlEngine._examined`'s entries
-    and ``outcomes`` :meth:`AccessControlEngine._build_decision`'s
+    ``candidates`` holds :meth:`AccessControlEngine._candidates`'
+    matches per (active-role set, access), ``examined``
+    :meth:`AccessControlEngine._examined`'s entries and ``outcomes``
+    :meth:`AccessControlEngine._build_decision`'s
     :class:`~repro.rbac.audit.Outcome` records, so retained decisions
     of equal outcome share one record, on every path.  Like the audit
     log, it grows with the distinct outcomes of one policy version.
@@ -136,10 +139,13 @@ class _DecisionMemo:
     a lock only that check takes.
     """
 
-    __slots__ = ("version", "examined", "outcomes", "_lock")
+    __slots__ = ("version", "candidates", "examined", "outcomes", "_lock")
 
     def __init__(self, version: int):
         self.version = version
+        self.candidates: dict[
+            tuple[frozenset[Role], AccessKey], tuple[tuple[Role, Permission], ...]
+        ] = {}
         # Keys hold names, a bool and a string, which hash at C speed;
         # the Role / Permission dataclasses or the enum would cost a
         # Python-level __hash__ per lookup.
@@ -157,6 +163,7 @@ class _DecisionMemo:
         return self
 
     def clear(self) -> None:
+        self.candidates.clear()
         self.examined.clear()
         self.outcomes.clear()
 
@@ -272,27 +279,20 @@ class AccessControlEngine:
         # id).
         self._store = SessionStore(scheme)
         # Owner-scope state: combined histories (list-backed, O(1)
-        # append) and the state id of each (user name, table) pair
-        # (tables of one constraint are equal).
+        # append) and each owner's state id per table (tables of one
+        # constraint are equal).
         self._owner_observed: dict[str, list[AccessKey]] = {}
-        self._owner_monitors: dict[tuple[str, StateTable], int] = {}
-        # Decision-path caches.  Candidates: (policy version, active
-        # role set, access) -> matching (role, permission) pairs; the
-        # version in the key makes policy mutations invalidate lazily.
+        self._owner_monitors: dict[str, dict[StateTable, int]] = {}
         # Extension entries: (constraint, access) -> (state table,
         # canonical request universe, its live mask; None over the
         # state budget).  A ShardedEngine hands its shards one copy of
         # this memo.
-        self._candidates_cache: dict[
-            tuple[int, frozenset[Role], AccessKey],
-            tuple[tuple[Role, Permission], ...],
-        ] = {}
         self._extension_cache: dict[
             tuple[Constraint, AccessKey],
             tuple[StateTable, tuple[AccessKey, ...], bytes | None],
         ] = {}
-        # Attribution and outcome memo of one policy version (a
-        # ShardedEngine replaces it with one its shards share).
+        # Candidate, attribution and outcome memo of one policy version
+        # (a ShardedEngine replaces it with one its shards share).
         self._memo = _DecisionMemo(policy.version)
         self._candidate_hits = 0
         self._candidate_misses = 0
@@ -404,8 +404,7 @@ class AccessControlEngine:
             if len(kept) != len(observed):
                 removed += len(observed) - len(kept)
                 self._owner_observed[owner] = kept
-                for key in [k for k in self._owner_monitors if k[0] == owner]:
-                    del self._owner_monitors[key]
+                self._owner_monitors.pop(owner, None)
         return removed
 
     # -- session management --------------------------------------------------
@@ -688,10 +687,10 @@ class AccessControlEngine:
         if self.coordination_scope == "owner":
             owner = session.subject.user.name
             self._owner_observed.setdefault(owner, []).append(access)
-            memo = self._owner_monitors
-            for key, state in list(memo.items()):
-                if key[0] == owner:
-                    memo[key] = key[1].step(state, access)
+            states = self._owner_monitors.get(owner)
+            if states:
+                for table, state in states.items():
+                    states[table] = table.step(state, access)
 
     def _cached_monitors(self, session: Session, table: StateTable) -> int:
         """The state id of ``table``'s constraint over the session's
@@ -699,10 +698,10 @@ class AccessControlEngine:
         scope — folded on first use and stepped by :meth:`observe`."""
         if self.coordination_scope == "owner":
             owner = session.subject.user.name
-            key = (owner, table)
-            state = self._owner_monitors.get(key)
+            states = self._owner_monitors.setdefault(owner, {})
+            state = states.get(table)
             if state is None:
-                state = self._owner_monitors[key] = table.fold(
+                state = states[table] = table.fold(
                     self._owner_observed.get(owner, ())
                 )
             return state
@@ -911,14 +910,17 @@ class AccessControlEngine:
         return session.observed
 
     def _history_len(self, session: Session, history: Trace | None) -> int:
-        if history is None and self.coordination_scope != "owner":
-            # Column length read — no tuple-view materialisation (a
-            # batch that records observations must not rebuild the O(n)
-            # view once per decision).
+        if history is None:
+            # Log length reads — no tuple-view materialisation (a batch
+            # that records observations must not rebuild the O(n) view
+            # once per decision).
+            if self.coordination_scope == "owner":
+                return len(
+                    self._owner_observed.get(session.subject.user.name, ())
+                )
             return session.observed_len()
-        effective = self._effective_history(session, history)
         try:
-            return len(effective)
+            return len(history)
         except TypeError:  # pragma: no cover - exotic iterables
             return -1
 
@@ -978,9 +980,9 @@ class AccessControlEngine:
         (:mod:`repro.rbac.vector_engine`): the same decisions and
         provenance as the per-request :meth:`decide` loop, only faster.
         Batches the sweep cannot handle — explicit history, disclosed
-        program, ``observe_granted``, owner scope, products over the
-        state budget, non-monotone time — fall back to that loop, with
-        the candidate lookup hoisted per distinct access.
+        program, ``observe_granted``, products over the state budget,
+        non-monotone time — fall back to that loop, with the candidate
+        lookup hoisted per distinct access.
         """
         keys = [
             a if type(a) is AccessKey else AccessKey.of(a) for a in accesses
@@ -1002,7 +1004,9 @@ class AccessControlEngine:
             prepared = prepare_sweep(self, session, keys, times)
             if prepared is not None:
                 self._vector_decisions += len(keys)
-                return commit_sweep(prepared)
+                decisions = commit_sweep(prepared)
+                self.audit.record_many(decisions, granted=prepared.granted)
+                return decisions
         self._vector_fallbacks += len(keys)
         return self._decide_each(
             [(session, access, when) for access, when in zip(keys, times)],
@@ -1218,7 +1222,6 @@ class AccessControlEngine:
         mutations through :class:`~repro.rbac.policy.Policy` methods
         invalidate the candidate cache automatically via the version
         counter; this is the explicit hammer for out-of-band changes."""
-        self._candidates_cache.clear()
         self._memo.clear()
         self._extension_cache.clear()
         self._owner_monitors.clear()
@@ -1230,12 +1233,14 @@ class AccessControlEngine:
         self, session: Session, access: AccessKey
     ) -> tuple[tuple[Role, Permission], ...]:
         """(role, permission) pairs from active roles matching the
-        access, deterministic order.  Cached per (policy version,
-        active-role set, access): role activation changes the key, and
-        policy mutations bump the version, so stale entries are never
-        served."""
-        key = (self.policy.version, session.role_set(), access)
-        cached = self._candidates_cache.get(key)
+        access, deterministic order.  Cached per (active-role set,
+        access) in the memo of the policy version: role activation
+        changes the key, and a policy mutation empties the memo, so
+        stale entries are never served and no older version's are
+        kept."""
+        memo = self._memo.at(self.policy.version).candidates
+        key = (session.role_set(), access)
+        cached = memo.get(key)
         if cached is not None:
             self._candidate_hits += 1
             return cached
@@ -1251,9 +1256,7 @@ class AccessControlEngine:
                 if permission.matches(access):
                     seen.add(permission.name)
                     out.append((role, permission))
-        result = tuple(out)
-        self._candidates_cache[key] = result
-        return result
+        return memo.setdefault(key, tuple(out))
 
     def _extension_entry(
         self, constraint: Constraint, access: AccessKey

@@ -6,11 +6,12 @@ walk, a monitor dict step, a validity-tracker query and an outcome
 memo lookup each time.  For a *batch* of requests over one
 session most of that work is invariant:
 
-* the session's observed history — and with it every cached state
-  id — is frozen for the whole batch (no ``observe`` happens), so
-  the **spatial verdict is a constant per (access, candidate)**,
-  computed by the scalar path's own expression: one step of the
-  session's id through the constraint's
+* the observed history the spatial check reads — the session's own,
+  or its owner's combined history under owner scope — and with it
+  every cached state id is frozen for the whole batch (no ``observe``
+  happens), so the **spatial verdict is a constant per (access,
+  candidate)**, computed by the scalar path's own expression: one step
+  of the id through the constraint's
   :class:`~repro.srac.compiled.StateTable` plus one live-mask read;
 * each validity tracker's state function is piecewise constant with at
   most one switch, at its cell's precomputed expiry instant, so the
@@ -18,14 +19,14 @@ session most of that work is invariant:
   expiry`` compare per (candidate, access-group)
   (:meth:`~repro.temporal.validity.ValidityTracker.state_codes_at`,
   the compare the scalar query makes);
-* outcomes depend only on the access, the candidate index and the
-  vector of temporal state codes — a handful of distinct values per
-  group — so one ``Decision`` prototype is made per distinct outcome
-  and per-element decisions are clones of its request slots differing
-  only in ``time`` (:func:`_fill`).
-  The prototypes are made by the engine's shared constructors
-  (``AccessControlEngine._examined`` and ``_build_decision``), the
-  same code that makes every scalar decision, so kinds, reasons and
+* so over the group's nondecreasing instants a k-candidate group
+  splits into at most k+1 **runs of equal code columns**, and every
+  request of a run walks the candidates alike.  Each run is decided by
+  the scalar first-grant walk itself — the engine's ``_examined`` per
+  candidate until one passes both checks, then ``_build_decision`` —
+  and its other decisions are clones of that prototype's request
+  slots differing only in ``time`` (:func:`_fill`).  The walk is the
+  code that makes every scalar decision, so kinds, reasons and
   provenance cannot drift between the two paths.
 
 What a swept decision retains is one four-slot ``Decision`` (subject,
@@ -45,16 +46,16 @@ semantically invisible) and returns ``None`` whenever the batch is not
 eligible for the vector path.  The caller then falls back to the
 scalar loop, which reproduces the exact scalar behaviour *including*
 mid-batch exceptions.  Ineligible batches: explicit histories,
-disclosed programs, ``observe_granted``, owner coordination scope,
-non-monotone or NaN instants, query times behind a tracker's clock,
-or a monitor product over the state budget (no live mask).
+disclosed programs, ``observe_granted``, non-monotone or NaN instants,
+query times behind a tracker's clock, or a monitor product over the
+state budget (no live mask).
 
 :func:`commit_sweep` applies the side effects: validity trackers of
 every examined candidate are created/advanced exactly as the scalar
 candidate loop would have left them (one closed-form advance to the
 maximum examined instant replays the same state, the same expiry
-switch at the same recorded instant), engine counters tick, and the
-decisions are appended to the audit log in stream order.
+switch at the same recorded instant) and engine counters tick; the
+caller appends the decisions to the audit log in stream order.
 
 Decisions and their :class:`~repro.obs.provenance.DecisionProvenance`
 are **bit-identical** to the per-request ``decide(..., history=None)``
@@ -77,7 +78,6 @@ from repro.obs import OBS
 from repro.rbac.audit import Decision
 from repro.temporal.validity import (
     CODE_INACTIVE,
-    CODE_VALID,
     STATE_CODES,
     PermissionState,
 )
@@ -186,8 +186,6 @@ def prepare_sweep(
     n = len(accesses)
     if n == 0:
         return PreparedSweep(engine, session)
-    if engine.coordination_scope != "subject":
-        return None
     if not times[0] >= session.start_time:  # a NaN instant too
         return None
 
@@ -201,7 +199,7 @@ def prepare_sweep(
     # mid-batch under the shard lock, so this matches the scalar loop's
     # per-decision read bit for bit.
     epoch = engine._current_epoch()
-    history_len = session.observed_len()
+    history_len = engine._history_len(session, None)
 
     groups: dict[AccessKey, list[int]] = {}
     for i, access in enumerate(accesses):
@@ -213,17 +211,8 @@ def prepare_sweep(
 
     for access, idx_list in groups.items():
         candidates = engine._candidates(session, access)
-        k = len(candidates)
         m = len(idx_list)
         ts = times_arr if m == n else times_arr[idx_list]
-
-        if k == 0:
-            proto = engine._build_decision(
-                session, access, 0.0, (), None, "incremental", history_len,
-                epoch,
-            )
-            _fill(decisions, proto, range(m), idx_list, times)
-            continue
 
         # Spatial verdicts: constant per (access, candidate) for the
         # whole batch (the observed history is frozen) — one column
@@ -243,7 +232,7 @@ def prepare_sweep(
 
         # Temporal state codes per candidate over the group's time
         # vector: one `ts >= expiry` compare, the scalar query's own.
-        codes_mat = np.empty((k, m), dtype=np.uint8)
+        codes = np.empty((len(candidates), m), dtype=np.uint8)
         tracker_keys: list[str] = []
         for j, (_role, permission) in enumerate(candidates):
             key = engine._tracker_key(permission)
@@ -252,91 +241,44 @@ def prepare_sweep(
             if tracker is None:
                 # The scalar path would lazily create an INACTIVE
                 # tracker; creation is deferred to commit.
-                codes_mat[j, :] = CODE_INACTIVE
+                codes[j] = CODE_INACTIVE
             else:
                 if ts[0] < tracker.now:
                     return None
-                codes_mat[j, :] = tracker.state_codes_at(ts)
+                codes[j] = tracker.state_codes_at(ts)
 
-        # Candidate-major sweep: candidate j grants the still-undecided
-        # requests whose spatial verdict holds and whose temporal code
-        # is VALID — the scalar first-grant short-circuit, batched.
-        undecided = np.ones(m, dtype=bool)
-        granted_at = np.full(m, -1, dtype=np.int32)
-        for j in range(k):
-            if spatial[j]:
-                ok = undecided & (codes_mat[j] == CODE_VALID)
-                if ok.any():
-                    granted_at[ok] = j
-                    undecided &= ~ok
-
-        # Commit bookkeeping: candidate j was *examined* by a request
-        # unless an earlier candidate granted it, exactly the scalar
-        # loop's prefix.  Examined candidates pin their tracker to the
-        # latest examined instant and count a live-mask hit each.
-        # (Plain lists: the groups a micro-batched service drains are
-        # small enough that numpy fixed costs dominate masked reductions.)
-        granted_list = granted_at.tolist()
-        ts_list = ts.tolist()
-        for j, (_role, permission) in enumerate(candidates):
-            if j == 0:
-                # Every request examines the first candidate.
-                count = m
-                t_max = max(ts_list)
-            else:
-                examined = [
-                    p for p, g in enumerate(granted_list) if g == -1 or g >= j
-                ]
-                count = len(examined)
-                if count == 0:
-                    continue
-                t_max = max(ts_list[p] for p in examined)
-            if permission.spatial_constraint is not None:
-                prep.live_hits_add += count
-            key = tracker_keys[j]
-            previous = prep.advances.get(key)
-            if previous is None or t_max > previous[1]:
-                prep.advances[key] = (permission, t_max)
-
-        # Grants: one Decision prototype per granting candidate.
-        prep.granted += m - granted_list.count(-1)
-        for j in sorted(set(granted_list) - {-1}):
-            role, permission = candidates[j]
-            entry = engine._examined(
-                role, permission, True, PermissionState.VALID
-            )
+        # Runs of equal code columns decide alike: cut the group
+        # wherever any candidate's code changes, and decide each run by
+        # the scalar first-grant walk.
+        starts = [0]
+        if m > 1:
+            changed = (codes[:, 1:] != codes[:, :-1]).any(axis=0)
+            starts += (np.flatnonzero(changed) + 1).tolist()
+        for start, end in zip(starts, starts[1:] + [m]):
+            examined = []
+            column = codes[:, start].tolist()
+            for (role, permission), ok, code in zip(candidates, spatial, column):
+                state = STATE_CODES[code]
+                examined.append(engine._examined(role, permission, ok, state))
+                if ok and state is PermissionState.VALID:
+                    break
             proto = engine._build_decision(
-                session, access, 0.0, (entry,), None, "incremental",
+                session, access, 0.0, examined, None, "incremental",
                 history_len, epoch,
             )
-            winners = [p for p, g in enumerate(granted_list) if g == j]
-            positions = range(m) if len(winners) == m else winners
-            _fill(decisions, proto, positions, idx_list, times)
-
-        # Denials examine every candidate; the provenance depends only
-        # on the column of temporal codes, of which a k-candidate group
-        # has at most k+1 distinct values — build one prototype per
-        # distinct code column and clone the rest.  (Grouped by hand:
-        # the service's micro-batches make these groups small, where
-        # ``np.unique(axis=0)`` costs more than the whole sweep.)
-        denied = [p for p, g in enumerate(granted_list) if g == -1]
-        if not denied:
-            continue
-        by_column: dict[tuple[int, ...], list[int]] = {}
-        for p, column in zip(denied, codes_mat.T[denied].tolist()):
-            by_column.setdefault(tuple(column), []).append(p)
-        for column, positions in by_column.items():
-            entries = [
-                engine._examined(role, permission, spatial[j], STATE_CODES[code])
-                for j, ((role, permission), code) in enumerate(
-                    zip(candidates, column)
-                )
-            ]
-            proto = engine._build_decision(
-                session, access, 0.0, entries, None, "incremental",
-                history_len, epoch,
-            )
-            _fill(decisions, proto, positions, idx_list, times)
+            if proto.granted:
+                prep.granted += end - start
+            _fill(decisions, proto, range(start, end), idx_list, times)
+            # Every examined candidate pins its tracker to the run's
+            # last instant and counts a live-mask hit per request.
+            t_end = times[idx_list[end - 1]]
+            for j in range(len(examined)):
+                permission = candidates[j][1]
+                if permission.spatial_constraint is not None:
+                    prep.live_hits_add += end - start
+                previous = prep.advances.get(tracker_keys[j])
+                if previous is None or t_end > previous[1]:
+                    prep.advances[tracker_keys[j]] = (permission, t_end)
 
     return prep
 
@@ -353,10 +295,11 @@ def sweep_interleaved(
     feedback) — the :class:`~repro.service.service.DecisionService`
     drain loop filters those out before calling, and
     :meth:`~repro.rbac.engine.AccessControlEngine.decide_batch_many`
-    only ever passes such entries.  The run is regrouped
-    per session preserving per-session order; sessions are independent
-    under subject scope, so regrouping cannot change any verdict.  The
-    sweeps commit only if **every** group prepares — otherwise no
+    only ever passes such entries.  The run is regrouped per session
+    preserving per-session order; no observation happens in a sweep,
+    so every session's and owner's history stays frozen, and trackers
+    are per session: regrouping cannot change any verdict.  The sweeps
+    commit only if **every** group prepares — otherwise no
     session-visible state has been touched, ``None`` is returned and
     the caller replays the run through the scalar loop.  A run that
     returns ``None`` or raises counts one vector fallback per entry;
@@ -391,7 +334,7 @@ def sweep_interleaved(
         granted = 0
         for prep, idx_list in preps:
             granted += prep.granted
-            for i, decision in zip(idx_list, commit_sweep(prep, record_audit=False)):
+            for i, decision in zip(idx_list, commit_sweep(prep)):
                 swept[i] = decision
         engine.audit.record_many(swept, granted=granted)
         decisions = swept
@@ -403,7 +346,7 @@ def sweep_interleaved(
     return decisions
 
 
-def commit_sweep(prep: PreparedSweep, record_audit: bool = True) -> list[Decision]:
+def commit_sweep(prep: PreparedSweep) -> list[Decision]:
     """Apply a prepared sweep's side effects and return its decisions.
 
     Tracker advancement replays what the scalar candidate loop did:
@@ -413,7 +356,7 @@ def commit_sweep(prep: PreparedSweep, record_audit: bool = True) -> list[Decisio
     (the expiry switch fires at the same precomputed instant) are
     identical to the scalar query-by-query sequence.
 
-    With ``record_audit=False`` the caller takes over audit recording
+    The caller records the decisions in the audit log
     (:func:`sweep_interleaved` interleaves several sessions' decisions
     back into global stream order first).
     """
@@ -427,6 +370,4 @@ def commit_sweep(prep: PreparedSweep, record_audit: bool = True) -> list[Decisio
         # Metrics count every decision; the sampled per-decision spans
         # are a scalar-path feature (documented in the module docstring).
         engine._obs_decisions += prep.n
-    if record_audit:
-        engine.audit.record_many(prep.decisions, granted=prep.granted)
     return prep.decisions

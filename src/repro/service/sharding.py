@@ -2,8 +2,8 @@
 
 The paper's coalition serves authorization at *every* cooperating
 server, but one :class:`~repro.rbac.engine.AccessControlEngine` is a
-single-threaded object: its candidate cache, session table and audit
-log are mutated on every decision.  :class:`ShardedEngine` partitions
+single-threaded object: its session table, validity trackers and
+audit log are mutated on every decision.  :class:`ShardedEngine` partitions
 sessions across N engine shards by a **stable hash of the routing
 key** (the owner's user name by default), so:
 
@@ -17,16 +17,16 @@ key** (the owner's user name by default), so:
   **process-global**: every entry is a pure function of its key and
   the table cache is lock-guarded, so all shards share one copy and
   one warm-up;
-* the interned decision attribution and outcomes are one memo per
-  policy version that every shard shares, so equal outcomes decided on
-  different shards are one record.  Its entries are pure functions of
+* the candidate lookups and the interned decision attribution and
+  outcomes are one memo per policy version that every shard shares,
+  so equal outcomes decided on different shards are one record.  Its entries are pure functions of
   their keys, inserted with ``setdefault``, so racing shards agree;
 * so are the ``(constraint, access)`` extension entries — each a
   process-wide state table and a live mask: the shards share one
   copy of the memo, and one prewarm fills it.
 
-Per-shard state (sessions, validity trackers, candidate cache, audit
-log) is touched only under the shard lock, so the engine internals
+Per-shard state (sessions, validity trackers, audit log) is touched
+only under the shard lock, so the engine internals
 need no locks of their own.
 """
 
@@ -70,8 +70,7 @@ class ShardedEngine:
     ----------
     policy:
         Shared by every shard (policies are read-mostly; mutations bump
-        the version counter, which each shard's candidate cache already
-        honours).
+        the version counter, which empties the shards' shared memo).
     shards:
         Number of engine shards.
     engine_kwargs:
@@ -87,8 +86,8 @@ class ShardedEngine:
             _Shard(i, AccessControlEngine(policy, **engine_kwargs))
             for i in range(shards)
         ]
-        # One attribution and outcome memo, and one extension entry
-        # memo, for every shard: a value decided on several shards is
+        # One candidate, attribution and outcome memo, and one
+        # extension entry memo, for every shard: a value decided on several shards is
         # one record, and one prewarm warms every shard.
         first = self._shards[0].engine
         for shard in self._shards[1:]:

@@ -311,12 +311,23 @@ class TestCacheInvalidation:
         assert session.monitor_entry(constraint) is not None
         engine.invalidate_caches()
         assert not engine._extension_cache
-        assert not engine._candidates_cache
+        assert not engine._memo.candidates
         assert session.monitor_entry(constraint) is None
         # Still decides correctly after the purge.
         assert engine.decide(
             session, ("exec", "rsw", "s1"), 1.0, history=None
         ).granted
+
+    def test_candidates_keep_one_policy_version(self):
+        """Candidates live in the memo of the current policy version:
+        a mutation drops the older version's entries instead of leaving
+        a full set behind."""
+        engine, session = make_engine()
+        access = AccessKey("exec", "rsw", "s1")
+        for i in range(200):
+            engine.policy.add_user(f"v{i}")
+            assert engine.decide(session, access, float(i), history=None).granted
+        assert len(engine._memo.candidates) == 1
 
 
 class TestObservedStorage:

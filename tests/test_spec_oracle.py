@@ -17,8 +17,8 @@ requests, role (de)activation, migrations, ``close_session`` and
 Owner-scope walks (``coordination_scope="owner"``: every session of
 the one user decides against their combined observations) run through
 the same eight configurations; their sessions route by owner, so all
-land on one shard.  Owner scope is never vector-eligible, so these
-check the scalar decision loop on every path.
+land on one shard.  The batch paths sweep them like subject-scope
+walks, reading the owner's combined history.
 
 Every decision must match the oracle on granted, role, permission,
 ``spatial_ok``, ``temporal_ok``, provenance kind, history length and
@@ -39,7 +39,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import tests.strategies as strategies
@@ -429,6 +429,35 @@ def check_case(case: Case, configs=CONFIGS, counts: Counter | None = None) -> No
             counts[config] += len(decisions)
 
 
+#: One constraint requested over two universes that share their first
+#: class (the constraint's one named access) and differ in the class of
+#: the request: ``exec r1 @ s2`` can still meet the count, so it is
+#: granted; ``exec r1 @ s3`` cannot, and no access of its universe
+#: can, so it is denied.  A live mask keyed by the first class alone
+#: would grant the second request from the first one's mask.
+MASK_KEY_CASE = Case(
+    permissions=(
+        Permission(
+            "p0",
+            op="exec",
+            resource="r1",
+            spatial_constraint=parse_constraint(
+                "read r1 @ s1 & count(1, 9, [server = s2])"
+            ),
+            validity_duration=math.inf,
+        ),
+    ),
+    grants={"ra": ["p0"], "rb": ["p0"]},
+    per_server=False,
+    initial=(frozenset({"ra"}),),
+    dt=0.25,
+    steps=tuple(
+        ("req", 0, AccessKey("exec", "r1", server), "inc", (), "ra", "s1")
+        for server in ("s2", "s3")
+    ),
+)
+
+
 HARNESS_SETTINGS = dict(
     deadline=None,
     derandomize=True,
@@ -509,11 +538,18 @@ class TestOracleHarness:
         with pytest.raises(AssertionError, match="disagrees with the oracle"):
             harness()
 
-    @pytest.mark.parametrize("breakage", ["live-mask", "state-codes"])
+    def test_mask_key_case_agrees_with_oracle(self):
+        check_case(MASK_KEY_CASE)
+
+    @pytest.mark.parametrize(
+        "breakage", ["live-mask", "state-codes", "mask-key", "frozen-codes"]
+    )
     def test_harness_catches_a_broken_engine(self, monkeypatch, breakage):
-        """Non-vacuity: make the vector sweep wrong on purpose — every
-        spatial verdict live, or every temporal code VALID — and the
-        harness must fail."""
+        """Non-vacuity: make the engine wrong on purpose — every
+        spatial verdict live, every temporal code VALID, live masks
+        keyed by the universe's first access class alone, or every
+        instant of a sweep reading its group's first temporal code —
+        and the harness must fail."""
         if breakage == "live-mask":
             # The one mask builder: decide and the sweep both read it.
             monkeypatch.setattr(
@@ -521,13 +557,33 @@ class TestOracleHarness:
                 "_build_mask",
                 lambda self, universe: b"\x01" * self.n_states,
             )
-        else:
+        elif breakage == "state-codes":
             monkeypatch.setattr(
                 ColumnTracker,
                 "state_codes_at",
                 lambda self, ts: np.full(len(ts), CODE_VALID, dtype=np.uint8),
             )
+        elif breakage == "mask-key":
+            live_mask, masks = StateTable.live_mask, {}
 
+            def first_class_mask(self, universe):
+                key = (self, next(iter(self._classes_of(universe)), None))
+                if key not in masks:
+                    masks[key] = live_mask(self, universe)
+                return masks[key]
+
+            monkeypatch.setattr(StateTable, "live_mask", first_class_mask)
+        else:
+            state_codes_at = ColumnTracker.state_codes_at
+            monkeypatch.setattr(
+                ColumnTracker,
+                "state_codes_at",
+                lambda self, ts: np.full(
+                    len(ts), state_codes_at(self, ts[:1])[0], dtype=np.uint8
+                ),
+            )
+
+        @example(case=MASK_KEY_CASE)
         @settings(
             max_examples=60,
             phases=[Phase.explicit, Phase.generate],

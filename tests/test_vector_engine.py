@@ -12,8 +12,8 @@ decisions are *right* is checked against the definitions-level oracle
 in ``tests/test_spec_oracle.py``.)
 
 Ineligible batches must *fall back*, not fail: the fallback paths are
-driven through configuration (owner scope, a product over the
-reachability budget, explicit history, ``observe_granted``).
+driven through configuration (a product over the reachability budget,
+explicit history, ``observe_granted``).  Owner scope is swept.
 
 The audit log keeps every decision, so what one decision retains is
 gated too (``TestRetainedDecisions``): bytes per swept and per scalar
@@ -179,6 +179,40 @@ class TestDifferentialProperty:
         assert stats.vector_fallbacks == 0
         assert sc[0].cache_stats().vector_decisions == 0
 
+    def test_owner_scope_is_swept(self):
+        """Owner scope reads the owner's combined history, which no
+        sweep observes into: the batch is swept, and equals a twin
+        engine's per-request loop.  A companion's three observations
+        put the count bound out of reach for every request."""
+        policy = Policy()
+        policy.add_user("u")
+        policy.add_role("r")
+        policy.add_permission(
+            Permission("p", op="exec", resource="r1",
+                       spatial_constraint=parse_constraint(COUNT_SRC))
+        )
+        policy.assign_user("u", "r")
+        policy.assign_permission("r", "p")
+        vec, sc = [], []
+        for pair in (vec, sc):
+            engine = AccessControlEngine(policy, coordination_scope="owner")
+            companion = engine.authenticate("u", 0.0)
+            for server in ("s1", "s2", "s3"):
+                engine.observe(companion, AccessKey("exec", "r1", server))
+            session = engine.authenticate("u", 0.0)
+            engine.activate_role(session, "r", 0.0)
+            pair += (engine, session)
+        batch = [AccessKey("exec", "r1", "s1")] * 6
+        got = vec[0].decide_batch(vec[1], batch, t=1.0, dt=0.5)
+        want = _decide_loop(sc[0], sc[1], batch, t=1.0, dt=0.5)
+        assert [_norm(d) for d in got] == [_norm(d) for d in want]
+        _assert_equivalent(vec, sc)
+        assert [d.provenance.kind for d in got] == ["spatial"] * 6
+        assert got[0].provenance.history_len == 3
+        stats = vec[0].cache_stats()
+        assert stats.vector_decisions == 6
+        assert stats.vector_fallbacks == 0
+
 
 class TestTemporalBoundaries:
     def test_decision_exactly_at_expiry_instant(self):
@@ -210,25 +244,6 @@ class TestTemporalBoundaries:
 class TestFallbacks:
     def _grant_batch(self):
         return [AccessKey("exec", "r1", "s1")] * 6
-
-    def test_owner_scope_falls_back(self):
-        policy = Policy()
-        policy.add_user("u")
-        policy.add_role("r")
-        policy.add_permission(
-            Permission("p", op="exec", resource="r1",
-                       spatial_constraint=parse_constraint(COUNT_SRC))
-        )
-        policy.assign_user("u", "r")
-        policy.assign_permission("r", "p")
-        engine = AccessControlEngine(policy, coordination_scope="owner")
-        session = engine.authenticate("u", 0.0)
-        engine.activate_role(session, "r", 0.0)
-        decisions = engine.decide_batch(session, self._grant_batch(), t=1.0)
-        assert all(d.granted for d in decisions[:3])
-        stats = engine.cache_stats()
-        assert stats.vector_fallbacks == 6
-        assert stats.vector_decisions == 0
 
     def test_uncached_srac_falls_back_identically(self):
         """A monitor product over the reachability budget has no live
