@@ -21,8 +21,10 @@ measures what that buys:
   population (1M+ sessions in the full run) under ``tracemalloc``, on
   the default engine (timelines recorded, as deployed); the marginal
   bytes/session (and the store's own column accounting) gate the
-  ≤ 40 B/session budget: a row holds only who the session is, and the
-  block's start time, role set and trackers sit in one template cell.
+  ≤ 24 B/session budget: a row holds 16 B (its user, generation, cell
+  and place in its open), and the block's first session and subject
+  numbers, start time, role set and trackers sit in one template cell
+  (the 100k smoke reads 20.1 B).
 * **touched handles** — the drive's touched sessions get handles,
   each read through its trackers and role set under ``tracemalloc``;
   what they retain per session gates the ≤ 256 B budget.  Reads copy
@@ -34,7 +36,7 @@ measures what that buys:
   the micro-batched :class:`~repro.service.DecisionService`.  After
   the drive, the store's bytes over its residents — the untouched rows
   still sharing their template cell, each written row with a cell of
-  its own — gate a ≤ 55 B/session budget.
+  its own — gate a ≤ 40 B/session budget (the smoke reads 32.7 B).
 
 Run:  python benchmarks/bench_scale.py [--smoke]
 Emits benchmarks/artifacts/BENCH_scale.json.
@@ -76,10 +78,10 @@ QUEUE_DEPTH = 1 << 17
 SUBMIT_CHUNK = 8192
 
 #: Store-overhead budget per resident session after the bulk open.
-BYTES_PER_SESSION_BUDGET = 40.0
+BYTES_PER_SESSION_BUDGET = 24.0
 
 #: The same budget after the drive, whose written rows own cells.
-DRIVEN_BYTES_PER_SESSION_BUDGET = 55.0
+DRIVEN_BYTES_PER_SESSION_BUDGET = 40.0
 
 #: What a touched session's handle may keep beside its row.
 HANDLE_BYTES_BUDGET = 256.0

@@ -583,8 +583,8 @@ class AccessControlEngine:
         sid, seq = _draw_ids(n)
         return store.open_block(
             t,
-            np.arange(sid, sid + n, dtype=np.int64),
-            np.arange(seq, seq + n, dtype=np.int64),
+            sid,
+            seq,
             user_codes[codes],
             store._intern_role_set(frozenset(role_objs)),
             tracker_plan,

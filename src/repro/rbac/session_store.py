@@ -6,21 +6,25 @@ per-engine **numpy columns** instead of per-session Python objects.  A
 per-session object graph costs hundreds of bytes to kilobytes (dict
 headers, list over-allocation, tracker instances, recorder lists); at
 the ROADMAP's "millions of users" scale that overhead *is* the memory
-bill.  A store row holds only who the session is, plus the index of
-the **cell** holding what the session has done:
+bill.  A store row holds its user, its generation, its place in the
+open that made it and the index of the **cell** holding who the
+session is and what it has done:
 
 ::
 
-    row columns (one entry per session row, 33 B)
-      alive        u8    gen           i32
-      sid_seq      i64   subj_seq      i64
-      user_id      i32   principals_id i32 (the principals beyond
-                                            the user's own; 0: none)
-      cell         i32   (the cell the row reads)
+    row columns (one entry per session row, 16 B)
+      gen          i32   user_id       i32
+      cell         i32   (the cell the row reads; the empty cell: no
+                          live session)
+      ord          i32   (the row's place in the open that made it)
 
     cells (one entry per cell id; cell 0 is the empty cell)
-      session record (40 B; _SessionCells)
+      session record (60 B; _SessionCells)
         owner        i32   the row that owns the cell, or -1
+        sid_base     i64   subj_base  i64   (a row's session and subject
+                           numbers are these plus the row's ord)
+        principals   i32   (the principals beyond the user's own;
+                            0: none)
         start_time   f64   last_seen  f64   role_set i32 (interned)
         obs_head/obs_tail/obs_len i32 (observation list)
         obs_ver      i32   (times the log was replaced)
@@ -55,31 +59,35 @@ and observe paths do no work for it.
 
 Rows that only restate their open state share one cell.  The rows of
 one bulk open (:meth:`SessionStore.open_block`) read one **template**
-cell holding their start time, role set and the trackers that open
-activated; a closed row reads the **empty cell**.  Reads resolve the
-row's current cell and never allocate.  **Every write** to a row's
-cell — a last-seen advance (:meth:`SessionStore.touch`), a role-set
-change, an observation, a tracker event or clock advance, a tracker
-allocation, a state id's first fold — goes through
-:meth:`SessionStore._own_cell`: the row's first write copies the
-shared cell into a cell the row owns, one element copy per cell
-column, and the row points at its copy from then on.  A scalar
-:meth:`SessionStore.open` owns a cell from the start.  Closing a row
-frees the cell it owns, and a template with the last row reading it,
-for reuse.  Cell columns grow with the cells in use, not with the
-rows, and by a quarter at a time: a million bulk-opened rows of which
-a few thousand are ever written hold a few thousand cells.
+cell holding their first session and subject numbers, start time,
+role set and the trackers that open activated, and the row at place
+``ord`` in the open holds numbers ``base + ord``; a closed row reads
+the **empty cell**, so a row is live exactly when its cell is not the
+empty cell.  Reads resolve the row's current cell and never allocate.
+**Every write** to a row's cell — a last-seen advance
+(:meth:`SessionStore.touch`), a role-set change, an observation, a
+tracker event or clock advance, a tracker allocation, a state id's
+first fold — goes through :meth:`SessionStore._own_cell`: the row's
+first write copies the shared cell into a cell the row owns, one
+element copy per cell column, and the row points at its copy from then
+on; the copy holds the bases, so the row's numbers do not change.  A
+scalar :meth:`SessionStore.open` owns a cell from the start, with its
+numbers in it and ``ord`` 0.  Closing a row frees the cell it owns,
+and a template with the last row reading it, for reuse.  Cell columns
+grow with the cells in use, not with the rows, and by a quarter at a
+time: a million bulk-opened rows of which a few thousand are ever
+written hold a few thousand cells.
 
 Every subject holds its user's own principal, ``user:<name>``, so a
-row's principals code names only the principals beyond it, and
+cell's principals code names only the principals beyond it, and
 :meth:`SessionStore.subject_of` adds it back; a bulk open's subjects
 have no others, and intern nothing beyond their user.
 
 Scalar callers never see the columns: a :class:`Session` is a
 **handle**, a reference into one row.  It holds the store, the row and
 the generation it was made for and the ``observed`` memo.  Its
-identity (``session_id``, ``subject``) is read from the row, and its
-``start_time`` from the row's cell, when asked for; the
+identity (``session_id``, ``subject``) and ``start_time`` are read
+from the row and its cell when asked for; the
 :class:`~repro.rbac.model.Subject` is built on
 its first read and kept, and deciding reads only the subject id string,
 cached on the handle.  Its ``trackers``, :meth:`Session.tracker` and
@@ -174,12 +182,15 @@ def _user_principal(user: User) -> str:
 
 
 #: One cell's session record: the row that owns the cell (-1 for the
-#: empty cell, a template or a free cell) and what its session has done
-#: beside its trackers and monitors.  40 bytes, so that copying a cell
-#: is one element copy per cell column.
+#: empty cell, a template or a free cell), who its session is and what
+#: it has done beside its trackers and monitors.  60 bytes, so that
+#: copying a cell is one element copy per cell column.
 _SESSION_CELL = np.dtype(
     [
         ("owner", np.int32),
+        ("sid_base", np.int64),
+        ("subj_base", np.int64),
+        ("principals", np.int32),
         ("start_time", np.float64),
         ("last_seen", np.float64),
         ("role_set", np.int32),
@@ -193,13 +204,16 @@ _SESSION_CELL = np.dtype(
 
 class _SessionCells(Records):
     """The session records of the store's cells (the empty cell's:
-    no owner, no activity, the empty role set and an empty log)."""
+    no owner, no session, no activity, the empty role set and an empty
+    log)."""
 
     __slots__ = _SESSION_CELL.names
 
     def __init__(self, capacity: int):
         super().__init__(
-            capacity, _SESSION_CELL, (-1, 0.0, -math.inf, 0, -1, -1, 0, 0)
+            capacity,
+            _SESSION_CELL,
+            (-1, -1, -1, 0, 0.0, -math.inf, 0, -1, -1, 0, 0),
         )
 
 
@@ -302,8 +316,8 @@ class Session:
     history.
 
     A handle holds its store, row and generation and the ``observed``
-    memo.  ``session_id`` and ``subject`` are read from the row, and
-    ``start_time`` from the row's cell, when asked for; the ``subject``
+    memo.  ``session_id``, ``subject`` and ``start_time`` are read
+    from the row's cell and ``ord`` when asked for; the ``subject``
     is built on its first read and kept, and :attr:`subject_id` caches
     its id string without building it.  All state reads and writes go
     to the columns, so any
@@ -346,7 +360,7 @@ class Session:
     def session_id(self) -> str:
         if self._frozen is not None:
             return self._frozen[0]
-        return f"session-{self._store._sid_seq.data.item(self._row)}"
+        return f"session-{self._store.session_seq(self._row)}"
 
     @property
     def start_time(self) -> float:
@@ -361,7 +375,7 @@ class Session:
         subject_id = self._subject_id
         if subject_id is None:
             subject_id = self._subject_id = (
-                f"subject-{self._store._subj_seq.data.item(self._row)}"
+                f"subject-{self._store.subject_seq(self._row)}"
             )
         return subject_id
 
@@ -510,21 +524,15 @@ class SessionStore:
     def __init__(self, scheme: Scheme):
         self.scheme = scheme
         capacity = _INITIAL_ROWS
-        self._alive = Column(capacity, np.uint8)
         self._gen = Column(capacity, np.int32)
-        self._sid_seq = Column(capacity, np.int64, fill=-1)
-        self._subj_seq = Column(capacity, np.int64, fill=-1)
         self._user_id = Column(capacity, np.int32, fill=-1)
-        self._principals_id = Column(capacity, np.int32, fill=-1)
         self._cell = Column(capacity, np.int32, fill=EMPTY_CELL)
+        self._ord = Column(capacity, np.int32)
         self._row_columns: list[Column] = [
-            self._alive,
             self._gen,
-            self._sid_seq,
-            self._subj_seq,
             self._user_id,
-            self._principals_id,
             self._cell,
+            self._ord,
         ]
         # Interning tables.  Index 0 of the principal sets is the empty
         # set (no principal beyond the user's own), and index 0 of the
@@ -563,7 +571,7 @@ class SessionStore:
 
     @property
     def capacity(self) -> int:
-        return self._alive.data.size
+        return self._gen.data.size
 
     def _grow_to(self, capacity: int) -> None:
         for column in self._row_columns:
@@ -656,6 +664,17 @@ class SessionStore:
 
     # -- per-row reads (the row's current cell; nothing allocated) -----------
 
+    def session_seq(self, row: int) -> int:
+        """The number in the row's session id: its open's first plus
+        the row's place in that open."""
+        cell = self._cell.data.item(row)
+        return self._sc.sid_base.item(cell) + self._ord.data.item(row)
+
+    def subject_seq(self, row: int) -> int:
+        """The number in the row's subject id, as :meth:`session_seq`."""
+        cell = self._cell.data.item(row)
+        return self._sc.subj_base.item(cell) + self._ord.data.item(row)
+
     def start_time(self, row: int) -> float:
         return self._sc.start_time.item(self._cell.data.item(row))
 
@@ -744,47 +763,50 @@ class SessionStore:
         subj_seq: int,
     ) -> int:
         """Open a session row for ``user`` at ``t``; returns the row.
-        The row keeps the numbers of its session and subject ids and
-        the code of ``principals`` beyond the user's own, and
-        :meth:`subject_of` builds the subject from them.  It owns a copy
-        of the empty cell with its start time in it."""
+        It owns a copy of the empty cell holding the numbers of its
+        session and subject ids (its ``ord`` is 0), the code of
+        ``principals`` beyond the user's own and its start time, and
+        :meth:`subject_of` builds the subject from them."""
         extras = frozenset(principals) - {_user_principal(user)}
         row = self._alloc_row()
-        self._alive.data[row] = 1
-        self._sid_seq.data[row] = sid_seq
-        self._subj_seq.data[row] = subj_seq
         self._user_id.data[row] = self._intern_user(user)
-        self._principals_id.data[row] = self._intern_principals(extras)
+        self._ord.data[row] = 0
         cell = self._own_cell(row)  # a free row reads the empty cell
-        self._sc.start_time[cell] = self._sc.last_seen[cell] = t
+        sc = self._sc
+        sc.sid_base[cell] = sid_seq
+        sc.subj_base[cell] = subj_seq
+        sc.principals[cell] = self._intern_principals(extras)
+        sc.start_time[cell] = sc.last_seen[cell] = t
         self._resident += 1
         return row
 
     def open_block(
         self,
         t: float,
-        sid_seqs,
-        subj_seqs,
+        sid_seq: int,
+        subj_seq: int,
         user_codes,
         role_set_code: int,
         trackers: Mapping[str, float],
     ) -> np.ndarray:
-        """Bulk-open ``len(sid_seqs)`` rows with vectorized column
+        """Bulk-open ``len(user_codes)`` rows with vectorized column
         fills (the bulk load path), all reading one template cell that
-        holds ``t`` as start and last-seen time, the role set and the
-        ``trackers`` (key → duration) allocated and activated at ``t``
-        — what ``create_tracker`` + ``activate(t)`` leaves, minus the
-        two timeline events, which ``OPEN_ACTIVE`` implies.  A row
-        copies the template on its first write.  All other inputs are
-        parallel integer sequences; interning codes come from the
-        scalar helpers.  Each subject's principals are its user's own
-        alone.  Free rows are taken first, in the order
-        :meth:`open` would take them, then rows from the high-water
-        mark.  Returns the opened row indices, parallel to the
-        inputs."""
+        holds ``sid_seq`` and ``subj_seq``, the first of the block's
+        consecutive session and subject numbers, ``t`` as start and
+        last-seen time, the role set and the ``trackers`` (key →
+        duration) allocated and activated at ``t`` — what
+        ``create_tracker`` + ``activate(t)`` leaves, minus the two
+        timeline events, which ``OPEN_ACTIVE`` implies.  Row ``i`` of
+        the block has ``ord`` ``i``, so its numbers are the firsts plus
+        ``i``.  A row copies the template on its first write.  The user
+        codes come from the scalar interning helper.  Each subject's
+        principals are its user's own alone.  Free rows are taken
+        first, in the order :meth:`open` would take them, then rows
+        from the high-water mark.  Returns the opened row indices,
+        parallel to ``user_codes``."""
         for duration in trackers.values():
             check_duration(duration)
-        n = len(sid_seqs)
+        n = len(user_codes)
         if n == 0:
             return np.empty(0, dtype=np.int64)
         reused = min(n, len(self._free))
@@ -800,15 +822,15 @@ class SessionStore:
             sl = rows
         else:
             sl = slice(first, end)
-        self._alive.data[sl] = 1
-        self._sid_seq.data[sl] = sid_seqs
-        self._subj_seq.data[sl] = subj_seqs
         self._user_id.data[sl] = user_codes
-        self._principals_id.data[sl] = 0
+        self._ord.data[sl] = np.arange(n, dtype=np.int32)
         cell = self._new_cell(EMPTY_CELL)
         self._template_rows[cell] = n
-        self._sc.start_time[cell] = self._sc.last_seen[cell] = t
-        self._sc.role_set[cell] = role_set_code
+        sc = self._sc
+        sc.sid_base[cell] = sid_seq
+        sc.subj_base[cell] = subj_seq
+        sc.start_time[cell] = sc.last_seen[cell] = t
+        sc.role_set[cell] = role_set_code
         for key, duration in trackers.items():
             tc = self._tracker_columns(key)
             tc.allocate(cell, duration, t)
@@ -824,9 +846,9 @@ class SessionStore:
         the live handle's identity is frozen into it, the generation
         bump turns every handle and tracker view of the occupancy into a
         closed session's, and the row leaves the handle registry, so its
-        next occupant gets a fresh handle.  The row columns keep their
-        values until an open rewrites them all; the row's hold on its
-        cell is released here, and it reads the empty cell.  An arena
+        next occupant gets a fresh handle.  The row's hold on its cell
+        is released here, and it reads the empty cell, so nothing reads
+        the closed session's identity from the store again.  An arena
         the close leaves due is compacted.  A stale ``gen`` (the session
         is already closed) is a no-op."""
         if self._gen.data.item(row) != gen:
@@ -836,7 +858,6 @@ class SessionStore:
         if handle is not None:
             handle._freeze()
         self._resident -= 1
-        self._alive.data[row] = 0
         self._gen.data[row] += 1
         cell = self._cell.data.item(row)
         # Only a row that owns a cell has recorded tracker events or
@@ -869,7 +890,7 @@ class SessionStore:
             handle = ref()
             if handle is not None:
                 return handle
-        if not (0 <= row < self._n and self._alive.data.item(row)):
+        if not 0 <= row < self._n or self._cell.data.item(row) == EMPTY_CELL:
             raise RbacError(f"no live session at store row {row}")
         handle = Session(self, row)
         handles[row] = weakref.ref(handle)
@@ -896,18 +917,23 @@ class SessionStore:
 
     def subject_of(self, row: int, subject_id: str) -> Subject:
         """The subject of the row's occupancy, whose id is
-        ``subject_id``: its user's own principal and those its
+        ``subject_id``: its user's own principal and those its cell's
         principals code names."""
         user = self._users[self._user_id.data.item(row)]
-        extras = self._principal_sets[self._principals_id.data.item(row)]
+        extras = self._principal_sets[
+            self._sc.principals.item(self._cell.data.item(row))
+        ]
         return Subject(
             user, extras | {_user_principal(user)}, subject_id=subject_id
         )
 
     def row_of_session_id(self, session_id: str) -> int | None:
-        """Row of a live session by id — a vectorized scan (no reverse
-        index: materialisation by id is an administrative operation,
-        and an id→row dict would be the store's single biggest cell)."""
+        """Row of a live session by its canonical id ``session-<n>`` —
+        a vectorized scan of every live row's number, its cell's base
+        plus its ``ord`` (no reverse index: materialisation by id is an
+        administrative operation, and an id→row dict would be the
+        store's single biggest cell).  Any other spelling of a number
+        names no session."""
         prefix = "session-"
         if not session_id.startswith(prefix):
             return None
@@ -915,16 +941,20 @@ class SessionStore:
             seq = int(session_id[len(prefix):])
         except ValueError:
             return None
+        if session_id != f"{prefix}{seq}":
+            return None
         n = self._n
-        hits = np.nonzero(
-            (self._sid_seq.data[:n] == seq) & (self._alive.data[:n] == 1)
-        )[0]
+        cells = self._cell.data[:n]
+        hits = np.flatnonzero(
+            (self._sc.sid_base[cells] + self._ord.data[:n] == seq)
+            & (cells != EMPTY_CELL)
+        )
         if hits.size == 0:
             return None
         return int(hits[0])
 
     def alive_rows(self) -> np.ndarray:
-        return np.nonzero(self._alive.data[: self._n] == 1)[0]
+        return np.flatnonzero(self._cell.data[: self._n] != EMPTY_CELL)
 
     def latest_activity(self) -> float | None:
         """The latest ``last_seen`` over live rows (``None`` when no
@@ -941,9 +971,8 @@ class SessionStore:
         """Live rows idle for at least ``idle_for`` as of ``now``:
         the idle cells, then the live rows reading one."""
         idle = now - self._sc.last_seen[: self._cells] >= idle_for
-        n = self._n
-        alive = self._alive.data[:n] == 1
-        return np.flatnonzero(alive & idle[self._cell.data[:n]])
+        idle[EMPTY_CELL] = False  # the cell of no live row
+        return np.flatnonzero(idle[self._cell.data[: self._n]])
 
     # -- observations --------------------------------------------------------
 

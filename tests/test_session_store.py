@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import math
 import time
 import tracemalloc
@@ -37,6 +38,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.rbac.engine as rbac_engine
+import repro.rbac.model as rbac_model
 import tests.strategies as strategies
 from repro.errors import RbacError, ServiceError, TemporalError
 from repro.rbac import session_store
@@ -1632,8 +1635,11 @@ class TestLeanIdentity:
         # The next open takes the closed row, and the last row's
         # registered handle still reads its own session.
         assert engine.authenticate("v", 3.0)._row == rows[0]
-        assert engine._store.handle_for(rows[-1]) is last
-        assert last.session_id == f"session-{engine._store._sid_seq.data[rows[-1]]}"
+        store = engine._store
+        assert store.handle_for(rows[-1]) is last
+        cell = store._cell.data.item(rows[-1])
+        seq = store._sc.sid_base.item(cell) + store._ord.data.item(rows[-1])
+        assert last.session_id == f"session-{seq}"
 
         sharded = ShardedEngine(engine.policy, shards=4)
         by_shard = sharded.open_sessions(["u", "v"] * 8, 1.0, roles=("r",))
@@ -1694,7 +1700,10 @@ class TestImpliedPrincipal:
             "own": frozenset({"user:u", "x"}),
         }
         store = engine._store
-        codes = [store._principals_id.data.item(s._row) for s in opened.values()]
+        codes = [
+            store._sc.principals.item(store._cell.data.item(s._row))
+            for s in opened.values()
+        ]
         assert codes[:2] == [0, 0]
         assert store._principal_sets[codes[3]] == frozenset({"x"})
         # A frozen identity keeps its principals past the row's reuse.
@@ -1728,6 +1737,167 @@ class TestImpliedPrincipal:
             session = engine.session_at(rows[-1])
         name = session.subject.user.name
         assert session.subject.principals == {f"user:{name}"}
+        engine.close()
+
+
+class TestIdentityInCell:
+    """A row's session and subject numbers are its cell's bases plus
+    the row's ``ord``, and its principals its cell's code: identity
+    survives a bulk row's first write (the template copy) and the
+    reuse of closed rows by either kind of open, in any row order, and
+    ``materialize`` finds every session by its canonical id alone."""
+
+    @staticmethod
+    def _restart_ids(monkeypatch, first=1):
+        """Restart the session and subject counters at ``first``, so
+        two engines opening sessions after a restart each draw the
+        same ids."""
+        monkeypatch.setattr(rbac_model, "_subject_counter", itertools.count(first))
+        monkeypatch.setattr(rbac_engine, "_session_counter", itertools.count(first))
+
+    @staticmethod
+    def _identity(session):
+        subject = session.subject
+        return session.session_id, subject.subject_id, subject.principals
+
+    def _assert_twins(self, engine, sessions, twins):
+        """Equal identities, and each live session found by its id."""
+        assert [self._identity(s) for s in sessions] == [
+            self._identity(t) for t in twins
+        ]
+        for session in sessions:
+            if session._is_open():
+                assert engine.materialize(session.session_id) is session
+            else:
+                with pytest.raises(RbacError):
+                    engine.materialize(session.session_id)
+
+    def _walk(self, monkeypatch, reopen):
+        """Bulk-open six sessions and write to half of them, beside a
+        twin engine opening the same sessions one by one; then close
+        three of each and open three more on each with
+        ``reopen(engine, bulk)``.  Returns the bulk engine, its
+        sessions (the reopened three last) and the rows the closes
+        freed, last freed first."""
+        names = ["u", "v"] * 3
+        self._restart_ids(monkeypatch)
+        engine = TestLeanIdentity._engine()
+        rows = engine.open_sessions(names, 1.0, roles=("r",))
+        sessions = [engine.session_at(row) for row in rows]
+        self._restart_ids(monkeypatch)
+        twin = TestLeanIdentity._engine()
+        twins = []
+        for name in names:
+            session = twin.authenticate(name, 1.0)
+            twin.activate_role(session, "r", 1.0)
+            twins.append(session)
+        store = engine._store
+        template = store._cell.data.item(rows[0])
+        for k in (0, 3, 4):
+            for e, s in ((engine, sessions[k]), (twin, twins[k])):
+                e.decide(s, ACCESS, 2.0, history=None)
+                e.observe(s, ACCESS)
+            # The first write copied the template into the row's own
+            # cell.
+            assert store._cell.data.item(rows[k]) != template
+        self._assert_twins(engine, sessions, twins)
+        for k in (1, 3, 4):
+            engine.close_session(sessions[k], 3.0)
+            twin.close_session(twins[k], 3.0)
+        self._assert_twins(engine, sessions, twins)
+        free = [sessions[k]._row for k in (4, 3, 1)]
+        self._restart_ids(monkeypatch, 7)
+        sessions += reopen(engine, True)
+        self._restart_ids(monkeypatch, 7)
+        twins += reopen(twin, False)
+        self._assert_twins(engine, sessions, twins)
+        twin.close()
+        return engine, sessions, free
+
+    def test_identity_survives_the_first_write_and_reuse_by_authenticate(
+        self, monkeypatch
+    ):
+        def reopen(engine, _bulk):
+            return [
+                engine.authenticate("v", 4.0, {"NapletPrincipal"}),
+                engine.authenticate("u", 4.0),
+                engine.authenticate("v", 4.0, ["user:v", "x"]),
+            ]
+
+        engine, sessions, free = self._walk(monkeypatch, reopen)
+        reopened = sessions[-3:]
+        # Each takes the last freed row and owns a cell, at ord 0.
+        assert [s._row for s in reopened] == free
+        assert engine._store._ord.data[free].tolist() == [0, 0, 0]
+        assert [s.subject.principals for s in reopened] == [
+            {"NapletPrincipal", "user:v"},
+            {"user:u"},
+            {"x", "user:v"},
+        ]
+        engine.close()
+
+    def test_identity_survives_reuse_by_a_bulk_open_in_pop_order(
+        self, monkeypatch
+    ):
+        names = ["v", "u", "v"]
+
+        def reopen(engine, bulk):
+            if bulk:
+                rows = engine.open_sessions(names, 4.0, roles=("r",))
+                return [engine.session_at(row) for row in rows]
+            opened = []
+            for name in names:
+                session = engine.authenticate(name, 4.0)
+                engine.activate_role(session, "r", 4.0)
+                opened.append(session)
+            return opened
+
+        engine, sessions, free = self._walk(monkeypatch, reopen)
+        store = engine._store
+        rows = [s._row for s in sessions[-3:]]
+        # The freed rows, last freed first: not ascending, so the
+        # block's numbers follow ord, not the row index.
+        assert rows == free != sorted(free)
+        assert store._ord.data[rows].tolist() == [0, 1, 2]
+        assert len({store._cell.data.item(row) for row in rows}) == 1
+        # A write on a reused bulk row copies the identity too.
+        reused = sessions[-2]
+        before = self._identity(reused)
+        engine.decide(reused, ACCESS, 5.0, history=None)
+        assert store._cell.data.item(reused._row) != store._cell.data.item(rows[0])
+        assert self._identity(session_store.Session(store, reused._row)) == before
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "alias",
+        ["session-01", "session-+1", "session- 1", "session-0_1", "session-\u0661"],
+    )
+    def test_materialize_takes_only_the_canonical_id(self, monkeypatch, alias):
+        """``int`` reads each alias as 1, but none is ``session-1``'s
+        id, so none names a session."""
+        self._restart_ids(monkeypatch)
+        engine = TestLeanIdentity._engine()
+        session = engine.authenticate("u", 0.0)
+        assert session.session_id == "session-1"
+        assert engine.materialize("session-1") is session
+        with pytest.raises(RbacError, match="unknown session"):
+            engine.materialize(alias)
+        engine.close()
+
+    def test_row_columns_hold_16_bytes_a_row(self):
+        """A one-block open of 100k rows: four 4-byte row columns, and
+        one template cell holding the block's identity."""
+        n = 100_000
+        engine = TestLeanIdentity._engine()
+        store = engine._store
+        store.reserve(n)
+        rows = engine.open_sessions(["u"] * n, 0.0, roles=("r",))
+        assert len(rows) == store.resident == n
+        per_row = sum(column.data.nbytes for column in store._row_columns) / n
+        assert per_row <= 16.0, per_row
+        assert store._cells == 2  # the empty cell and the template
+        first, last = (engine.session_at(row) for row in (rows[0], rows[-1]))
+        assert int(last.session_id[8:]) - int(first.session_id[8:]) == n - 1
         engine.close()
 
 

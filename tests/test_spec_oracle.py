@@ -458,6 +458,33 @@ MASK_KEY_CASE = Case(
 )
 
 
+#: One session, ``ra`` active from 0.0, and one unconstrained
+#: permission whose budget of 2.0 runs out at 2.0: eight incremental
+#: requests at 1.0 … 2.75 make one ``decide_batch`` run that crosses
+#: the expiry, so the run's temporal codes change at its fifth request.
+#: A sweep that read the run's first code at every instant would grant
+#: past the expiry.
+EXPIRY_RUN_CASE = Case(
+    permissions=(
+        Permission(
+            "p0",
+            op="exec",
+            resource="r1",
+            spatial_constraint=parse_constraint("T"),
+            validity_duration=2.0,
+        ),
+    ),
+    grants={"ra": ["p0"], "rb": ["p0"]},
+    per_server=False,
+    initial=(frozenset({"ra"}),),
+    dt=0.25,
+    steps=tuple(
+        ("req", 0, AccessKey("exec", "r1", "s1"), "inc", (), "ra", "s1")
+        for _ in range(8)
+    ),
+)
+
+
 HARNESS_SETTINGS = dict(
     deadline=None,
     derandomize=True,
@@ -540,6 +567,38 @@ class TestOracleHarness:
 
     def test_mask_key_case_agrees_with_oracle(self):
         check_case(MASK_KEY_CASE)
+
+    def test_expiry_run_case_agrees_with_oracle(self):
+        check_case(EXPIRY_RUN_CASE)
+
+    def test_harness_catches_frozen_codes_on_decide_batch(self, monkeypatch):
+        """Non-vacuity for ``decide_batch`` alone: a sweep in which
+        every instant reads its group's first temporal code must fail
+        the harness on a run that crosses an expiry."""
+        state_codes_at = ColumnTracker.state_codes_at
+        monkeypatch.setattr(
+            ColumnTracker,
+            "state_codes_at",
+            lambda self, ts: np.full(
+                len(ts), state_codes_at(self, ts[:1])[0], dtype=np.uint8
+            ),
+        )
+
+        @example(case=EXPIRY_RUN_CASE)
+        @settings(
+            max_examples=60,
+            phases=[Phase.explicit, Phase.generate],
+            report_multiple_bugs=False,
+            **HARNESS_SETTINGS,
+        )
+        @given(case=cases())
+        def harness(case):
+            check_case(case, configs=("decide_batch",))
+
+        with pytest.raises(
+            AssertionError, match="decide_batch: request 4 .* disagrees"
+        ):
+            harness()
 
     @pytest.mark.parametrize(
         "breakage", ["live-mask", "state-codes", "mask-key", "frozen-codes"]
